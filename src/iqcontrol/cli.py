@@ -43,12 +43,19 @@ def _expect(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
-def _get(cfg: dict, key: str, typ, where: str):
+def _is_number(x) -> bool:
+    """A JSON number that converts to a finite float (no NaN, no overflow)."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def _get(cfg: dict, key: str, typ, where: str, default=None):
+    if default is not None and key not in cfg:
+        return default
     _expect(key in cfg, f"{where}: missing key '{key}'")
     val = cfg[key]
     if typ is float:
-        _expect(isinstance(val, (int, float)) and not isinstance(val, bool),
-                f"{where}: '{key}' must be a number")
+        _expect(_is_number(val), f"{where}: '{key}' must be a finite number")
         return float(val)
     if typ is int:
         _expect(isinstance(val, int) and not isinstance(val, bool),
@@ -58,13 +65,24 @@ def _get(cfg: dict, key: str, typ, where: str):
     return val
 
 
+def _get_positive(cfg: dict, key: str, where: str, default=None) -> float:
+    val = _get(cfg, key, float, where, default)
+    _expect(val > 0.0, f"{where}: '{key}' must be > 0")
+    return val
+
+
+def _parse_numbers(val, where: str) -> np.ndarray:
+    _expect(isinstance(val, list) and all(map(_is_number, val)),
+            f"{where}: expected a list of finite numbers")
+    return np.array(val, dtype=float)
+
+
 def _parse_complex(val, where: str) -> complex:
-    if isinstance(val, (int, float)) and not isinstance(val, bool):
+    if _is_number(val):
         return complex(val)
     _expect(isinstance(val, list) and len(val) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in val),
-            f"{where}: expected a number or an [re, im] pair")
+            and all(map(_is_number, val)),
+            f"{where}: expected a finite number or an [re, im] pair")
     return complex(val[0], val[1])
 
 
@@ -80,12 +98,15 @@ def _parse_matrix(val, where: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _parse_density_matrix(val, where: str) -> np.ndarray:
-    m = _parse_matrix(val, where)
+def _parse_target(val) -> np.ndarray:
+    where = "config.target"
     try:
-        return opkit.validate_density_matrix(m, herm_tol=1e-10)
+        m = opkit.validate_density_matrix(_parse_matrix(val, where),
+                                          herm_tol=1e-10)
     except IQControlError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    _expect(m.shape == (2, 2), f"{where}: must be 2x2")
+    return m
 
 
 def _parse_couplings(cfg: dict, where: str) -> qubit.QubitCouplings:
@@ -102,14 +123,16 @@ def _parse_couplings(cfg: dict, where: str) -> qubit.QubitCouplings:
 
 def _parse_times(val, where: str) -> np.ndarray:
     if isinstance(val, list):
-        _expect(all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in val), f"{where}: times must be numbers")
-        return np.array(val, dtype=float)
+        return _parse_numbers(val, where)
     _expect(isinstance(val, dict), f"{where}: expected a list or a range object")
-    count = _get(val, "count", int, where)
+    return _parse_range(val, where)
+
+
+def _parse_range(cfg: dict, where: str) -> np.ndarray:
+    count = _get(cfg, "count", int, where)
     _expect(count >= 0, f"{where}: count must be >= 0")
-    return np.linspace(_get(val, "start", float, where),
-                       _get(val, "stop", float, where), count)
+    return np.linspace(_get(cfg, "start", float, where),
+                       _get(cfg, "stop", float, where), count)
 
 
 def _parse_unit(cfg: dict, key: str, where: str) -> float:
@@ -123,11 +146,11 @@ def _parse_axis(ax, where: str):
     name = _get(ax, "name", str, where)
     _expect(name in SWEEP_PARAMS,
             f"{where}: axis name '{name}' not one of {SWEEP_PARAMS}")
-    count = _get(ax, "count", int, where)
-    _expect(count >= 0, f"{where}: count must be >= 0")
-    values = np.linspace(_get(ax, "start", float, where),
-                         _get(ax, "stop", float, where), count)
-    return name, values
+    return name, _parse_range(ax, where)
+
+
+def _reject_constant(name: str):
+    raise ConfigError(f"invalid JSON: non-finite number '{name}'")
 
 
 def load_config(path: Path) -> dict:
@@ -136,11 +159,13 @@ def load_config(path: Path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # e.g. an integer beyond the digit limit
+        raise ConfigError(f"invalid JSON: {exc}") from exc
     _expect(isinstance(cfg, dict), "config root must be an object")
     mode = _get(cfg, "mode", str, "config")
     _expect(mode in MODES, f"config: mode '{mode}' not one of {MODES}")
@@ -160,49 +185,39 @@ def validate_config(cfg: dict):
                                   "config.times"),
         }
         if "target" in cfg:
-            payload["target"] = _parse_density_matrix(cfg["target"],
-                                                      "config.target")
-            _expect(payload["target"].shape == (2, 2),
-                    "config.target: must be 2x2")
+            payload["target"] = _parse_target(cfg["target"])
         return payload
     if mode == "solve":
-        target = _parse_density_matrix(_get(cfg, "target", list, "config"),
-                                       "config.target")
-        _expect(target.shape == (2, 2), "config.target: must be 2x2")
+        target = _parse_target(_get(cfg, "target", list, "config"))
         budget_cfg = cfg.get("budget", {})
         _expect(isinstance(budget_cfg, dict), "config.budget: expected object")
+        where = "config.budget"
         budget = qubit.SolverBudget(
-            tol=float(budget_cfg.get("tol", 1e-8)),
-            max_evals=int(budget_cfg.get("max_evals", 100_000)),
-            grid=int(budget_cfg.get("grid", 64)))
+            tol=_get_positive(budget_cfg, "tol", where, 1e-8),
+            max_evals=_get(budget_cfg, "max_evals", int, where, 100_000),
+            grid=_get(budget_cfg, "grid", int, where, 64))
+        _expect(budget.max_evals >= 0, f"{where}: 'max_evals' must be >= 0")
+        _expect(budget.grid >= 1, f"{where}: 'grid' must be >= 1")
         return {"p_s": _parse_unit(cfg, "p_s", "config"),
                 "target": target, "budget": budget}
     if mode == "reach":
         c_raw = _get(cfg, "coefficients", list, "config")
         n = len(c_raw)
-        c = np.empty((n, n, n), dtype=complex)
-        for a, block in enumerate(c_raw):
-            _expect(isinstance(block, list) and len(block) == n,
-                    f"config.coefficients[{a}]: expected {n} rows")
-            for j, row in enumerate(block):
-                _expect(isinstance(row, list) and len(row) == n,
-                        f"config.coefficients[{a}][{j}]: expected {n} entries")
-                for m, x in enumerate(row):
-                    c[a, j, m] = _parse_complex(
-                        x, f"config.coefficients[{a}][{j}][{m}]")
+        c = [_parse_matrix(block, f"config.coefficients[{a}]")
+             for a, block in enumerate(c_raw)]
+        _expect(all(block.shape == (n, n) for block in c),
+                f"config.coefficients: expected {n} blocks of {n}x{n} entries")
+        p, q = (_parse_numbers(_get(cfg, key, list, "config"), f"config.{key}")
+                for key in ("initial_weights", "target_weights"))
         try:
-            prob = ReachabilityProblem(
-                initial_weights=np.asarray(
-                    _get(cfg, "initial_weights", list, "config"), dtype=float),
-                target_weights=np.asarray(
-                    _get(cfg, "target_weights", list, "config"), dtype=float),
-                coefficients=c)
+            prob = ReachabilityProblem(initial_weights=p, target_weights=q,
+                                       coefficients=np.array(c))
         except IQControlError as exc:
             raise ConfigError(f"config: {exc}") from exc
-        return {"problem": prob, "tol": float(cfg.get("tol", 1e-8))}
+        return {"problem": prob,
+                "tol": _get_positive(cfg, "tol", "config", 1e-8)}
     if mode == "thermal":
-        temperature = _get(cfg, "temperature", float, "config")
-        _expect(temperature > 0.0, "config: temperature must be > 0")
+        temperature = _get_positive(cfg, "temperature", "config")
         if "p_p" in cfg:
             return {"temperature": temperature,
                     "p_p": _get(cfg, "p_p", float, "config")}
@@ -216,22 +231,21 @@ def validate_config(cfg: dict):
     _expect(len(set(names)) == len(names), "config.axes: duplicate axis names")
     fixed = cfg.get("fixed", {})
     _expect(isinstance(fixed, dict), "config.fixed: expected object")
-    params = {}
-    for p in SWEEP_PARAMS:
-        if p in names:
-            continue
-        _expect(p in fixed, f"config.fixed: missing value for '{p}'")
-        params[p] = _get(fixed, p, float, "config.fixed")
+    params = {p: _get(fixed, p, float, "config.fixed")
+              for p in SWEEP_PARAMS if p not in names}
     if "p_p" in params:
         _expect(0.0 <= params["p_p"] <= 1.0, "config.fixed: p_p outside [0, 1]")
     return {"p_s": _parse_unit(cfg, "p_s", "config"),
-            "beta": float(cfg.get("beta", 0.0)),
+            "beta": _get(cfg, "beta", float, "config", 0.0),
             "axes": axes, "fixed": params}
 
 
 def _json_result(path: Path, doc: dict):
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError(f"result has a non-finite value: {exc}") from exc
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _run_simulate(payload, out_path: Path) -> int:

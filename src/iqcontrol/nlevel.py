@@ -12,7 +12,6 @@ probability simplex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -220,15 +219,6 @@ def _gram_tensor(prob: ReachabilityProblem) -> np.ndarray:
     return np.einsum("j,bjm,gjm->bgm", prob.initial_weights, c, c.conj())
 
 
-def _check_simplex(w, dim: int) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.size != dim:
-        raise DimensionError(f"candidate has {w.size} entries, expected {dim}")
-    if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-10:
-        raise ProbabilityError(f"candidate {w} is not a probability vector")
-    return w
-
-
 def reachability_residual(prob: ReachabilityProblem, w):
     """Defects of the reachability system at probe diagonal w.
 
@@ -236,12 +226,14 @@ def reachability_residual(prob: ReachabilityProblem, w):
     defects q_alpha - sum_jm ..., and the ordered beta != gamma
     off-diagonal sums (all of which must vanish for an exact realization).
     """
-    w = _check_simplex(w, prob.dim)
-    g = _gram_tensor(prob)
-    value = g @ w
+    w, n = np.asarray(w, dtype=float), prob.dim
+    if w.size != n:
+        raise DimensionError(f"candidate has {w.size} entries, expected {n}")
+    if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-10:
+        raise ProbabilityError(f"candidate {w} is not a probability vector")
+    value = _gram_tensor(prob) @ w
     diag = prob.target_weights - np.real(np.diagonal(value))
-    off = [complex(value[b, c]) for b in range(prob.dim)
-           for c in range(prob.dim) if b != c]
+    off = [complex(value[b, c]) for b in range(n) for c in range(n) if b != c]
     return diag, off
 
 
@@ -261,72 +253,62 @@ def _stacked_system(prob: ReachabilityProblem):
     """Real least-squares form M w = b of the full residual system."""
     g = _gram_tensor(prob)
     n = prob.dim
-    rows = [np.real(g[a, a, :]) for a in range(n)]
-    rhs = list(prob.target_weights)
-    for b in range(n):
-        for c in range(b + 1, n):
-            rows.append(np.real(g[b, c, :]))
-            rhs.append(0.0)
-            rows.append(np.imag(g[b, c, :]))
-            rhs.append(0.0)
-    return np.array(rows), np.array(rhs)
+    # Diagonal rows, then re and im of each beta < gamma entry in row order.
+    upper = g[np.triu_indices(n, k=1)]
+    m = np.concatenate([np.real(np.diagonal(g)).T,
+                        np.hstack([upper.real, upper.imag]).reshape(-1, n)])
+    return m, np.concatenate([prob.target_weights, np.zeros(len(m) - n)])
 
 
-def solve_probe_spectrum(prob: ReachabilityProblem, max_iter: int = 10_000,
-                         tol: float = 1e-8):
+def _min_norm_point(a: np.ndarray) -> np.ndarray:
+    """Barycentric weights of the least-norm point in the hull of a's columns.
+
+    Major cycles add the column most opposed to the current point x; minor
+    cycles move x to the least-norm point of the active columns' affine
+    hull, dropping columns whose weight would turn negative.  Ties go to
+    the lowest index, and the walk stops once a cycle no longer lowers |x|.
+    """
+    active = [int(np.argmin(np.einsum("ij,ij->j", a, a)))]
+    lam, x = np.ones(1), a[:, active[0]]
+    while True:
+        j = int(np.argmin(a.T @ x))
+        if j in active or x @ x - a[:, j] @ x <= 0.0:
+            break
+        s, mu_s = active + [j], np.append(lam, 0.0)
+        while True:
+            pts = a[:, s]
+            nu = np.linalg.lstsq(pts[:, 1:] - pts[:, :1], -pts[:, 0],
+                                 rcond=None)[0]
+            mu = np.concatenate([[1.0 - nu.sum()], nu])
+            if np.all(mu >= 0.0):
+                break
+            # Step from mu_s towards mu until a weight hits zero; drop it.
+            neg = np.flatnonzero(mu < 0.0)
+            ratios = mu_s[neg] / (mu_s[neg] - mu[neg])
+            k = int(np.argmin(ratios))
+            mu_s = mu_s + ratios[k] * (mu - mu_s)
+            mu_s[neg[k]] = 0.0
+            s, mu_s = [i for i, v in zip(s, mu_s) if v > 0.0], mu_s[mu_s > 0.0]
+        y = a[:, s] @ mu
+        if y @ y >= x @ x:
+            break
+        active, lam, x = s, mu, y
+    w = np.zeros(a.shape[1])
+    w[active] = lam
+    return w / w.sum()
+
+
+def solve_probe_spectrum(prob: ReachabilityProblem):
     """Probe spectrum minimizing the reachability defects over the simplex.
 
-    Projected gradient descent from the uniform vector with fixed step
-    0.1/L (L from the stacked system's spectral norm), then an exact
-    active-set polish: every support subset is solved through its KKT
-    system and the best feasible point kept.  Returns (w, residual) with
-    residual the 2-norm of the stacked defect vector; residual <= tol
-    certifies reachability.
+    On the simplex 1^T w = 1, so the stacked defect M w - b equals
+    (M - b 1^T) w: w holds the barycentric weights of the least-norm point
+    in the convex hull of the columns of A = M - b 1^T.  Wolfe's
+    minimum-norm-point algorithm (P. Wolfe, "Finding the nearest point in
+    a polytope", Math. Programming 11, 1976) finds it exactly in finitely
+    many steps, here on R from A = QR (same Gram matrix, n x n).  Returns
+    (w, residual), residual the 2-norm of the stacked defect vector.
     """
     m, b = _stacked_system(prob)
-    n = prob.dim
-
-    def residual(w):
-        return float(np.linalg.norm(m @ w - b))
-
-    lip = 2.0 * np.linalg.norm(m, 2) ** 2
-    step = 0.1 / lip if lip > 0 else 1.0
-    w = np.full(n, 1.0 / n)
-    best_w, best_r = w.copy(), residual(w)
-    for _ in range(max_iter):
-        grad = 2.0 * m.T @ (m @ w - b)
-        w = project_simplex(w - step * grad)
-        r = residual(w)
-        if r < best_r:
-            best_r, best_w = r, w.copy()
-        if best_r <= 1e-12:
-            break
-
-    # Exact polish: N is small, so enumerate supports.
-    for size in range(1, n + 1):
-        for support in combinations(range(n), size):
-            s = list(support)
-            ms = m[:, s]
-            k = len(s)
-            kkt = np.zeros((k + 1, k + 1))
-            kkt[:k, :k] = 2.0 * ms.T @ ms
-            kkt[:k, k] = 1.0
-            kkt[k, :k] = 1.0
-            rhs = np.concatenate([2.0 * ms.T @ b, [1.0]])
-            try:
-                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            except np.linalg.LinAlgError:
-                continue
-            ws = sol[:k]
-            if np.any(ws < -1e-10):
-                continue
-            cand = np.zeros(n)
-            cand[s] = np.clip(ws, 0.0, None)
-            total = cand.sum()
-            if total <= 0:
-                continue
-            cand /= total
-            r = residual(cand)
-            if r < best_r:
-                best_r, best_w = r, cand
-    return best_w, best_r
+    w = _min_norm_point(np.linalg.qr(m - b[:, None], mode="r"))
+    return w, float(np.linalg.norm(m @ w - b))

@@ -262,3 +262,90 @@ class TestSweep:
         path = write_config(tmp_path, "sw.json", doc)
         with pytest.raises(cli.ConfigError, match="duplicate"):
             cli.validate_config(cli.load_config(path))
+
+
+def reach_config():
+    return {"mode": "reach", "initial_weights": [0.6, 0.4],
+            "target_weights": [0.5, 0.5],
+            "coefficients": [[[1.0, 0.0], [0.0, 1.0]],
+                             [[0.0, 1.0], [1.0, 0.0]]]}
+
+
+def solve_config(**budget):
+    return {"mode": "solve", "p_s": 0.0,
+            "target": [[0.25, [0.1, 0.05]], [[0.1, -0.05], 0.75]],
+            "budget": budget}
+
+
+def sweep_config(**extra):
+    return dict({"mode": "sweep", "p_s": 0.0,
+                 "axes": [{"name": "p_p", "start": 0.0, "stop": 1.0,
+                           "count": 3}],
+                 "fixed": {"theta": 0.5, "alpha": 0.2}}, **extra)
+
+
+class TestMalformedConfigs:
+    """Each config fails with exit 1 and a single error line, no traceback."""
+
+    CASES = {
+        "reach_tol_list": dict(reach_config(), tol=[1]),
+        "reach_tol_negative": dict(reach_config(), tol=-1),
+        "reach_tol_zero": dict(reach_config(), tol=0),
+        "reach_tol_infinity": dict(reach_config(), tol=float("inf")),
+        "reach_weights_strings": dict(reach_config(),
+                                      initial_weights=["a", "b"]),
+        "solve_tol_string": solve_config(tol="abc"),
+        "solve_tol_zero": solve_config(tol=0),
+        "solve_tol_negative": solve_config(tol=-1e-8),
+        "solve_grid_zero": solve_config(grid=0),
+        "solve_grid_float": solve_config(grid=2.5),
+        "solve_max_evals_negative": solve_config(max_evals=-1),
+        "sweep_beta_string": sweep_config(beta="x"),
+    }
+
+    def assert_one_error(self, code, capsys):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_rejected(self, name, tmp_path, capsys):
+        path = write_config(tmp_path, "c.json", self.CASES[name])
+        out = tmp_path / "out"
+        code = cli.main(["run", str(path), "--out", str(out), "--quiet"])
+        self.assert_one_error(code, capsys)
+        assert not out.exists()
+
+    THERMAL = '{"mode":"thermal","temperature":%s,"e0":%s,"e1":%s}'
+    NON_FINITE = {
+        "e0_infinity": THERMAL % (1, "Infinity", "Infinity"),
+        "e0_minus_infinity": THERMAL % (1, "-Infinity", 0),
+        "temperature_nan": THERMAL % ("NaN", 0, 1),
+        # finite input whose gap overflows to inf
+        "gap_overflow": THERMAL % (1, "-1e308", "1e308"),
+        # literals beyond the float range, and past the integer digit limit
+        "e0_1e400": THERMAL % (1, "1e400", 0),
+        "e0_401_digits": THERMAL % (1, "1" + "0" * 400, 0),
+        "e0_5001_digits": THERMAL % (1, "1" + "0" * 5000, 0),
+        "reach_tol_1e400": json.dumps(dict(reach_config(), tol=1.0)).replace(
+            '"tol": 1.0', '"tol": 1e400'),
+        "reach_weight_1e400": json.dumps(reach_config()).replace("0.6", "1e400"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NON_FINITE))
+    def test_non_finite_numbers(self, name, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(self.NON_FINITE[name], encoding="utf-8")
+        out = tmp_path / "out"
+        code = cli.main(["run", str(path), "--out", str(out), "--quiet"])
+        self.assert_one_error(code, capsys)
+        assert not (out / "c.json").exists()
+
+    def test_valid_budget_and_beta_accepted(self, tmp_path):
+        for name, doc in (("s.json", solve_config(tol=1e-9, grid=8,
+                                                  max_evals=0)),
+                          ("sw.json", sweep_config(beta=0.3))):
+            path = write_config(tmp_path, name, doc)
+            assert cli.main(["check", str(path), "--quiet"]) == 0

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,58 @@ from iqcontrol.errors import (
     NormalizationError,
     ProbabilityError,
 )
+
+
+def enumerated_supports_residual(m, b):
+    """Brute-force reference for min |M w - b| over the simplex.
+
+    Solves the KKT system of every one of the 2^N - 1 supports and keeps
+    the best feasible point; exponential in N, so only for small N.
+    """
+    n = m.shape[1]
+    best = np.inf
+    for size in range(1, n + 1):
+        for s in map(list, combinations(range(n), size)):
+            ms = m[:, s]
+            kkt = np.zeros((size + 1, size + 1))
+            kkt[:size, :size] = 2.0 * ms.T @ ms
+            kkt[:size, size] = 1.0
+            kkt[size, :size] = 1.0
+            rhs = np.concatenate([2.0 * ms.T @ b, [1.0]])
+            ws = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:size]
+            if np.any(ws < -1e-10):
+                continue
+            cand = np.zeros(n)
+            cand[s] = np.clip(ws, 0.0, None)
+            if cand.sum() > 0.0:
+                best = min(best, np.linalg.norm(m @ (cand / cand.sum()) - b))
+    return best
+
+
+def incompatible_instance(rng, n):
+    """One unitary for every probe level and a target purer than p."""
+    p = np.sort(rng.dirichlet(np.ones(n)))[::-1]
+    shift = np.full(n, -0.5 / (n - 1))
+    shift[0] = 0.5
+    q = np.sort(nlevel.project_simplex(p + shift))[::-1]
+    u = rand_unitary(rng, n)
+    return nlevel.ReachabilityProblem(initial_weights=p, target_weights=q,
+                                      coefficients=np.stack([u] * n, axis=2))
+
+
+def random_target_instance(rng, n):
+    """Random blocks and a random target: generally unreachable, with the
+    optimum on a face of the simplex."""
+    prob, _ = forward_reachability_instance(rng, n)
+    return nlevel.ReachabilityProblem(
+        initial_weights=prob.initial_weights,
+        target_weights=rng.dirichlet(np.ones(n)),
+        coefficients=prob.coefficients)
+
+
+def assert_simplex(w, n):
+    assert w.shape == (n,)
+    assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
 
 
 def factorized_propagator(h, t):
@@ -223,8 +277,8 @@ class TestReachability:
 
     def test_solver_recovers_feasible_point(self):
         rng = np.random.default_rng(37)
-        for n in (2, 3):
-            for _ in range(5):
+        for n in (2, 3, 12, 16, 32):
+            for _ in range(5 if n < 12 else 2):
                 prob, _ = forward_reachability_instance(rng, n)
                 w, res = nlevel.solve_probe_spectrum(prob)
                 assert res <= 1e-8
@@ -263,3 +317,59 @@ class TestReachability:
         prob, _ = forward_reachability_instance(rng, 2)
         with pytest.raises(ProbabilityError):
             nlevel.reachability_residual(prob, np.array([0.8, 0.8]))
+
+
+class TestMinNormSolver:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_support_enumeration(self, n):
+        rng = np.random.default_rng(400 + n)
+        probs = [forward_reachability_instance(rng, n)[0],
+                 incompatible_instance(rng, n),
+                 random_target_instance(rng, n),
+                 random_target_instance(rng, n)]
+        for prob in probs:
+            w, res = nlevel.solve_probe_spectrum(prob)
+            assert_simplex(w, n)
+            reference = enumerated_supports_residual(
+                *nlevel._stacked_system(prob))
+            assert res <= reference + 1e-12
+
+    def test_min_norm_point_of_point_clouds(self):
+        # Low-dimensional clouds with more points than dimensions and
+        # repeated points exercise the drop steps of the minor cycles and
+        # affinely dependent active sets.
+        rng = np.random.default_rng(41)
+        for k in range(60):
+            d, n = 2 + k % 3, 4 + k % 5
+            pts = rng.normal(size=(d, n)) + rng.normal(size=(d, 1)) * (k % 4)
+            if k % 5 == 0:
+                pts[:, 1:3] = pts[:, :1]
+            w = nlevel._min_norm_point(pts)
+            assert_simplex(w, n)
+            reference = enumerated_supports_residual(pts, np.zeros(d))
+            assert np.linalg.norm(pts @ w) <= reference + 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_identical_blocks_rank_deficient(self, n):
+        # Every column of M - b 1^T is the same vector, so the hull is a
+        # single point away from the origin.
+        rng = np.random.default_rng(600 + n)
+        p = np.sort(rng.dirichlet(np.ones(n)))[::-1]
+        q = np.zeros(n)
+        q[0] = 1.0
+        u = rand_unitary(rng, n)
+        prob = nlevel.ReachabilityProblem(
+            initial_weights=p, target_weights=q,
+            coefficients=np.stack([u] * n, axis=2))
+        w, res = nlevel.solve_probe_spectrum(prob)
+        assert_simplex(w, n)
+        assert res > 1e-3
+
+    def test_reruns_bitwise_identical(self):
+        rng = np.random.default_rng(42)
+        for prob in (forward_reachability_instance(rng, 6)[0],
+                     random_target_instance(rng, 6)):
+            w_a, res_a = nlevel.solve_probe_spectrum(prob)
+            w_b, res_b = nlevel.solve_probe_spectrum(prob)
+            assert w_a.tobytes() == w_b.tobytes()
+            assert res_a == res_b
