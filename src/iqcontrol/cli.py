@@ -10,14 +10,15 @@ numbers are [re, im] pairs and matrices nested row-major lists of pairs.
 Results are CSV (time series, grids) or JSON (solve/reach/thermal), both
 fully deterministic: 17 significant digits, "\n" line endings, sorted
 JSON keys.  Exit codes: 0 success, 1 error, 2 infeasible-but-completed.
+A result with a non-finite number is an error, and no file is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +29,13 @@ from .nlevel import ReachabilityProblem, solve_probe_spectrum
 
 MODES = ("simulate", "solve", "reach", "thermal", "sweep")
 SWEEP_PARAMS = ("theta", "alpha", "p_p")
+# Rows of a simulate result and grid points of a sweep.  A run holds its
+# whole result in memory: 10^6 simulate rows peak at ~0.66 GB.
+MAX_ROWS = 10**6
 
 
 class ConfigError(IQControlError):
     """Config file is malformed or fails validation."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _expect(cond: bool, msg: str):
@@ -123,6 +123,7 @@ def _parse_couplings(cfg: dict, where: str) -> qubit.QubitCouplings:
 
 def _parse_times(val, where: str) -> np.ndarray:
     if isinstance(val, list):
+        _expect(len(val) <= MAX_ROWS, f"{where}: more than {MAX_ROWS} times")
         return _parse_numbers(val, where)
     _expect(isinstance(val, dict), f"{where}: expected a list or a range object")
     return _parse_range(val, where)
@@ -130,7 +131,7 @@ def _parse_times(val, where: str) -> np.ndarray:
 
 def _parse_range(cfg: dict, where: str) -> np.ndarray:
     count = _get(cfg, "count", int, where)
-    _expect(count >= 0, f"{where}: count must be >= 0")
+    _expect(0 <= count <= MAX_ROWS, f"{where}: count must lie in [0, {MAX_ROWS}]")
     return np.linspace(_get(cfg, "start", float, where),
                        _get(cfg, "stop", float, where), count)
 
@@ -193,11 +194,7 @@ def validate_config(cfg: dict):
         _expect(isinstance(budget_cfg, dict), "config.budget: expected object")
         where = "config.budget"
         budget = qubit.SolverBudget(
-            tol=_get_positive(budget_cfg, "tol", where, 1e-8),
-            max_evals=_get(budget_cfg, "max_evals", int, where, 100_000),
-            grid=_get(budget_cfg, "grid", int, where, 64))
-        _expect(budget.max_evals >= 0, f"{where}: 'max_evals' must be >= 0")
-        _expect(budget.grid >= 1, f"{where}: 'grid' must be >= 1")
+            tol=_get_positive(budget_cfg, "tol", where, 1e-8))
         return {"p_s": _parse_unit(cfg, "p_s", "config"),
                 "target": target, "budget": budget}
     if mode == "reach":
@@ -229,6 +226,8 @@ def validate_config(cfg: dict):
     axes = [_parse_axis(ax, f"config.axes[{i}]") for i, ax in enumerate(axes_raw)]
     names = [n for n, _ in axes]
     _expect(len(set(names)) == len(names), "config.axes: duplicate axis names")
+    _expect(math.prod(len(vals) for _, vals in axes) <= MAX_ROWS,
+            f"config.axes: more than {MAX_ROWS} grid points")
     fixed = cfg.get("fixed", {})
     _expect(isinstance(fixed, dict), "config.fixed: expected object")
     params = {p: _get(fixed, p, float, "config.fixed")
@@ -248,28 +247,34 @@ def _json_result(path: Path, doc: dict):
     path.write_text(text + "\n", encoding="utf-8")
 
 
+def _csv_result(path: Path, header: list, table: np.ndarray):
+    """Write a numeric table as CSV with 17 significant digits; a table with
+    a non-finite cell is an error, and no file is written."""
+    if not np.all(np.isfinite(table)):
+        raise ConfigError("result has a non-finite value")
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % tuple(r) for r in table.tolist())
+
+
 def _run_simulate(payload, out_path: Path) -> int:
-    g = payload["couplings"]
+    g, times = payload["couplings"], payload["times"]
     p_s, p_p = payload["p_s"], payload["p_p"]
     target = payload.get("target")
     if target is None:
         target = np.diag([1.0 - p_s, p_s]).astype(complex)
-    theta = qubit.probe_mixing_angle(g)
-    lines = ["t,rho00,rho11,re_rho10,im_rho10,e_plus,e_minus,"
-             "trace_distance_to_target"]
-    for t in payload["times"]:
-        ang = qubit.overlap_angles(g, float(t))
-        rho00, rho11, rho10 = qubit.reduced_state_closed_form(
-            p_s, theta, p_p, ang)
-        spec = qubit.spectral_form(rho00, rho11, np.conj(rho10))
-        rho = qubit.closed_form_reduced_state(g, float(t), p_s, p_p)
-        opkit.validate_density_matrix(rho, herm_tol=1e-10)
-        dist = opkit.trace_distance(rho, target)
-        lines.append(",".join(_fmt(x) for x in (
-            t, rho00, rho11, rho10.real, rho10.imag,
-            spec.e_plus, spec.e_minus, dist)))
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8",
-                        newline="\n")
+    ang = qubit.overlap_angles(g, times)
+    rho00, rho11, rho10 = qubit.reduced_state_closed_form(
+        p_s, qubit.probe_mixing_angle(g), p_p, ang)
+    rho = opkit.validate_density_matrix(
+        qubit.closed_form_reduced_state(g, times, p_s, p_p), herm_tol=1e-10)
+    e_minus, e_plus = np.linalg.eigvalsh(rho).T
+    _csv_result(out_path, ["t", "rho00", "rho11", "re_rho10", "im_rho10",
+                           "e_plus", "e_minus", "trace_distance_to_target"],
+                np.column_stack([times, rho00, rho11, rho10.real, rho10.imag,
+                                 e_plus, e_minus,
+                                 opkit.trace_distance(rho, target)]))
     return 0
 
 
@@ -314,22 +319,16 @@ def _run_thermal(payload, out_path: Path) -> int:
 
 
 def _run_sweep(payload, out_path: Path) -> int:
-    axes = payload["axes"]
-    names = [n for n, _ in axes]
-    header = names + ["rho00", "abs_rho10"]
-    lines = [",".join(header)]
-    p_s, beta = payload["p_s"], payload["beta"]
-    grids = [vals for _, vals in axes]
-    for combo in product(*grids):
-        params = dict(payload["fixed"])
-        params.update(zip(names, combo))
-        ang = qubit.OverlapAngles(alpha=params["alpha"], beta=beta)
-        rho00, _, rho10 = qubit.reduced_state_closed_form(
-            p_s, params["theta"], params["p_p"], ang)
-        lines.append(",".join(_fmt(x) for x in
-                              list(combo) + [rho00, abs(rho10)]))
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8",
-                        newline="\n")
+    names = [n for n, _ in payload["axes"]]
+    # "ij" indexing puts the last axis fastest, as nested loops would.
+    grid = np.meshgrid(*(vals for _, vals in payload["axes"]), indexing="ij")
+    params = dict(payload["fixed"], **dict(zip(names, grid)))
+    ang = qubit.OverlapAngles(alpha=params["alpha"], beta=payload["beta"])
+    rho00, _, rho10 = qubit.reduced_state_closed_form(
+        payload["p_s"], params["theta"], params["p_p"], ang)
+    columns = np.broadcast_arrays(*grid, rho00, np.abs(rho10))
+    _csv_result(out_path, names + ["rho00", "abs_rho10"],
+                np.column_stack([c.ravel() for c in columns]))
     return 0
 
 
@@ -348,6 +347,9 @@ def _execute(cfg: dict, config_path: Path, out_dir: Path, quiet: bool) -> int:
     return code
 
 
+# An overflow reaches the user as the one error line of a finiteness check
+# (on the config, a matrix or the result), not as numpy warnings.
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="iqctl",

@@ -9,7 +9,9 @@ factor splits the composite evolution into two conditional unitaries
 U_+/U_- acting on the system alone, which yields a closed-form reduced
 state parametrized by the probe mixing angle theta, the overlap angles
 (alpha, beta) of the conditionally evolved states, and the probe ground
-occupancy p_p.
+occupancy p_p.  The closed-form functions work element by element on
+arrays, so one eigendecomposition serves a whole time series or grid; a
+scalar input still gives a scalar result.
 
 Basis convention: states are written in the {|1>, |0>} order with
 sz|1> = +|1>, |0> the ground state, and s+ = |1><0|.  A diagonal system
@@ -18,7 +20,7 @@ state carries weight p_s on |0><0|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +52,9 @@ class QubitCouplings:
     g4: float
 
     def __post_init__(self):
-        if self.g3 ** 2 + self.g4 ** 2 <= 0.0:
-            raise DegenerateProbeError("probe factor vanishes: g3^2 + g4^2 == 0")
+        # hypot, not g3**2 + g4**2: squaring a float beyond ~1e154 overflows.
+        if np.hypot(self.g3, self.g4) == 0.0:
+            raise DegenerateProbeError("probe factor vanishes: g3 = g4 = 0")
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,6 @@ class SpectralForm:
 @dataclass(frozen=True)
 class SolverBudget:
     tol: float = 1e-8
-    max_evals: int = 100_000
-    grid: int = 64
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,12 @@ class ControlSolution:
     t: float
     residual: float
     feasible: bool = True
+
+
+def _unbox(x):
+    """A 0-d result as a Python scalar; any other result as an array."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
 
 
 def system_factor(g: QubitCouplings) -> np.ndarray:
@@ -173,50 +180,53 @@ def probe_pm_vectors(theta: float):
     return plus, minus
 
 
-def conditional_unitaries(g: QubitCouplings, t: float):
-    """(U_+, U_-) with U_pm = exp(-i H_pm t), H_pm = +/- r (g1 sz + g2 s+ + g2* s-)."""
+def conditional_unitaries(g: QubitCouplings, t):
+    """(U_+, U_-) with U_pm = exp(-i H_pm t), H_pm = +/- r (g1 sz + g2 s+ + g2* s-).
+
+    An array of times gives stacks (..., 2, 2).
+    """
     r = np.hypot(g.g3, g.g4)
     u_plus = opkit.expm_i_hermitian(r * system_factor(g), t)
     return u_plus, opkit.dag(u_plus)
 
 
-def overlap_angles(g: QubitCouplings, t: float, tol: float = 1e-12) -> OverlapAngles:
+def overlap_angles(g: QubitCouplings, t, tol: float = 1e-12) -> OverlapAngles:
     """Overlap angles of U_-|0> against the basis {U_+|0>, U_+|1>}.
 
     cos(alpha) = |<psi_+0|psi_-0>|; beta is the phase of <perp|psi_-0>
     relative to <psi_+0|psi_-0>.  When either overlap vanishes beta is set
     to 0 by convention (it then multiplies a zero coherence).
     """
-    u_plus, u_minus = conditional_unitaries(g, t)
-    psi_p0 = u_plus @ KET_GROUND
-    psi_perp = u_plus @ KET_EXCITED
-    psi_m0 = u_minus @ KET_GROUND
-    ip = complex(np.vdot(psi_p0, psi_m0))
-    ip_perp = complex(np.vdot(psi_perp, psi_m0))
+    u_plus, _ = conditional_unitaries(g, t)
+    return _overlap_angles(u_plus, tol)
+
+
+def _overlap_angles(u_plus, tol: float = 1e-12) -> OverlapAngles:
+    """overlap_angles from U_+ (or a stack of them)."""
+    # With U_- = U_+^dag, <U_+ k|U_- 0> = conj(<0|U_+^2|k>): row 1 (|0>) of
+    # U_+^2 holds both overlaps, for k = |1> (index 0) and k = |0> (index 1).
+    row = (u_plus @ u_plus)[..., 1, :].conj()
+    ip_perp, ip = row[..., 0], row[..., 1]
     # arctan2 of the two magnitudes avoids the arccos error amplification
     # near alpha = 0 and alpha = pi/2.
-    alpha = float(np.arctan2(abs(ip_perp), abs(ip)))
-    if abs(ip) <= tol or abs(ip_perp) <= tol:
-        beta = 0.0
-    else:
-        beta = float(np.angle(ip_perp) - np.angle(ip))
-        beta = float((beta + np.pi) % (2.0 * np.pi) - np.pi)
-        if beta <= -np.pi:
-            beta += 2.0 * np.pi
-    return OverlapAngles(alpha=alpha, beta=beta)
+    mag_perp, mag = np.abs(ip_perp), np.abs(ip)
+    alpha = np.arctan2(mag_perp, mag)
+    beta = (np.angle(ip_perp) - np.angle(ip) + np.pi) % (2.0 * np.pi) - np.pi
+    beta = np.where(beta <= -np.pi, beta + 2.0 * np.pi, beta)
+    beta = np.where((mag <= tol) | (mag_perp <= tol), 0.0, beta)
+    return OverlapAngles(alpha=_unbox(alpha), beta=_unbox(beta))
 
 
-def pm_components(theta: float, p_p: float) -> PMProbeComponents:
+def pm_components(theta, p_p) -> PMProbeComponents:
     """Diagonal probe diag(1-p_p, p_p) re-expressed in the +/- basis."""
     pp_plus = np.cos(theta / 2.0) ** 2 - p_p * np.cos(theta)
     pm_cross = 0.5 * np.sin(theta) - p_p * np.sin(theta)
-    return PMProbeComponents(pp_plus=float(pp_plus),
-                             pp_minus=float(1.0 - pp_plus),
-                             pm_cross=float(pm_cross))
+    return PMProbeComponents(pp_plus=_unbox(pp_plus),
+                             pp_minus=_unbox(1.0 - pp_plus),
+                             pm_cross=_unbox(pm_cross))
 
 
-def reduced_state_closed_form(p_s: float, theta: float, p_p: float,
-                              ang: OverlapAngles):
+def reduced_state_closed_form(p_s, theta, p_p, ang: OverlapAngles):
     """Entries (rho00, rho11, rho10) of the evolved state in the
     {U_+|0>, U_+|1>} basis.
 
@@ -230,27 +240,25 @@ def reduced_state_closed_form(p_s: float, theta: float, p_p: float,
     rho11 = 1.0 - rho00
     rho10 = (0.5 * pm.pp_minus * np.sin(2.0 * ang.alpha)
              * np.exp(1j * ang.beta) * (2.0 * p_s - 1.0))
-    return float(rho00), float(rho11), complex(rho10)
+    return _unbox(rho00), _unbox(rho11), _unbox(rho10)
 
 
-def closed_form_reduced_state(g: QubitCouplings, t: float, p_s: float,
+def closed_form_reduced_state(g: QubitCouplings, t, p_s: float,
                               p_p: float) -> np.ndarray:
     """Evolved reduced state assembled in the computational basis.
 
-    Combines the scalar closed-form entries with the conditional basis
-    vectors; diagonal initial states only (weight p_s on |0><0|).
+    Combines the closed-form entries with the conditional basis vectors;
+    diagonal initial states only (weight p_s on |0><0|).  One
+    eigendecomposition per call; an array of times gives a stack
+    (..., 2, 2).
     """
     u_plus, _ = conditional_unitaries(g, t)
-    psi0 = u_plus @ KET_GROUND
-    psi1 = u_plus @ KET_EXCITED
-    theta = probe_mixing_angle(g)
-    ang = overlap_angles(g, t)
-    rho00, rho11, rho10 = reduced_state_closed_form(p_s, theta, p_p, ang)
-    rho = (rho00 * np.outer(psi0, psi0.conj())
-           + rho11 * np.outer(psi1, psi1.conj())
-           + rho10 * np.outer(psi1, psi0.conj())
-           + np.conj(rho10) * np.outer(psi0, psi1.conj()))
-    return rho
+    rho00, rho11, rho10 = reduced_state_closed_form(
+        p_s, probe_mixing_angle(g), p_p, _overlap_angles(u_plus))
+    # The entries in the basis of U_+'s columns, (U_+|1>, U_+|0>).
+    m = np.stack([np.stack([rho11, rho10], axis=-1),
+                  np.stack([np.conj(rho10), rho00], axis=-1)], axis=-2)
+    return u_plus @ m @ opkit.dag(u_plus)
 
 
 def conditional_reduced_state(g: QubitCouplings, t: float,
@@ -345,149 +353,26 @@ def _bloch(rho: np.ndarray) -> np.ndarray:
     ])
 
 
-def _initial_diagonal(p_s: float) -> np.ndarray:
-    return np.diag([1.0 - p_s, p_s]).astype(complex)
-
-
-def _couplings_from_axis(n_hat: np.ndarray, theta: float) -> QubitCouplings:
-    """Couplings whose conditional Hamiltonian axis is n_hat (unit, r = 1)."""
+def _couplings_from_axis(n_hat: np.ndarray) -> QubitCouplings:
+    """Couplings whose conditional Hamiltonian axis is n_hat (unit), with
+    probe factor pz (theta = 0, r = 1)."""
     return QubitCouplings(g1=float(n_hat[2]),
                           g2=complex(n_hat[0] - 1j * n_hat[1]),
-                          g3=float(np.sin(theta)), g4=float(np.cos(theta)))
-
-
-def _grid_refine(target: np.ndarray, p_s: float, n_hat: np.ndarray,
-                 budget: SolverBudget, best):
-    """Lattice search over (theta, t, p_p) with the rotation axis fixed,
-    followed by per-coordinate descent on the best cell.
-
-    The lattice is evaluated through the scalar closed form; ties break to
-    the lowest lattice index (C order over (theta, t, p_p)).
-    """
-    grid = budget.grid
-    thetas = np.linspace(0.0, np.pi, grid)
-    times = np.linspace(0.0, np.pi, grid)
-    pps = np.linspace(0.0, 1.0, grid)
-
-    hs = (n_hat[2] * SIGMA_Z + (n_hat[0] - 1j * n_hat[1]) * SIGMA_PLUS
-          + (n_hat[0] + 1j * n_hat[1]) * SIGMA_MINUS)
-    evals, evecs = opkit.eig_hermitian(hs)
-
-    # Per-time quantities: overlap angles and target entries in the
-    # conditional basis.
-    cos_a = np.empty(grid)
-    sin_a = np.empty(grid)
-    phase_b = np.empty(grid, dtype=complex)
-    q00 = np.empty(grid)
-    q10 = np.empty(grid, dtype=complex)
-    for i, t in enumerate(times):
-        u = (evecs * np.exp(-1j * evals * t)) @ opkit.dag(evecs)
-        psi0, psi1 = u @ KET_GROUND, u @ KET_EXCITED
-        psi_m0 = opkit.dag(u) @ KET_GROUND
-        ip = complex(np.vdot(psi0, psi_m0))
-        ipp = complex(np.vdot(psi1, psi_m0))
-        a = np.arctan2(abs(ipp), abs(ip))
-        cos_a[i] = np.cos(a)
-        sin_a[i] = np.sin(a)
-        if abs(ip) <= 1e-12 or abs(ipp) <= 1e-12:
-            phase_b[i] = 1.0
-        else:
-            phase_b[i] = np.exp(1j * (np.angle(ipp) - np.angle(ip)))
-        q00[i] = float(np.real(np.vdot(psi0, target @ psi0)))
-        q10[i] = complex(np.vdot(psi1, target @ psi0))
-
-    th = thetas[:, None]
-    pp = pps[None, :]
-    pp_plus = np.cos(th / 2.0) ** 2 - pp * np.cos(th)      # (theta, p_p)
-    pp_minus = 1.0 - pp_plus
-
-    ca2 = (cos_a ** 2)[None, :, None]
-    sa2 = (sin_a ** 2)[None, :, None]
-    sin2a = (2.0 * sin_a * cos_a)[None, :, None]
-    w_plus = pp_plus[:, None, :]
-    w_minus = pp_minus[:, None, :]
-    rho00 = p_s * w_plus + w_minus * (p_s * ca2 + (1.0 - p_s) * sa2)
-    rho10 = 0.5 * w_minus * sin2a * phase_b[None, :, None] * (2.0 * p_s - 1.0)
-
-    d00 = rho00 - q00[None, :, None]
-    d11 = (1.0 - rho00) - (1.0 - q00)[None, :, None]
-    d10 = rho10 - q10[None, :, None]
-    s = d00 + d11
-    disc = (d00 - d11) ** 2 + 4.0 * np.abs(d10) ** 2
-    dist = 0.5 * np.maximum(np.abs(s), np.sqrt(disc))
-
-    evals_used = 0
-
-    def objective(theta, t, p_p):
-        g = _couplings_from_axis(n_hat, theta)
-        rho = closed_form_reduced_state(g, t, p_s, min(max(p_p, 0.0), 1.0))
-        return opkit.trace_distance(rho, target)
-
-    # The distance surface has several basins; descend from the best few
-    # lattice cells (ascending flat index, so ties break low) plus the
-    # incoming candidate.
-    order = np.argsort(dist, axis=None, kind="stable")[:8]
-    starts = [best]
-    for flat in order:
-        it, ij, ik = np.unravel_index(int(flat), dist.shape)
-        starts.append((float(dist[it, ij, ik]),
-                       float(thetas[it]), float(times[ij]), float(pps[ik])))
-
-    steps0 = [np.pi / grid, np.pi / grid, 1.0 / grid]
-    los = [0.0, 0.0, 0.0]
-    his = [np.pi, np.pi, 1.0]
-    best_overall = min(starts, key=lambda s: s[0])
-    for start in starts:
-        res, coords = start[0], list(start[1:])
-        for _ in range(200):
-            if evals_used >= budget.max_evals or res <= budget.tol:
-                break
-            improved = False
-            for c in range(3):
-                step = steps0[c]
-                for _ in range(60):
-                    if evals_used >= budget.max_evals:
-                        break
-                    moved = False
-                    for delta in (step, -step):
-                        x = min(max(coords[c] + delta, los[c]), his[c])
-                        if x == coords[c]:
-                            continue
-                        trial = list(coords)
-                        trial[c] = x
-                        val = objective(*trial)
-                        evals_used += 1
-                        if val < res - 1e-15:
-                            res = val
-                            coords = trial
-                            moved = improved = True
-                            break
-                    if not moved:
-                        step *= 0.5
-                        if step < 1e-13:
-                            break
-            if not improved:
-                break
-        if res < best_overall[0]:
-            best_overall = (res, coords[0], coords[1], coords[2])
-        if best_overall[0] <= budget.tol or evals_used >= budget.max_evals:
-            break
-    return best_overall
+                          g3=0.0, g4=1.0)
 
 
 def solve_controls_numeric(p_s: float, target, budget: SolverBudget | None = None
                            ) -> ControlSolution:
     """Find (g, t, p_p) steering diag(1-p_s, p_s) onto the target state.
 
-    Stage 1 is closed form: the conditional rotation axis is chosen
+    The solution is closed form: the conditional rotation axis is chosen
     perpendicular to the initial Bloch vector inside the plane spanned by
     the initial and target Bloch vectors; the rotation angle and the +/-
     branch imbalance then follow from two scalar projections.  Targets
     with Bloch radius above |1-2p_s| are unreachable (the channel is
     unital on the spectrum); for those the closest reachable state is
-    returned and the solution is flagged infeasible.  If the closed form
-    leaves a residual above tolerance a lattice search plus coordinate
-    descent refines it.
+    returned and the solution is flagged infeasible.  A residual above
+    ``budget.tol`` is flagged infeasible too; it is not searched further.
     """
     budget = budget or SolverBudget()
     rho_t = opkit.validate_density_matrix(target)
@@ -527,18 +412,11 @@ def solve_controls_numeric(p_s: float, target, budget: SolverBudget | None = Non
     else:
         u = 0.0
 
-    theta = 0.0
     t = phi / 2.0
     p_p = (1.0 - u) / 2.0
-    g = _couplings_from_axis(n_hat, theta)
+    g = _couplings_from_axis(n_hat)
     rho = closed_form_reduced_state(g, t, p_s, p_p)
     res = opkit.trace_distance(rho, rho_t)
-
-    if res > budget.tol and feasible_geom:
-        res, theta, t, p_p = _grid_refine(rho_t, p_s, n_hat, budget,
-                                          (res, theta, t, p_p))
-        g = _couplings_from_axis(n_hat, theta)
-
     ang = overlap_angles(g, t)
     return ControlSolution(couplings=g, theta=probe_mixing_angle(g),
                            alpha=ang.alpha, p_p=p_p, t=t, residual=res,

@@ -1,7 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import forward_reachability_instance
 from iqcontrol import cli, qubit, verify
@@ -101,31 +107,45 @@ class TestRunSimulate:
     def test_rows_match_oracle(self, tmp_path):
         # CSV entries are expressed in the conditional evolved basis;
         # rebuild the state from them and compare to the brute-force
-        # oracle in the computational basis.
-        doc = simulate_config()
-        path = write_config(tmp_path, "sim.json", doc)
-        out = tmp_path / "out"
-        cli.main(["run", str(path), "--out", str(out), "--quiet"])
-        lines = (out / "sim.csv").read_text().splitlines()[1:]
+        # oracle in the computational basis.  The eigenvalue and distance
+        # columns are frame-independent and compared directly, against the
+        # initial state (no target given) and against an explicit target.
         g = qubit.QubitCouplings(g1=0.2, g2=0.3 - 0.1j, g3=0.8, g4=0.4)
         sc = verify.CompositeScenario(
             dim_s=2, dim_p=2,
             h_full=verify.interaction_from_couplings(g.g1, g.g2, g.g3, g.g4),
             rho_s0=np.diag([0.7, 0.3]).astype(complex),
             rho_p0=np.diag([0.3, 0.7]).astype(complex))
-        for line in lines:
-            vals = [float(x) for x in line.split(",")]
-            t, rho00, rho11 = vals[0], vals[1], vals[2]
-            rho10 = complex(vals[3], vals[4])
-            u_plus, _ = qubit.conditional_unitaries(g, t)
-            psi0 = u_plus @ qubit.KET_GROUND
-            psi1 = u_plus @ qubit.KET_EXCITED
-            rebuilt = (rho00 * np.outer(psi0, psi0.conj())
-                       + rho11 * np.outer(psi1, psi1.conj())
-                       + rho10 * np.outer(psi1, psi0.conj())
-                       + np.conj(rho10) * np.outer(psi0, psi1.conj()))
-            oracle = verify.evolve_full(sc, t)
-            np.testing.assert_allclose(rebuilt, oracle, atol=1e-10)
+        explicit = np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]])
+        for target in (None, explicit):
+            doc = simulate_config()
+            if target is None:
+                target = sc.rho_s0
+            else:
+                doc["target"] = [[[x.real, x.imag] for x in row]
+                                 for row in target]
+            path = write_config(tmp_path, "sim.json", doc)
+            out = tmp_path / "out"
+            cli.main(["run", str(path), "--out", str(out), "--quiet"])
+            lines = (out / "sim.csv").read_text().splitlines()[1:]
+            assert len(lines) == 11
+            for line in lines:
+                vals = [float(x) for x in line.split(",")]
+                t, rho00, rho11 = vals[0], vals[1], vals[2]
+                rho10 = complex(vals[3], vals[4])
+                u_plus, _ = qubit.conditional_unitaries(g, t)
+                psi0 = u_plus @ qubit.KET_GROUND
+                psi1 = u_plus @ qubit.KET_EXCITED
+                rebuilt = (rho00 * np.outer(psi0, psi0.conj())
+                           + rho11 * np.outer(psi1, psi1.conj())
+                           + rho10 * np.outer(psi1, psi0.conj())
+                           + np.conj(rho10) * np.outer(psi0, psi1.conj()))
+                oracle = verify.evolve_full(sc, t)
+                np.testing.assert_allclose(rebuilt, oracle, atol=1e-10)
+                e_minus, e_plus = np.linalg.eigvalsh(oracle)
+                dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(oracle - target)))
+                np.testing.assert_allclose(vals[5:], [e_plus, e_minus, dist],
+                                           rtol=0, atol=1e-10)
 
     def test_deterministic_reruns(self, tmp_path):
         path = write_config(tmp_path, "sim.json", simulate_config())
@@ -297,9 +317,6 @@ class TestMalformedConfigs:
         "solve_tol_string": solve_config(tol="abc"),
         "solve_tol_zero": solve_config(tol=0),
         "solve_tol_negative": solve_config(tol=-1e-8),
-        "solve_grid_zero": solve_config(grid=0),
-        "solve_grid_float": solve_config(grid=2.5),
-        "solve_max_evals_negative": solve_config(max_evals=-1),
         "sweep_beta_string": sweep_config(beta="x"),
     }
 
@@ -332,6 +349,17 @@ class TestMalformedConfigs:
         "reach_tol_1e400": json.dumps(dict(reach_config(), tol=1.0)).replace(
             '"tol": 1.0', '"tol": 1e400'),
         "reach_weight_1e400": json.dumps(reach_config()).replace("0.6", "1e400"),
+        # finite inputs whose results overflow, and sizes over the cap
+        "sweep_alpha_1e308": json.dumps(sweep_config(
+            axes=[{"name": "alpha", "start": 0, "stop": 1e308, "count": 3}],
+            fixed={"theta": 0.5, "p_p": 0.3})),
+        "couplings_1e200": json.dumps(dict(
+            simulate_config(), couplings={"g1": 1e200, "g3": 1e200, "g4": 0})),
+        "times_count_1e12": json.dumps(dict(
+            simulate_config(), times={"start": 0, "stop": 1, "count": 10**12})),
+        "sweep_points_over_cap": json.dumps(sweep_config(
+            axes=[{"name": n, "start": 0, "stop": 1, "count": 1001}
+                  for n in ("alpha", "p_p")], fixed={"theta": 0.5})),
     }
 
     @pytest.mark.parametrize("name", sorted(NON_FINITE))
@@ -341,7 +369,7 @@ class TestMalformedConfigs:
         out = tmp_path / "out"
         code = cli.main(["run", str(path), "--out", str(out), "--quiet"])
         self.assert_one_error(code, capsys)
-        assert not (out / "c.json").exists()
+        assert not list(out.glob("c.*"))
 
     def test_valid_budget_and_beta_accepted(self, tmp_path):
         for name, doc in (("s.json", solve_config(tol=1e-9, grid=8,
@@ -349,3 +377,74 @@ class TestMalformedConfigs:
                           ("sw.json", sweep_config(beta=0.3))):
             path = write_config(tmp_path, name, doc)
             assert cli.main(["check", str(path), "--quiet"]) == 0
+
+
+def numeric_leaves(node, path=()):
+    """Key paths of every number in a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        is_number = isinstance(node, (int, float)) and not isinstance(node, bool)
+        return [path] if is_number else []
+    return [p for key, val in items for p in numeric_leaves(val, path + (key,))]
+
+
+EXAMPLES = {p.name: json.loads(p.read_text(encoding="utf-8")) for p in
+            sorted((Path(__file__).parents[1] / "configs").glob("*.json"))}
+LEAVES = [(name, path) for name, doc in EXAMPLES.items()
+          for path in numeric_leaves(doc)]
+# Floats include NaN and +-Infinity, which json.dumps writes as constants;
+# integers stay small enough that a valid count runs in milliseconds.
+MUTATIONS = st.one_of(
+    st.floats(), st.integers(-3, 400),
+    st.sampled_from([10**6 + 1, 10**12, -10**12, 10**400, 1e308, -1e308,
+                     1e200, 5e-324]))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+class TestFuzzContract:
+    """One numeric leaf of a bundled example config, mutated: exit 0, 1 or
+    2, nothing escapes cli.main, exit 1 prints one error line and writes
+    nothing, and every output is strict JSON or a finite CSV."""
+
+    # A warning would print to stderr next to the error line.
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(leaf=st.sampled_from(LEAVES), value=MUTATIONS)
+    @example(leaf=("sweep_example.json", ("axes", 1, "stop")), value=1e308)
+    @example(leaf=("simulate_example.json", ("couplings", "g3")), value=1e200)
+    @example(leaf=("simulate_example.json", ("times", "count")), value=10**12)
+    def test_mutated_example_keeps_contract(self, leaf, value):
+        name, path = leaf
+        doc = copy.deepcopy(EXAMPLES[name])
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / name
+            cfg.write_text(json.dumps(doc), encoding="utf-8")
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["run", str(cfg), "--out", str(out), "--quiet"])
+            assert code in (0, 1, 2)
+            written = sorted(out.glob("*")) if out.exists() else []
+            if code == 1:
+                assert err.getvalue().startswith("error: ")
+                assert err.getvalue().count("\n") == 1
+                assert not written
+            for result in written:
+                text = result.read_text(encoding="utf-8")
+                if result.suffix == ".json":
+                    json.loads(text, parse_constant=_reject_constant)
+                else:
+                    body = text.partition("\n")[2]
+                    values = np.loadtxt(io.StringIO(body), delimiter=",",
+                                        ndmin=2)
+                    assert np.all(np.isfinite(values))

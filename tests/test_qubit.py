@@ -13,7 +13,6 @@ from iqcontrol.qubit import (
     LocalRotation,
     OverlapAngles,
     QubitCouplings,
-    SolverBudget,
 )
 
 
@@ -426,11 +425,43 @@ class TestSolver:
         sol = qubit.solve_controls_numeric(0.5, np.diag([0.8, 0.2]))
         assert not sol.feasible
 
-    def test_grid_refinement_path(self):
-        # feed the lattice stage a deliberately bad starting point and a
-        # correct axis; it must recover the target on its own
-        target = np.diag([0.7, 0.3]).astype(complex)
-        res, theta, t, p_p = qubit._grid_refine(
-            target, 0.0, np.array([0.0, 1.0, 0.0]), SolverBudget(),
-            (1.0, 0.0, 0.0, 0.5))
-        assert res <= 1e-6
+    @staticmethod
+    def adversarial_targets(rng, count):
+        """(p_s, Bloch vector) pairs: interior, boundary radius |1-2p_s|,
+        pure initial states, p_s near 1/2, do-nothing and unreachable."""
+        def unit():
+            v = rng.normal(size=3)
+            return v / np.linalg.norm(v)
+
+        for _ in range(count):
+            p_s = rng.uniform()
+            m0 = abs(1 - 2 * p_s)
+            yield p_s, rng.uniform(0, m0) * unit()
+            yield p_s, m0 * unit()
+            yield p_s, np.array([0.0, 0.0, 1 - 2 * p_s])
+            yield float(rng.integers(2)), rng.uniform(0, 1) * unit()
+            yield float(rng.integers(2)), unit()
+            half = 0.5 + rng.choice([-1, 1]) * 10 ** rng.uniform(-6, -2)
+            yield half, rng.uniform(0, abs(1 - 2 * half)) * unit()
+            yield half, abs(1 - 2 * half) * unit()
+            p_s = rng.uniform(0.05, 0.45)
+            yield p_s, rng.uniform(1 - 2 * p_s + 1e-6, 1) * unit()
+
+    def test_closed_form_exact_against_oracle(self):
+        # the closed form is the whole solver: every geometrically feasible
+        # target is met to rounding, every other one is flagged and gets
+        # the nearest reachable state, the target shrunk to radius m0
+        rng = np.random.default_rng(18)
+        for p_s, r in self.adversarial_targets(rng, 40):
+            target = 0.5 * (np.eye(2) + r[0] * qubit.SIGMA_X
+                            + r[1] * qubit.SIGMA_Y + r[2] * qubit.SIGMA_Z)
+            m0, rad = abs(1 - 2 * p_s), np.linalg.norm(r)
+            sol = qubit.solve_controls_numeric(p_s, target)
+            oracle = verify.check_solution(sol, p_s, target)
+            assert sol.feasible == (rad <= m0 + 1e-9)
+            if sol.feasible:
+                assert sol.residual <= 1e-12
+                assert oracle <= 1e-8
+            else:
+                assert sol.residual == pytest.approx((rad - m0) / 2, abs=1e-12)
+                assert oracle == pytest.approx(sol.residual, abs=1e-8)
