@@ -9,7 +9,8 @@ Subpackages:
     cli      the ``iqctl`` experiment runner
 """
 
-from . import cli, nlevel, opkit, qubit, thermal, verify
+# No eager ``cli`` import: ``python -m iqcontrol.cli`` then runs warning-free.
+from . import nlevel, opkit, qubit, thermal, verify
 from .errors import (
     DegenerateConditionError,
     DegenerateProbeError,

@@ -99,6 +99,8 @@ def _parse_matrix(val, where: str) -> np.ndarray:
 
 
 def _parse_target(val) -> np.ndarray:
+    """A 2x2 density matrix, Hermitian to 1e-10; its Hermitian part is
+    returned, so the library's stricter check downstream holds too."""
     where = "config.target"
     try:
         m = opkit.validate_density_matrix(_parse_matrix(val, where),
@@ -106,7 +108,7 @@ def _parse_target(val) -> np.ndarray:
     except IQControlError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     _expect(m.shape == (2, 2), f"{where}: must be 2x2")
-    return m
+    return 0.5 * (m + opkit.dag(m))
 
 
 def _parse_couplings(cfg: dict, where: str) -> qubit.QubitCouplings:
@@ -190,13 +192,10 @@ def validate_config(cfg: dict):
         return payload
     if mode == "solve":
         target = _parse_target(_get(cfg, "target", list, "config"))
-        budget_cfg = cfg.get("budget", {})
-        _expect(isinstance(budget_cfg, dict), "config.budget: expected object")
-        where = "config.budget"
-        budget = qubit.SolverBudget(
-            tol=_get_positive(budget_cfg, "tol", where, 1e-8))
-        return {"p_s": _parse_unit(cfg, "p_s", "config"),
-                "target": target, "budget": budget}
+        budget = cfg.get("budget", {})
+        _expect(isinstance(budget, dict), "config.budget: expected object")
+        return {"p_s": _parse_unit(cfg, "p_s", "config"), "target": target,
+                "tol": _get_positive(budget, "tol", "config.budget", 1e-8)}
     if mode == "reach":
         c_raw = _get(cfg, "coefficients", list, "config")
         n = len(c_raw)
@@ -264,11 +263,10 @@ def _run_simulate(payload, out_path: Path) -> int:
     target = payload.get("target")
     if target is None:
         target = np.diag([1.0 - p_s, p_s]).astype(complex)
-    ang = qubit.overlap_angles(g, times)
+    rho, ang = qubit.closed_form_reduced_state(g, times, p_s, p_p)
+    rho = opkit.validate_density_matrix(rho, herm_tol=1e-10)
     rho00, rho11, rho10 = qubit.reduced_state_closed_form(
         p_s, qubit.probe_mixing_angle(g), p_p, ang)
-    rho = opkit.validate_density_matrix(
-        qubit.closed_form_reduced_state(g, times, p_s, p_p), herm_tol=1e-10)
     e_minus, e_plus = np.linalg.eigvalsh(rho).T
     _csv_result(out_path, ["t", "rho00", "rho11", "re_rho10", "im_rho10",
                            "e_plus", "e_minus", "trace_distance_to_target"],
@@ -280,7 +278,7 @@ def _run_simulate(payload, out_path: Path) -> int:
 
 def _run_solve(payload, out_path: Path) -> int:
     sol = qubit.solve_controls_numeric(payload["p_s"], payload["target"],
-                                       payload["budget"])
+                                       payload["tol"])
     oracle = verify.check_solution(sol, payload["p_s"], payload["target"])
     doc = {
         "couplings": {"g1": sol.couplings.g1,
@@ -347,23 +345,23 @@ def _execute(cfg: dict, config_path: Path, out_dir: Path, quiet: bool) -> int:
     return code
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="iqctl", description="Indirect quantum control experiment runner")
+_PARSER.add_argument("command", choices=("run", "sweep", "check"),
+                     help="run: execute a config; sweep: run a parameter "
+                          "sweep config; check: validate a config without "
+                          "executing")
+_PARSER.add_argument("config", type=Path)
+_PARSER.add_argument("--out", type=Path, default=Path("out"),
+                     help="output directory (default ./out)")
+_PARSER.add_argument("--quiet", action="store_true")
+
+
 # An overflow reaches the user as the one error line of a finiteness check
 # (on the config, a matrix or the result), not as numpy warnings.
 @np.errstate(all="ignore")
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="iqctl",
-        description="Indirect quantum control experiment runner")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (("run", "execute a config"),
-                            ("sweep", "run a parameter sweep config"),
-                            ("check", "validate a config without executing")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("config", type=Path)
-        p.add_argument("--out", type=Path, default=Path("out"),
-                       help="output directory (default ./out)")
-        p.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         cfg = load_config(args.config)

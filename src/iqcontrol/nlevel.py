@@ -201,6 +201,9 @@ class ReachabilityProblem:
                 raise ProbabilityError(f"{name} weights are not a distribution")
         if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[0] != p.size:
             raise DimensionError(f"coefficient tensor shape {c.shape} invalid")
+        if q.size != p.size:
+            raise DimensionError(
+                f"{q.size} target weights for {p.size} initial weights")
         col_norms = np.sum(np.abs(c) ** 2, axis=0)
         if np.max(np.abs(col_norms - 1.0)) > 1e-10:
             raise ProbabilityError("coefficient columns are not unit norm")

@@ -101,11 +101,6 @@ class SpectralForm:
 
 
 @dataclass(frozen=True)
-class SolverBudget:
-    tol: float = 1e-8
-
-
-@dataclass(frozen=True)
 class ControlSolution:
     couplings: QubitCouplings
     theta: float
@@ -243,9 +238,9 @@ def reduced_state_closed_form(p_s, theta, p_p, ang: OverlapAngles):
     return _unbox(rho00), _unbox(rho11), _unbox(rho10)
 
 
-def closed_form_reduced_state(g: QubitCouplings, t, p_s: float,
-                              p_p: float) -> np.ndarray:
-    """Evolved reduced state assembled in the computational basis.
+def closed_form_reduced_state(g: QubitCouplings, t, p_s: float, p_p: float):
+    """Evolved reduced state assembled in the computational basis, and the
+    overlap angles it was built from, as ``(rho, ang)``.
 
     Combines the closed-form entries with the conditional basis vectors;
     diagonal initial states only (weight p_s on |0><0|).  One
@@ -253,12 +248,13 @@ def closed_form_reduced_state(g: QubitCouplings, t, p_s: float,
     (..., 2, 2).
     """
     u_plus, _ = conditional_unitaries(g, t)
+    ang = _overlap_angles(u_plus)
     rho00, rho11, rho10 = reduced_state_closed_form(
-        p_s, probe_mixing_angle(g), p_p, _overlap_angles(u_plus))
+        p_s, probe_mixing_angle(g), p_p, ang)
     # The entries in the basis of U_+'s columns, (U_+|1>, U_+|0>).
     m = np.stack([np.stack([rho11, rho10], axis=-1),
                   np.stack([np.conj(rho10), rho00], axis=-1)], axis=-2)
-    return u_plus @ m @ opkit.dag(u_plus)
+    return u_plus @ m @ opkit.dag(u_plus), ang
 
 
 def conditional_reduced_state(g: QubitCouplings, t: float,
@@ -361,7 +357,7 @@ def _couplings_from_axis(n_hat: np.ndarray) -> QubitCouplings:
                           g3=0.0, g4=1.0)
 
 
-def solve_controls_numeric(p_s: float, target, budget: SolverBudget | None = None
+def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
                            ) -> ControlSolution:
     """Find (g, t, p_p) steering diag(1-p_s, p_s) onto the target state.
 
@@ -372,9 +368,8 @@ def solve_controls_numeric(p_s: float, target, budget: SolverBudget | None = Non
     with Bloch radius above |1-2p_s| are unreachable (the channel is
     unital on the spectrum); for those the closest reachable state is
     returned and the solution is flagged infeasible.  A residual above
-    ``budget.tol`` is flagged infeasible too; it is not searched further.
+    ``tol`` is flagged infeasible too; it is not searched further.
     """
-    budget = budget or SolverBudget()
     rho_t = opkit.validate_density_matrix(target)
     r_tau = _bloch(rho_t)
     rad = float(np.linalg.norm(r_tau))
@@ -387,14 +382,13 @@ def solve_controls_numeric(p_s: float, target, budget: SolverBudget | None = Non
         # Maximally mixed initial state: it is a fixed point of every
         # admissible channel.
         g = QubitCouplings(g1=0.0, g2=1.0 + 0.0j, g3=0.0, g4=1.0)
-        rho = closed_form_reduced_state(g, 0.0, p_s, 0.5)
+        rho, _ = closed_form_reduced_state(g, 0.0, p_s, 0.5)
         res = opkit.trace_distance(rho, rho_t)
         return ControlSolution(couplings=g, theta=0.0, alpha=0.0, p_p=0.5,
-                               t=0.0, residual=res,
-                               feasible=res <= budget.tol)
+                               t=0.0, residual=res, feasible=res <= tol)
 
     feasible_geom = rad <= m0 + 1e-9
-    r_aim = r_tau if (feasible_geom or rad == 0.0) else r_tau * (m0 / rad)
+    r_aim = r_tau if feasible_geom else r_tau * (m0 / rad)
 
     perp = r_aim - np.dot(r_aim, e_hat) * e_hat
     pn = float(np.linalg.norm(perp))
@@ -415,9 +409,8 @@ def solve_controls_numeric(p_s: float, target, budget: SolverBudget | None = Non
     t = phi / 2.0
     p_p = (1.0 - u) / 2.0
     g = _couplings_from_axis(n_hat)
-    rho = closed_form_reduced_state(g, t, p_s, p_p)
+    rho, ang = closed_form_reduced_state(g, t, p_s, p_p)
     res = opkit.trace_distance(rho, rho_t)
-    ang = overlap_angles(g, t)
     return ControlSolution(couplings=g, theta=probe_mixing_angle(g),
                            alpha=ang.alpha, p_p=p_p, t=t, residual=res,
-                           feasible=res <= budget.tol)
+                           feasible=res <= tol)

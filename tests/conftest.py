@@ -1,6 +1,7 @@
-"""Shared random-matrix helpers for the test suite."""
+"""Shared random-matrix helpers and fixtures for the test suite."""
 
 import numpy as np
+import pytest
 
 
 def rand_hermitian(rng, n, scale=1.0):
@@ -62,3 +63,17 @@ def forward_reachability_instance(rng, n):
     prob = ReachabilityProblem(initial_weights=p, target_weights=q,
                                coefficients=c)
     return prob, w_star
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """A list that gains one entry per ``opkit.eig_hermitian`` call."""
+    from iqcontrol import opkit
+    calls, eig = [], opkit.eig_hermitian
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eig(*args, **kwargs)
+
+    monkeypatch.setattr(opkit, "eig_hermitian", counted)
+    return calls

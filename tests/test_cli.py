@@ -1,7 +1,11 @@
+import argparse
 import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -147,6 +151,15 @@ class TestRunSimulate:
                 np.testing.assert_allclose(vals[5:], [e_plus, e_minus, dist],
                                            rtol=0, atol=1e-10)
 
+    def test_one_eigendecomposition_per_run(self, tmp_path, eig_calls):
+        # the state and its conditional-frame columns come from one
+        # evaluation of U_+ over all times
+        doc = dict(simulate_config(), target=[[0.4, 0.1], [0.1, 0.6]])
+        path = write_config(tmp_path, "sim.json", doc)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 0
+        assert len(eig_calls) == 1
+
     def test_deterministic_reruns(self, tmp_path):
         path = write_config(tmp_path, "sim.json", simulate_config())
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -177,6 +190,30 @@ class TestRunSolve:
         assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 2
         doc_out = json.loads((out / "s.json").read_text())
         assert doc_out["feasible"] is False
+
+
+class TestSolveTargetTolerance:
+    """``check`` and ``run`` accept and reject the same solve targets."""
+
+    @staticmethod
+    def target_config(defect):
+        return {"mode": "solve", "p_s": 0.0,
+                "target": [[0.25, [0.1, 0.05]], [[0.1, -0.05 + defect], 0.75]]}
+
+    def test_small_defect_accepted_by_both(self, tmp_path):
+        path = write_config(tmp_path, "s.json", self.target_config(5e-11))
+        out = tmp_path / "out"
+        assert cli.main(["check", str(path), "--quiet"]) == 0
+        assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+        assert json.loads((out / "s.json").read_text())["oracle_distance"] \
+            <= 1e-8
+
+    def test_large_defect_rejected_by_both(self, tmp_path):
+        path = write_config(tmp_path, "s.json", self.target_config(1e-9))
+        out = tmp_path / "out"
+        assert cli.main(["check", str(path), "--quiet"]) == 1
+        assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 1
+        assert not out.exists()
 
 
 class TestRunReach:
@@ -314,6 +351,9 @@ class TestMalformedConfigs:
         "reach_tol_infinity": dict(reach_config(), tol=float("inf")),
         "reach_weights_strings": dict(reach_config(),
                                       initial_weights=["a", "b"]),
+        "reach_one_target_weight": dict(reach_config(), target_weights=[1.0]),
+        "reach_three_target_weights": dict(reach_config(),
+                                           target_weights=[0.5, 0.25, 0.25]),
         "solve_tol_string": solve_config(tol="abc"),
         "solve_tol_zero": solve_config(tol=0),
         "solve_tol_negative": solve_config(tol=-1e-8),
@@ -377,6 +417,56 @@ class TestMalformedConfigs:
                           ("sw.json", sweep_config(beta=0.3))):
             path = write_config(tmp_path, name, doc)
             assert cli.main(["check", str(path), "--quiet"]) == 0
+
+
+class TestArgv:
+    """The command line: a command, a config, ``--out`` and ``--quiet``."""
+
+    @pytest.mark.parametrize("command, doc", [
+        ("run", simulate_config()),
+        ("sweep", sweep_config()),
+        ("check", simulate_config()),
+    ])
+    def test_command_accepts_out_and_quiet(self, command, doc, tmp_path,
+                                           capsys):
+        path = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "out"
+        assert cli.main([command, str(path), "--out", str(out), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert len(list(out.glob("c.*"))) == (command != "check")
+
+    @pytest.mark.parametrize("argv", [["transmute", "c.json"], ["run"], []])
+    def test_usage_errors_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "usage: iqctl" in capsys.readouterr().err
+
+    def test_no_parser_built_per_call(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, "c.json", simulate_config())
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for _ in range(3):
+            assert cli.main(["check", str(path), "--quiet"]) == 0
+        assert built == []
+
+    def test_module_entry_point(self):
+        # ``python -m iqcontrol.cli`` runs with nothing on stderr
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "iqcontrol.cli", "check",
+             str(root / "configs" / "solve_example.json")],
+            cwd=root, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(root / "src"), os.environ.get("PYTHONPATH", "")])})
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
 
 def numeric_leaves(node, path=()):

@@ -305,6 +305,14 @@ class TestReachability:
                                        target_weights=np.array([0.5, 0.5]),
                                        coefficients=c)
 
+    @pytest.mark.parametrize("q", [[1.0], [0.5, 0.25, 0.25]])
+    def test_target_weights_length_mismatch_raises(self, q):
+        c = np.stack([np.eye(2, dtype=complex)] * 2, axis=2)
+        with pytest.raises(DimensionError):
+            nlevel.ReachabilityProblem(initial_weights=np.array([0.6, 0.4]),
+                                       target_weights=np.array(q),
+                                       coefficients=c)
+
     def test_non_unit_columns_raise(self):
         c = np.stack([2.0 * np.eye(2, dtype=complex)] * 2, axis=2)
         with pytest.raises(ProbabilityError):

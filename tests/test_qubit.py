@@ -258,9 +258,10 @@ class TestDecompositionAgainstOracle:
                 2, 2, qubit.build_interaction(g),
                 np.diag([1 - p_s, p_s]).astype(complex),
                 np.diag([1 - p_p, p_p]).astype(complex))
-            closed = qubit.closed_form_reduced_state(g, t, p_s, p_p)
+            closed, ang = qubit.closed_form_reduced_state(g, t, p_s, p_p)
             assert opkit.trace_distance(closed, verify.evolve_full(sc, t)) \
                 <= 1e-10
+            assert ang == qubit.overlap_angles(g, t)
 
 
 class TestFInvariance:
@@ -465,3 +466,21 @@ class TestSolver:
             else:
                 assert sol.residual == pytest.approx((rad - m0) / 2, abs=1e-12)
                 assert oracle == pytest.approx(sol.residual, abs=1e-8)
+
+    def test_one_eigendecomposition_per_solve(self, eig_calls):
+        # the state, the residual and the reported alpha all come from one
+        # evaluation of U_+
+        rng = np.random.default_rng(19)
+        cases = list(self.adversarial_targets(rng, 3))
+        cases.append((0.5, np.zeros(3)))   # maximally mixed initial state
+        for p_s, r in cases:
+            target = 0.5 * (np.eye(2) + r[0] * qubit.SIGMA_X
+                            + r[1] * qubit.SIGMA_Y + r[2] * qubit.SIGMA_Z)
+            eig_calls.clear()
+            qubit.solve_controls_numeric(p_s, target)
+            assert len(eig_calls) == 1
+
+    def test_tol_flags_residual(self):
+        target = np.diag([0.95, 0.05]).astype(complex)
+        assert not qubit.solve_controls_numeric(0.3, target).feasible
+        assert qubit.solve_controls_numeric(0.3, target, tol=0.3).feasible
