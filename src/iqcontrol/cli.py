@@ -8,8 +8,10 @@ Subcommands:
 Configs are UTF-8 JSON with a top-level "mode" discriminator; complex
 numbers are [re, im] pairs and matrices nested row-major lists of pairs.
 Results are CSV (time series, grids) or JSON (solve/reach/thermal), both
-fully deterministic: 17 significant digits, "\n" line endings, sorted
-JSON keys.  Exit codes: 0 success, 1 error, 2 infeasible-but-completed.
+fully deterministic with "\n" line endings: CSV numbers have 17
+significant digits, JSON numbers are the shortest repr that reads back to
+the same float, and JSON keys are sorted.  Exit codes: 0 success, 1 error,
+2 infeasible-but-completed.
 A result with a non-finite number is an error, and no file is written.
 """
 
@@ -19,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +32,12 @@ from .nlevel import ReachabilityProblem, solve_probe_spectrum
 
 MODES = ("simulate", "solve", "reach", "thermal", "sweep")
 SWEEP_PARAMS = ("theta", "alpha", "p_p")
-# Rows of a simulate result and grid points of a sweep.  A run holds its
-# whole result in memory: 10^6 simulate rows peak at ~0.66 GB.
+# Rows of a simulate result and grid points of a sweep.  A run computes its
+# whole result in memory and writes it in chunks: 10^6 simulate rows peak
+# at ~0.51 GB, 10^6 sweep points at ~0.13 GB.
 MAX_ROWS = 10**6
+# CSV rows formatted per "%" call.
+_CSV_CHUNK = 4096
 
 
 class ConfigError(IQControlError):
@@ -149,7 +155,11 @@ def _parse_axis(ax, where: str):
     name = _get(ax, "name", str, where)
     _expect(name in SWEEP_PARAMS,
             f"{where}: axis name '{name}' not one of {SWEEP_PARAMS}")
-    return name, _parse_range(ax, where)
+    vals = _parse_range(ax, where)
+    if name == "p_p":
+        _expect(0.0 <= ax["start"] <= 1.0 and 0.0 <= ax["stop"] <= 1.0,
+                f"{where}: p_p outside [0, 1]")
+    return name, vals
 
 
 def _reject_constant(name: str):
@@ -215,8 +225,9 @@ def validate_config(cfg: dict):
     if mode == "thermal":
         temperature = _get_positive(cfg, "temperature", "config")
         if "p_p" in cfg:
-            return {"temperature": temperature,
-                    "p_p": _get(cfg, "p_p", float, "config")}
+            p_p = _get(cfg, "p_p", float, "config")
+            _expect(0.0 < p_p < 1.0, "config: 'p_p' must lie in (0, 1)")
+            return {"temperature": temperature, "p_p": p_p}
         return {"temperature": temperature,
                 "e0": _get(cfg, "e0", float, "config"),
                 "e1": _get(cfg, "e1", float, "config")}
@@ -246,15 +257,38 @@ def _json_result(path: Path, doc: dict):
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _csv_result(path: Path, header: list, table: np.ndarray):
-    """Write a numeric table as CSV with 17 significant digits; a table with
-    a non-finite cell is an error, and no file is written."""
-    if not np.all(np.isfinite(table)):
-        raise ConfigError("result has a non-finite value")
-    row = ",".join(["%.17g"] * len(header)) + "\n"
+def _csv_result(path: Path, header: list, columns: list):
+    """Write float columns as CSV with 17 significant digits.
+
+    A column is an array, or a pair ``(values, index)`` that stands for
+    ``values[index]`` and whose distinct values are formatted once.  A
+    result with a non-finite cell is an error, and no file is written.
+    """
+    cells = []  # (texts of the distinct values or None, array of rows)
+    for col in columns:
+        if isinstance(col, tuple):
+            values, index = col
+            finite = np.isfinite(values)[index]
+            texts = np.array(["%.17g" % v for v in values.tolist()],
+                             dtype=object)
+            cells.append((texts, index))
+        else:
+            finite = np.isfinite(col)
+            cells.append((None, col))
+        if not np.all(finite):
+            raise ConfigError("result has a non-finite value")
+    row = ",".join("%.17g" if texts is None else "%s"
+                   for texts, _ in cells) + "\n"
+    n = len(cells[0][1])
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % tuple(r) for r in table.tolist())
+        # one "%" call per chunk, with Python objects for that chunk only
+        for start in range(0, n, _CSV_CHUNK):
+            part = slice(start, start + _CSV_CHUNK)
+            cols = [(rows[part] if texts is None else texts[rows[part]])
+                    .tolist() for texts, rows in cells]
+            flat = tuple(chain.from_iterable(zip(*cols)))
+            fh.write(row * len(cols[0]) % flat)
 
 
 def _run_simulate(payload, out_path: Path) -> int:
@@ -270,9 +304,8 @@ def _run_simulate(payload, out_path: Path) -> int:
     e_minus, e_plus = np.linalg.eigvalsh(rho).T
     _csv_result(out_path, ["t", "rho00", "rho11", "re_rho10", "im_rho10",
                            "e_plus", "e_minus", "trace_distance_to_target"],
-                np.column_stack([times, rho00, rho11, rho10.real, rho10.imag,
-                                 e_plus, e_minus,
-                                 opkit.trace_distance(rho, target)]))
+                [times, rho00, rho11, rho10.real, rho10.imag, e_plus, e_minus,
+                 opkit.trace_distance(rho, target)])
     return 0
 
 
@@ -318,15 +351,19 @@ def _run_thermal(payload, out_path: Path) -> int:
 
 def _run_sweep(payload, out_path: Path) -> int:
     names = [n for n, _ in payload["axes"]]
+    axis_values = [vals for _, vals in payload["axes"]]
     # "ij" indexing puts the last axis fastest, as nested loops would.
-    grid = np.meshgrid(*(vals for _, vals in payload["axes"]), indexing="ij")
+    grid = np.meshgrid(*axis_values, indexing="ij")
     params = dict(payload["fixed"], **dict(zip(names, grid)))
     ang = qubit.OverlapAngles(alpha=params["alpha"], beta=payload["beta"])
     rho00, _, rho10 = qubit.reduced_state_closed_form(
         payload["p_s"], params["theta"], params["p_p"], ang)
-    columns = np.broadcast_arrays(*grid, rho00, np.abs(rho10))
+    shape = tuple(len(vals) for vals in axis_values)
+    index = [i.ravel() for i in np.indices(shape)]
     _csv_result(out_path, names + ["rho00", "abs_rho10"],
-                np.column_stack([c.ravel() for c in columns]))
+                list(zip(axis_values, index))
+                + [np.broadcast_to(c, shape).ravel()
+                   for c in (rho00, np.abs(rho10))])
     return 0
 
 

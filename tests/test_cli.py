@@ -358,6 +358,10 @@ class TestMalformedConfigs:
         "solve_tol_zero": solve_config(tol=0),
         "solve_tol_negative": solve_config(tol=-1e-8),
         "sweep_beta_string": sweep_config(beta="x"),
+        "sweep_p_p_axis_0_3": sweep_config(
+            axes=[{"name": "p_p", "start": 0, "stop": 3, "count": 4}]),
+        "thermal_p_p_1_5": {"mode": "thermal", "temperature": 1, "p_p": 1.5},
+        "thermal_p_p_0": {"mode": "thermal", "temperature": 1, "p_p": 0.0},
     }
 
     def assert_one_error(self, code, capsys):
@@ -371,9 +375,10 @@ class TestMalformedConfigs:
     def test_rejected(self, name, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", self.CASES[name])
         out = tmp_path / "out"
-        code = cli.main(["run", str(path), "--out", str(out), "--quiet"])
-        self.assert_one_error(code, capsys)
-        assert not out.exists()
+        for command in ("check", "run"):
+            code = cli.main([command, str(path), "--out", str(out), "--quiet"])
+            self.assert_one_error(code, capsys)
+            assert not out.exists()
 
     THERMAL = '{"mode":"thermal","temperature":%s,"e0":%s,"e1":%s}'
     NON_FINITE = {
@@ -397,6 +402,11 @@ class TestMalformedConfigs:
             simulate_config(), couplings={"g1": 1e200, "g3": 1e200, "g4": 0})),
         "times_count_1e12": json.dumps(dict(
             simulate_config(), times={"start": 0, "stop": 1, "count": 10**12})),
+        # the axis values themselves overflow: linspace gives a NaN
+        "sweep_axis_span_overflow": json.dumps(sweep_config(
+            axes=[{"name": "theta", "start": -1e308, "stop": 1e308,
+                   "count": 3}],
+            fixed={"alpha": 0.2, "p_p": 0.3})),
         "sweep_points_over_cap": json.dumps(sweep_config(
             axes=[{"name": n, "start": 0, "stop": 1, "count": 1001}
                   for n in ("alpha", "p_p")], fixed={"theta": 0.5})),
@@ -417,6 +427,65 @@ class TestMalformedConfigs:
                           ("sw.json", sweep_config(beta=0.3))):
             path = write_config(tmp_path, name, doc)
             assert cli.main(["check", str(path), "--quiet"]) == 0
+
+
+def reference_csv(path, header, table):
+    """The per-row writer the chunked one must match byte for byte."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % tuple(r) for r in table.tolist())
+
+
+class TestCsvWriter:
+    """``cli._csv_result`` writes the bytes of ``reference_csv``."""
+
+    SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 2.0,
+                        -3.0, 1e16, 0.1, 1.0 / 3.0, np.pi])
+
+    @staticmethod
+    def table(rows, cols=4):
+        rng = np.random.default_rng(rows)
+        t = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(
+            -20, 20, size=(rows, cols))
+        flat = t.reshape(-1)
+        flat[::3] = np.resize(TestCsvWriter.SPECIAL, flat[::3].size)
+        return t
+
+    @pytest.mark.parametrize("rows", [0, 1, cli._CSV_CHUNK - 1, cli._CSV_CHUNK,
+                                      cli._CSV_CHUNK + 1])
+    def test_columns_match_reference(self, rows, tmp_path):
+        header = ["a", "b", "c", "d"]
+        table = self.table(rows)
+        reference_csv(tmp_path / "ref.csv", header, table)
+        cli._csv_result(tmp_path / "new.csv", header, list(table.T))
+        assert (tmp_path / "new.csv").read_bytes() \
+            == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows", [0, 1, cli._CSV_CHUNK + 1])
+    def test_indexed_column_matches_expanded(self, rows, tmp_path):
+        rng = np.random.default_rng(rows)
+        values = np.concatenate([self.SPECIAL, [np.nan]])
+        # the NaN is never referenced, so no cell is non-finite
+        index = rng.integers(len(self.SPECIAL), size=rows)
+        plain = self.table(rows, cols=2)
+        header = ["x", "p", "q"]
+        reference_csv(tmp_path / "ref.csv", header,
+                      np.column_stack([values[index], plain]))
+        cli._csv_result(tmp_path / "new.csv", header,
+                        [(values, index)] + list(plain.T))
+        assert (tmp_path / "new.csv").read_bytes() \
+            == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_writes_nothing(self, bad, tmp_path):
+        path = tmp_path / "c.csv"
+        values, plain = np.array([0.0, bad]), np.zeros(3)
+        for columns in ([(values, np.array([0, 1, 0])), plain],
+                        [plain, np.array([1.0, bad, 2.0])]):
+            with pytest.raises(cli.ConfigError, match="non-finite"):
+                cli._csv_result(path, ["x", "y"], columns)
+            assert not path.exists()
 
 
 class TestArgv:
