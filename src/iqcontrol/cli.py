@@ -12,7 +12,8 @@ fully deterministic with "\n" line endings: CSV numbers have 17
 significant digits, JSON numbers are the shortest repr that reads back to
 the same float, and JSON keys are sorted.  Exit codes: 0 success, 1 error,
 2 infeasible-but-completed.
-A result with a non-finite number is an error, and no file is written.
+A result with a non-finite number is an error, and no file or directory
+is written.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import opkit, qubit, thermal, verify
-from .errors import IQControlError
+from .errors import IQControlError, StateError
 from .nlevel import ReachabilityProblem, solve_probe_spectrum
 
 MODES = ("simulate", "solve", "reach", "thermal", "sweep")
@@ -254,6 +255,7 @@ def _json_result(path: Path, doc: dict):
         text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise ConfigError(f"result has a non-finite value: {exc}") from exc
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n", encoding="utf-8")
 
 
@@ -280,6 +282,7 @@ def _csv_result(path: Path, header: list, columns: list):
     row = ",".join("%.17g" if texts is None else "%s"
                    for texts, _ in cells) + "\n"
     n = len(cells[0][1])
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         # one "%" call per chunk, with Python objects for that chunk only
@@ -298,14 +301,19 @@ def _run_simulate(payload, out_path: Path) -> int:
     if target is None:
         target = np.diag([1.0 - p_s, p_s]).astype(complex)
     rho, ang = qubit.closed_form_reduced_state(g, times, p_s, p_p)
-    rho = opkit.validate_density_matrix(rho, herm_tol=1e-10)
+    r = qubit.bloch_vector(rho)
+    radius = np.linalg.norm(r, axis=-1)
+    e_plus, e_minus = 0.5 * (1.0 + radius), 0.5 * (1.0 - radius)
+    if np.any(e_minus < opkit.PSD_FLOOR):
+        raise StateError(f"density matrix has eigenvalue {e_minus.min():.3e}"
+                         f" < {opkit.PSD_FLOOR:.0e}")
     rho00, rho11, rho10 = qubit.reduced_state_closed_form(
         p_s, qubit.probe_mixing_angle(g), p_p, ang)
-    e_minus, e_plus = np.linalg.eigvalsh(rho).T
+    distance = 0.5 * np.linalg.norm(r - qubit.bloch_vector(target), axis=-1)
     _csv_result(out_path, ["t", "rho00", "rho11", "re_rho10", "im_rho10",
                            "e_plus", "e_minus", "trace_distance_to_target"],
                 [times, rho00, rho11, rho10.real, rho10.imag, e_plus, e_minus,
-                 opkit.trace_distance(rho, target)])
+                 distance])
     return 0
 
 
@@ -369,7 +377,6 @@ def _run_sweep(payload, out_path: Path) -> int:
 
 def _execute(cfg: dict, config_path: Path, out_dir: Path, quiet: bool) -> int:
     payload = validate_config(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     mode = cfg["mode"]
     suffix = ".csv" if mode in ("simulate", "sweep") else ".json"
     out_path = out_dir / (config_path.stem + suffix)

@@ -92,9 +92,11 @@ class KrausChannel:
 
 def conditional_decomposition(h: ProductHamiltonian, t: float
                               ) -> ConditionalDecomposition:
-    """Split exp(-i (h_s (x) h_p) t) over the probe eigenbasis."""
-    unitaries = [opkit.expm_i_hermitian(h.h_s, float(e) * t)
-                 for e in h.probe_values]
+    """Split exp(-i (h_s (x) h_p) t) over the probe eigenbasis.
+
+    One eigendecomposition of h_s serves every probe energy.
+    """
+    unitaries = list(opkit.expm_i_hermitian(h.h_s, h.probe_values * t))
     return ConditionalDecomposition(energies=h.probe_values.copy(),
                                     unitaries=unitaries,
                                     probe_vectors=h.probe_vectors.copy())
@@ -173,10 +175,8 @@ def expansion_coefficients(h_s, energies, t: float, ref_time: float
     h_s = opkit.require_hermitian(h_s)
     energies = np.asarray(energies, dtype=float)
     w_ref = opkit.expm_i_hermitian(h_s, ref_time)
-    c = np.empty((h_s.shape[0], h_s.shape[0], energies.size), dtype=complex)
-    for m, e in enumerate(energies):
-        c[:, :, m] = opkit.dag(w_ref) @ opkit.expm_i_hermitian(h_s, float(e) * t)
-    return c
+    u = opkit.expm_i_hermitian(h_s, energies * t)
+    return np.moveaxis(opkit.dag(w_ref) @ u, 0, -1)
 
 
 @dataclass(frozen=True)

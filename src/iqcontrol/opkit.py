@@ -3,10 +3,11 @@
 Construction helpers, tensor products, partial trace over the probe,
 Hermitian eigendecomposition, unitary matrix exponentials and the trace
 distance.  Everything operates on plain ``numpy`` arrays (``complex128``);
-density matrices are validated, not wrapped in a class.  Validation and the
-trace distance also take stacks (..., n, n), and the matrix exponential an
-array of times, so one call serves a whole time series.  All functions are
-pure, so they are safe to call from concurrent contexts.
+density matrices are validated, not wrapped in a class.  The matrix
+exponential takes an array of times and returns a stack (..., n, n), one
+propagator per time, from one eigendecomposition; ``dag`` works on stacks,
+and every other function takes one matrix.  All functions are pure, so
+they are safe to call from concurrent contexts.
 
 Tensor ordering is system (x) probe throughout.
 """
@@ -24,9 +25,9 @@ PSD_FLOOR = -1e-10
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite, square complex matrix or a stack (..., n, n) of them."""
+    """Coerce to a finite, square complex matrix."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
         raise StateError("matrix contains NaN or Inf entries")
@@ -54,19 +55,15 @@ def require_hermitian(a, tol: float = HERM_TOL) -> np.ndarray:
 def validate_density_matrix(rho, herm_tol: float = TRACE_TOL,
                             trace_tol: float = TRACE_TOL,
                             psd_floor: float = PSD_FLOOR) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return the array.
-
-    A stack (..., n, n) passes only if every matrix in it does.
-    """
+    """Check Hermiticity, unit trace and positivity; return the array."""
     m = as_matrix(rho)
     d = herm_defect(m)
     if d > herm_tol:
         raise StateError(f"density matrix not Hermitian (defect {d:.3e})")
-    tr = np.asarray(np.trace(m, axis1=-2, axis2=-1))
-    off = np.abs(tr - 1.0) > trace_tol
-    if off.any():
-        raise StateError(f"density matrix trace {complex(tr[off][0])} differs from 1")
-    lowest = np.linalg.eigvalsh(0.5 * (m + dag(m))).min(initial=np.inf)
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > trace_tol:
+        raise StateError(f"density matrix trace {tr} differs from 1")
+    lowest = np.linalg.eigvalsh(0.5 * (m + dag(m)))[0]
     if lowest < psd_floor:
         raise StateError(f"density matrix has eigenvalue {lowest:.3e} < {psd_floor:.0e}")
     return m
@@ -84,11 +81,10 @@ def partial_trace_probe(rho, dim_s: int, dim_p: int) -> np.ndarray:
     inner (fast) index.
     """
     m = as_matrix(rho)
-    if m.shape[-1] != dim_s * dim_p:
+    if m.shape[0] != dim_s * dim_p:
         raise DimensionError(
-            f"operator dim {m.shape[-1]} != dim_s*dim_p = {dim_s * dim_p}")
-    return np.trace(m.reshape(m.shape[:-2] + (dim_s, dim_p, dim_s, dim_p)),
-                    axis1=-3, axis2=-1)
+            f"operator dim {m.shape[0]} != dim_s*dim_p = {dim_s * dim_p}")
+    return np.trace(m.reshape(dim_s, dim_p, dim_s, dim_p), axis1=1, axis2=3)
 
 
 def eig_hermitian(a, tol: float = HERM_TOL):
@@ -117,15 +113,11 @@ def expm_i_hermitian(h, t, tol: float = HERM_TOL) -> np.ndarray:
     return (vectors * phases[..., None, :]) @ dag(vectors)
 
 
-def trace_distance(a, b):
-    """Trace distance (1/2)||a - b||_1 between two density matrices.
-
-    A stack (..., n, n) on either side gives an array of distances.
-    """
+def trace_distance(a, b) -> float:
+    """Trace distance (1/2)||a - b||_1 between two density matrices."""
     ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape[-1] != mb.shape[-1]:
+    if ma.shape != mb.shape:
         raise DimensionError(f"shape mismatch {ma.shape} vs {mb.shape}")
     diff = ma - mb
     evals = np.linalg.eigvalsh(0.5 * (diff + dag(diff)))
-    dist = 0.5 * np.sum(np.abs(evals), axis=-1)
-    return float(dist) if dist.ndim == 0 else dist
+    return float(0.5 * np.sum(np.abs(evals)))

@@ -9,9 +9,11 @@ factor splits the composite evolution into two conditional unitaries
 U_+/U_- acting on the system alone, which yields a closed-form reduced
 state parametrized by the probe mixing angle theta, the overlap angles
 (alpha, beta) of the conditionally evolved states, and the probe ground
-occupancy p_p.  The closed-form functions work element by element on
-arrays, so one eigendecomposition serves a whole time series or grid; a
-scalar input still gives a scalar result.
+occupancy p_p.  Since the system factor is n.sigma, U_+ is an SU(2)
+rotation with a closed form, and no evolution here needs an eigensolver.
+The closed-form functions work element by element on arrays, so one call
+serves a whole time series or grid; a scalar input still gives a scalar
+result.  A 2x2 state is measured through its Bloch vector alone.
 
 Basis convention: states are written in the {|1>, |0>} order with
 sz|1> = +|1>, |0> the ground state, and s+ = |1><0|.  A diagonal system
@@ -178,10 +180,15 @@ def probe_pm_vectors(theta: float):
 def conditional_unitaries(g: QubitCouplings, t):
     """(U_+, U_-) with U_pm = exp(-i H_pm t), H_pm = +/- r (g1 sz + g2 s+ + g2* s-).
 
+    The system factor is n.sigma with n = (Re g2, -Im g2, g1), so
+    U_+ = cos(r|n|t) I - i sin(r|n|t) n.sigma/|n|, and U_+ = I when n = 0.
     An array of times gives stacks (..., 2, 2).
     """
-    r = np.hypot(g.g3, g.g4)
-    u_plus = opkit.expm_i_hermitian(r * system_factor(g), t)
+    h = system_factor(g)
+    norm = np.hypot(g.g1, abs(g.g2))
+    angle = np.hypot(g.g3, g.g4) * norm * np.asarray(t, dtype=float)
+    u_plus = (np.multiply.outer(np.cos(angle), np.eye(2))
+              - 1j * np.multiply.outer(np.sin(angle), h / norm if norm else h))
     return u_plus, opkit.dag(u_plus)
 
 
@@ -243,9 +250,8 @@ def closed_form_reduced_state(g: QubitCouplings, t, p_s: float, p_p: float):
     overlap angles it was built from, as ``(rho, ang)``.
 
     Combines the closed-form entries with the conditional basis vectors;
-    diagonal initial states only (weight p_s on |0><0|).  One
-    eigendecomposition per call; an array of times gives a stack
-    (..., 2, 2).
+    diagonal initial states only (weight p_s on |0><0|).  No
+    eigendecomposition; an array of times gives a stack (..., 2, 2).
     """
     u_plus, _ = conditional_unitaries(g, t)
     ang = _overlap_angles(u_plus)
@@ -340,13 +346,17 @@ def zero_coherence_condition(theta: float, p_p: float, alpha: float,
     return bool(cos_ok and alpha_ok)
 
 
-def _bloch(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector (x, y, z) of a 2x2 state in the {|1>, |0>} ordering."""
-    return np.array([
-        float(np.real(np.trace(rho @ SIGMA_X))),
-        float(np.real(np.trace(rho @ SIGMA_Y))),
-        float(np.real(np.trace(rho @ SIGMA_Z))),
-    ])
+def bloch_vector(rho) -> np.ndarray:
+    """Bloch vector r = Re tr(rho sigma) of a 2x2 state in the {|1>, |0>}
+    ordering, or an array (..., 3) of them for a stack (..., 2, 2).
+
+    For unit-trace states the eigenvalues are (1 +/- |r|)/2 and the trace
+    distance between two states is |r_a - r_b|/2.
+    """
+    rho = np.asarray(rho)
+    r00, r01, r10, r11 = (rho[..., i, j] for i in (0, 1) for j in (0, 1))
+    return np.stack([np.real(r01 + r10), np.imag(r10 - r01),
+                     np.real(r00 - r11)], axis=-1)
 
 
 def _couplings_from_axis(n_hat: np.ndarray) -> QubitCouplings:
@@ -370,8 +380,7 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
     returned and the solution is flagged infeasible.  A residual above
     ``tol`` is flagged infeasible too; it is not searched further.
     """
-    rho_t = opkit.validate_density_matrix(target)
-    r_tau = _bloch(rho_t)
+    r_tau = bloch_vector(opkit.validate_density_matrix(target))
     rad = float(np.linalg.norm(r_tau))
     m0 = abs(1.0 - 2.0 * p_s)
 
@@ -381,36 +390,27 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
     if m0 < 1e-14:
         # Maximally mixed initial state: it is a fixed point of every
         # admissible channel.
-        g = QubitCouplings(g1=0.0, g2=1.0 + 0.0j, g3=0.0, g4=1.0)
-        rho, _ = closed_form_reduced_state(g, 0.0, p_s, 0.5)
-        res = opkit.trace_distance(rho, rho_t)
-        return ControlSolution(couplings=g, theta=0.0, alpha=0.0, p_p=0.5,
-                               t=0.0, residual=res, feasible=res <= tol)
-
-    feasible_geom = rad <= m0 + 1e-9
-    r_aim = r_tau if feasible_geom else r_tau * (m0 / rad)
-
-    perp = r_aim - np.dot(r_aim, e_hat) * e_hat
-    pn = float(np.linalg.norm(perp))
-    if pn > 1e-13:
-        m_hat = perp / pn
+        n_hat, t, p_p = np.array([1.0, 0.0, 0.0]), 0.0, 0.5
     else:
-        m_hat = np.array([1.0, 0.0, 0.0])
-    n_hat = np.cross(e_hat, m_hat)
+        r_aim = r_tau if rad <= m0 + 1e-9 else r_tau * (m0 / rad)
+        perp = r_aim - np.dot(r_aim, e_hat) * e_hat
+        pn = float(np.linalg.norm(perp))
+        m_hat = perp / pn if pn > 1e-13 else np.array([1.0, 0.0, 0.0])
+        n_hat = np.cross(e_hat, m_hat)
 
-    x = float(np.clip(np.dot(r_aim, e_hat) / m0, -1.0, 1.0))
-    phi = float(np.arccos(x))
-    sphi = np.sin(phi)
-    if sphi > 1e-12:
-        u = float(np.clip(np.dot(r_aim, m_hat) / (m0 * sphi), -1.0, 1.0))
-    else:
-        u = 0.0
+        x = float(np.clip(np.dot(r_aim, e_hat) / m0, -1.0, 1.0))
+        phi = float(np.arccos(x))
+        sphi = np.sin(phi)
+        if sphi > 1e-12:
+            u = float(np.clip(np.dot(r_aim, m_hat) / (m0 * sphi), -1.0, 1.0))
+        else:
+            u = 0.0
 
-    t = phi / 2.0
-    p_p = (1.0 - u) / 2.0
+        t = phi / 2.0
+        p_p = (1.0 - u) / 2.0
     g = _couplings_from_axis(n_hat)
     rho, ang = closed_form_reduced_state(g, t, p_s, p_p)
-    res = opkit.trace_distance(rho, rho_t)
+    res = 0.5 * float(np.linalg.norm(bloch_vector(rho) - r_tau))
     return ControlSolution(couplings=g, theta=probe_mixing_angle(g),
                            alpha=ang.alpha, p_p=p_p, t=t, residual=res,
                            feasible=res <= tol)

@@ -125,6 +125,23 @@ class TestConditionalDecomposition:
             np.testing.assert_allclose(opkit.dag(u) @ u, np.eye(3),
                                        atol=1e-10)
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_one_eigendecomposition_per_decomposition(self, n, eig_calls):
+        # all N conditional unitaries come from one stacked expm, and agree
+        # with one expm per probe energy
+        rng = np.random.default_rng(23 + n)
+        h = nlevel.ProductHamiltonian(h_s=rand_hermitian(rng, n),
+                                      h_p=rand_hermitian(rng, n))
+        t = rng.uniform(0.0, 5.0)
+        eig_calls.clear()
+        decomp = nlevel.conditional_decomposition(h, t)
+        assert len(eig_calls) == 1
+        assert len(decomp.unitaries) == n
+        for e, u in zip(h.probe_values, decomp.unitaries):
+            np.testing.assert_allclose(
+                u, opkit.expm_i_hermitian(h.h_s, float(e) * t),
+                rtol=0, atol=1e-12)
+
 
 class TestKrausChannel:
     def test_completeness(self):
@@ -240,6 +257,16 @@ class TestExpansionCoefficients:
                 for j in range(3):
                     assert abs(c[a, j, m]
                                - np.vdot(w_ref[:, a], u[:, j])) <= 1e-12
+
+    def test_two_eigendecompositions_per_coefficient_set(self, eig_calls):
+        # the reference basis, and one stack for every probe energy
+        rng = np.random.default_rng(34)
+        for n in (2, 4, 6):
+            eig_calls.clear()
+            c = nlevel.expansion_coefficients(rand_hermitian(rng, n),
+                                              rng.normal(size=n), 0.9, 2.1)
+            assert c.shape == (n, n, n)
+            assert len(eig_calls) == 2
 
 
 class TestProjectSimplex:

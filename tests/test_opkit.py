@@ -173,6 +173,13 @@ class TestTraceDistance:
         with pytest.raises(DimensionError):
             opkit.trace_distance(np.eye(2) / 2, np.eye(3) / 3)
 
+    def test_one_matrix_only(self):
+        stack = np.stack([np.eye(2) / 2] * 3)
+        with pytest.raises(DimensionError):
+            opkit.trace_distance(stack, np.eye(2) / 2)
+        with pytest.raises(DimensionError):
+            opkit.validate_density_matrix(stack)
+
 
 class TestValidateDensityMatrix:
     def test_accepts_valid(self):

@@ -126,6 +126,87 @@ class TestConditionalUnitaries:
             up, um = qubit.conditional_unitaries(g, t)
             np.testing.assert_allclose(um, up.conj().T, atol=1e-12)
 
+    @staticmethod
+    def reference(g, t):
+        """U_+ through the general eigendecomposition-based kernel."""
+        r = np.hypot(g.g3, g.g4)
+        return opkit.expm_i_hermitian(r * qubit.system_factor(g), t)
+
+    def test_matches_expm_reference(self):
+        # the SU(2) closed form against exp(-i r h_s t) by eigendecomposition,
+        # for scalar and array times, couplings in [-2, 2] and t in [0, 50]
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            g = rand_couplings(rng, scale=2.0)
+            t = rng.uniform(0.0, 50.0)
+            up, um = qubit.conditional_unitaries(g, t)
+            assert up.shape == (2, 2)
+            np.testing.assert_allclose(up, self.reference(g, t),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(um, up.conj().T, rtol=0, atol=0)
+        for _ in range(20):
+            g = rand_couplings(rng, scale=2.0)
+            times = np.append(rng.uniform(0.0, 50.0, size=63), [0.0, 50.0])
+            up, _ = qubit.conditional_unitaries(g, times)
+            assert up.shape == (65, 2, 2)
+            np.testing.assert_allclose(up, self.reference(g, times),
+                                       rtol=0, atol=1e-12)
+
+    def test_zero_system_factor_is_identity(self):
+        # g1 = g2 = 0: h_s vanishes, so U_+ = I at every time
+        g = QubitCouplings(g1=0.0, g2=0.0, g3=0.7, g4=-1.3)
+        times = np.linspace(0.0, 50.0, 11)
+        for t in (0.0, 17.5, times):
+            up, um = qubit.conditional_unitaries(g, t)
+            np.testing.assert_array_equal(up, np.broadcast_to(np.eye(2),
+                                                              up.shape))
+            np.testing.assert_array_equal(um, up)
+            np.testing.assert_allclose(up, self.reference(g, t), atol=1e-12)
+
+
+class TestBlochVector:
+    """bloch_vector measures a 2x2 state: checked against the
+    eigendecomposition-based trace distance and eigenvalues."""
+
+    def test_trace_distance_and_eigenvalues(self):
+        rng = np.random.default_rng(7)
+        pairs = [(rand_density(rng, 2), rand_density(rng, 2))
+                 for _ in range(200)]
+        pairs.append((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        pairs.append((np.eye(2) / 2.0, np.eye(2) / 2.0))
+        for a, b in pairs:
+            ra, rb = qubit.bloch_vector(a), qubit.bloch_vector(b)
+            assert ra.shape == (3,)
+            assert abs(0.5 * np.linalg.norm(ra - rb)
+                       - opkit.trace_distance(a, b)) <= 1e-14
+            radius = np.linalg.norm(ra)
+            np.testing.assert_allclose(
+                [(1.0 - radius) / 2.0, (1.0 + radius) / 2.0],
+                np.linalg.eigvalsh(a), rtol=0, atol=1e-14)
+        # the same measurements on stacks, element by element
+        a, b = (np.array(side) for side in zip(*pairs))
+        ra, rb = qubit.bloch_vector(a), qubit.bloch_vector(b)
+        assert ra.shape == (len(pairs), 3)
+        np.testing.assert_array_equal(
+            ra, [qubit.bloch_vector(m) for m in a])
+        np.testing.assert_allclose(
+            0.5 * np.linalg.norm(ra - rb, axis=-1),
+            [opkit.trace_distance(x, y) for x, y in pairs], rtol=0, atol=1e-14)
+        radius = np.linalg.norm(ra, axis=-1)
+        np.testing.assert_allclose(
+            np.stack([(1.0 - radius) / 2.0, (1.0 + radius) / 2.0], axis=-1),
+            np.linalg.eigvalsh(a), rtol=0, atol=1e-14)
+
+    def test_pauli_eigenstates(self):
+        for sigma, axis in ((qubit.SIGMA_X, 0), (qubit.SIGMA_Y, 1),
+                            (qubit.SIGMA_Z, 2)):
+            r = qubit.bloch_vector(0.5 * (np.eye(2) + sigma))
+            np.testing.assert_array_equal(r, np.eye(3)[axis])
+        # sz|1> = +|1>, and |1> comes first in the basis
+        np.testing.assert_array_equal(
+            qubit.bloch_vector(np.outer(qubit.KET_EXCITED, qubit.KET_EXCITED)),
+            [0.0, 0.0, 1.0])
+
 
 class TestOverlapAngles:
     def test_diagonal_couplings_alpha_zero(self):
@@ -469,7 +550,7 @@ class TestSolver:
 
     def test_one_eigendecomposition_per_solve(self, eig_calls):
         # the state, the residual and the reported alpha all come from one
-        # evaluation of U_+
+        # closed-form evaluation of U_+, which needs no eigendecomposition
         rng = np.random.default_rng(19)
         cases = list(self.adversarial_targets(rng, 3))
         cases.append((0.5, np.zeros(3)))   # maximally mixed initial state
@@ -478,7 +559,7 @@ class TestSolver:
                             + r[1] * qubit.SIGMA_Y + r[2] * qubit.SIGMA_Z)
             eig_calls.clear()
             qubit.solve_controls_numeric(p_s, target)
-            assert len(eig_calls) == 1
+            assert len(eig_calls) == 0
 
     def test_tol_flags_residual(self):
         target = np.diag([0.95, 0.05]).astype(complex)
