@@ -5,8 +5,9 @@ Subcommands:
     iqctl sweep <config>   map closed-form entries over parameter grids
     iqctl check <config>   validate a config without executing it
 
-Configs are UTF-8 JSON with a top-level "mode" discriminator; complex
-numbers are [re, im] pairs and matrices nested row-major lists of pairs.
+Configs are UTF-8 JSON with a top-level "mode" discriminator; a complex
+number is a finite real number or an [re, im] pair, and a matrix a nested
+row-major list of them.
 Results are CSV (time series, grids) or JSON (solve/reach/thermal), both
 fully deterministic with "\n" line endings: CSV numbers have 17
 significant digits, JSON numbers are the shortest repr that reads back to
@@ -78,6 +79,26 @@ def _get_positive(cfg: dict, key: str, where: str, default=None) -> float:
     return val
 
 
+def _parse_array(val, shape: tuple):
+    """``val`` as a float array of ``shape`` in one pass, or None to leave
+    it to the per-entry parsers.  Only nested lists of ints and floats below
+    the float maximum are taken: numpy also takes tuples, strings and bools,
+    and an int above the maximum can round down to it."""
+    level = [val]
+    for n in shape:
+        if not ({list}.issuperset(map(type, level))
+                and set(map(len, level)) == {n}):
+            return None
+        level = list(chain.from_iterable(level))
+    if not {int, float}.issuperset(map(type, level)):
+        return None
+    try:
+        a = np.array(level, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return a.reshape(shape) if np.all(np.abs(a) < sys.float_info.max) else None
+
+
 def _parse_numbers(val, where: str) -> np.ndarray:
     _expect(isinstance(val, list) and all(map(_is_number, val)),
             f"{where}: expected a list of finite numbers")
@@ -116,6 +137,20 @@ def _parse_target(val) -> np.ndarray:
         raise ConfigError(f"{where}: {exc}") from exc
     _expect(m.shape == (2, 2), f"{where}: must be 2x2")
     return 0.5 * (m + opkit.dag(m))
+
+
+def _parse_coefficients(val: list) -> np.ndarray:
+    """The reach tensor c[a, j, m]: N blocks of N x N complex entries."""
+    n = len(val)
+    pairs = _parse_array(val, (n, n, n, 2))
+    if pairs is not None:
+        # bit-identical to complex(re, im); re + 1j * im turns -0.0 into 0.0
+        return pairs.view(complex)[..., 0]
+    blocks = [_parse_matrix(block, f"config.coefficients[{a}]")
+              for a, block in enumerate(val)]
+    _expect(all(block.shape == (n, n) for block in blocks),
+            f"config.coefficients: expected {n} blocks of {n}x{n} entries")
+    return np.array(blocks)
 
 
 def _parse_couplings(cfg: dict, where: str) -> qubit.QubitCouplings:
@@ -208,17 +243,12 @@ def validate_config(cfg: dict):
         return {"p_s": _parse_unit(cfg, "p_s", "config"), "target": target,
                 "tol": _get_positive(budget, "tol", "config.budget", 1e-8)}
     if mode == "reach":
-        c_raw = _get(cfg, "coefficients", list, "config")
-        n = len(c_raw)
-        c = [_parse_matrix(block, f"config.coefficients[{a}]")
-             for a, block in enumerate(c_raw)]
-        _expect(all(block.shape == (n, n) for block in c),
-                f"config.coefficients: expected {n} blocks of {n}x{n} entries")
+        c = _parse_coefficients(_get(cfg, "coefficients", list, "config"))
         p, q = (_parse_numbers(_get(cfg, key, list, "config"), f"config.{key}")
                 for key in ("initial_weights", "target_weights"))
         try:
             prob = ReachabilityProblem(initial_weights=p, target_weights=q,
-                                       coefficients=np.array(c))
+                                       coefficients=c)
         except IQControlError as exc:
             raise ConfigError(f"config: {exc}") from exc
         return {"problem": prob,

@@ -77,3 +77,17 @@ def eig_calls(monkeypatch):
 
     monkeypatch.setattr(opkit, "eig_hermitian", counted)
     return calls
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """A list that gains one entry per ``cli._parse_complex`` call."""
+    from iqcontrol import cli
+    calls, parse = [], cli._parse_complex
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_parse_complex", counted)
+    return calls

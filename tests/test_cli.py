@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import forward_reachability_instance
-from iqcontrol import cli, qubit, verify
+from iqcontrol import cli, opkit, qubit, verify
+from iqcontrol.errors import IQControlError
 
 
 def write_config(tmp_path, name, doc):
@@ -339,6 +340,49 @@ def reach_config():
                              [[0.0, 1.0], [1.0, 0.0]]]}
 
 
+def pairs(node):
+    """Every number of a nested list as an [re, im] pair."""
+    return [pairs(x) for x in node] if isinstance(node, list) else [node, 0.0]
+
+
+def reach_pairs_config():
+    doc = reach_config()
+    return dict(doc, coefficients=pairs(doc["coefficients"]))
+
+
+def exact_message_cases():
+    """Malformed pair-form configs as JSON text, each with its error text."""
+    entry = ("config.coefficients[1][0][1]: "
+             "expected a finite number or an [re, im] pair")
+    cases = {}
+    for name, value in (("string", "1.5"), ("bool", True), ("null", None),
+                        ("re_string", ["1.5", 0.0]), ("im_bool", [0.0, True]),
+                        ("re_null", [None, 0.0]),
+                        ("three_numbers", [0.0, 1.0, 0.0]),
+                        ("re_401_digits", [10**400, 0.0]),
+                        ("re_1e400", [12345.5, 0.0])):
+        doc = reach_pairs_config()
+        doc["coefficients"][1][0][1] = value
+        cases[f"reach_entry_{name}"] = (
+            json.dumps(doc).replace("12345.5", "1e400"), entry)
+    doc = reach_pairs_config()
+    del doc["coefficients"][1][0][1]
+    cases["reach_short_row"] = (json.dumps(doc),
+                                "config.coefficients[1]: ragged rows")
+    doc = reach_pairs_config()
+    del doc["coefficients"][1]
+    cases["reach_missing_block"] = (
+        json.dumps(doc),
+        "config.coefficients: expected 1 blocks of 1x1 entries")
+    cases["reach_weights_bools"] = (
+        json.dumps(dict(reach_pairs_config(), initial_weights=[True, False])),
+        "config.initial_weights: expected a list of finite numbers")
+    cases["simulate_times_string"] = (
+        json.dumps(dict(simulate_config(), times=[0.0, "1.0"])),
+        "config.times: expected a list of finite numbers")
+    return cases
+
+
 def solve_config(**budget):
     return {"mode": "solve", "p_s": 0.0,
             "target": [[0.25, [0.1, 0.05]], [[0.1, -0.05], 0.75]],
@@ -432,12 +476,159 @@ class TestMalformedConfigs:
         self.assert_one_error(code, capsys)
         assert not out.exists()
 
+    EXACT = exact_message_cases()
+
+    @pytest.mark.parametrize("name", sorted(EXACT))
+    def test_exact_message(self, name, tmp_path, capsys):
+        text, message = self.EXACT[name]
+        path = tmp_path / "c.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        for command in ("check", "run"):
+            code = cli.main([command, str(path), "--out", str(out), "--quiet"])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+
     def test_valid_budget_and_beta_accepted(self, tmp_path):
         for name, doc in (("s.json", solve_config(tol=1e-9, grid=8,
                                                   max_evals=0)),
                           ("sw.json", sweep_config(beta=0.3))):
             path = write_config(tmp_path, name, doc)
             assert cli.main(["check", str(path), "--quiet"]) == 0
+
+
+# The per-entry config parsers, kept as the reference that the one-pass
+# parse must match: the same bytes for an array, the same message for
+# malformed input.
+def reference_is_number(x):
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def reference_expect(cond, msg):
+    if not cond:
+        raise cli.ConfigError(msg)
+
+
+def reference_numbers(val, where):
+    reference_expect(isinstance(val, list)
+                     and all(map(reference_is_number, val)),
+                     f"{where}: expected a list of finite numbers")
+    return np.array(val, dtype=float)
+
+
+def reference_complex(val, where):
+    if reference_is_number(val):
+        return complex(val)
+    reference_expect(isinstance(val, list) and len(val) == 2
+                     and all(map(reference_is_number, val)),
+                     f"{where}: expected a finite number or an [re, im] pair")
+    return complex(val[0], val[1])
+
+
+def reference_matrix(val, where):
+    reference_expect(isinstance(val, list) and val,
+                     f"{where}: expected a matrix")
+    rows = []
+    for i, row in enumerate(val):
+        reference_expect(isinstance(row, list),
+                         f"{where}: row {i} is not a list")
+        rows.append([reference_complex(x, f"{where}[{i}][{j}]")
+                     for j, x in enumerate(row)])
+    reference_expect(len({len(r) for r in rows}) == 1, f"{where}: ragged rows")
+    return np.array(rows, dtype=complex)
+
+
+def reference_coefficients(val):
+    n = len(val)
+    blocks = [reference_matrix(block, f"config.coefficients[{a}]")
+              for a, block in enumerate(val)]
+    reference_expect(all(block.shape == (n, n) for block in blocks),
+                     f"config.coefficients: expected {n} blocks of {n}x{n} "
+                     "entries")
+    return np.array(blocks)
+
+
+def reference_target(val):
+    where = "config.target"
+    try:
+        m = opkit.validate_density_matrix(reference_matrix(val, where),
+                                          herm_tol=1e-10)
+    except IQControlError as exc:
+        raise cli.ConfigError(f"{where}: {exc}") from exc
+    reference_expect(m.shape == (2, 2), f"{where}: must be 2x2")
+    return 0.5 * (m + opkit.dag(m))
+
+
+PARSERS = {
+    "coefficients": (cli._parse_coefficients, reference_coefficients),
+    "target": (cli._parse_target, reference_target),
+    "initial_weights": (
+        lambda v: cli._parse_numbers(v, "config.initial_weights"),
+        lambda v: reference_numbers(v, "config.initial_weights")),
+    "times": (lambda v: cli._parse_numbers(v, "config.times"),
+              lambda v: reference_numbers(v, "config.times")),
+}
+# Leaves numpy converts where the per-entry parsers reject them, or where
+# the conversion could differ: signed zero, subnormals, ints past 2**53,
+# ints beyond the float range and one just above the maximum, which rounds
+# down to it.
+SPECIAL_LEAVES = [-0.0, 5e-324, 1e308, -1e308, sys.float_info.max, 2**53 + 1,
+                  10**400, 2**1024 - 2**970 - 1, "1.5", True, None, [],
+                  [0.5, 0.25, 0.125], 0.5, (0.5, 0.0), np.float64(0.5)]
+
+
+def parse_outcome(parse, val):
+    """Bytes of the parsed array, or the error text; under the same errstate
+    as ``cli.main``."""
+    try:
+        with np.errstate(all="ignore"):
+            a = parse(val)
+    except cli.ConfigError as exc:
+        return str(exc)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@st.composite
+def parse_documents(draw):
+    """A kind of array, its JSON value, and at most one edit of a node:
+    a special leaf, a dropped element or a list turned into a tuple."""
+    kind = draw(st.sampled_from(sorted(PARSERS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "coefficients":
+        n = draw(st.integers(1, 6))
+        c = rng.normal(size=(n, n, n, 2))
+        c[rng.random(c.shape) < 0.2] *= 0.0  # zeros of either sign
+        val = c.tolist()
+    elif kind == "target":
+        r = rng.normal(size=3)
+        r /= max(1.0, np.linalg.norm(r) * rng.uniform(0.5, 2.0))
+        m = 0.5 * np.array([[1 + r[2], r[0] - 1j * r[1]],
+                            [r[0] + 1j * r[1], 1 - r[2]]])
+        val = np.stack([m.real, m.imag], axis=-1).tolist()
+    else:
+        val = (rng.dirichlet(np.ones(draw(st.integers(1, 8))))
+               * 10.0 ** draw(st.integers(-300, 300))).tolist()
+    edit = draw(st.sampled_from([None, "leaf", "drop", "tuple"]))
+    if edit is None:
+        return kind, val
+    parent, key, node = None, None, val
+    for _ in range(draw(st.integers(1, 4))):
+        if not isinstance(node, list) or not node:
+            break
+        parent, key = node, draw(st.integers(0, len(node) - 1))
+        node = node[key]
+    if edit == "leaf" and parent is not None:
+        parent[key] = draw(st.sampled_from(SPECIAL_LEAVES))
+    elif edit == "drop" and isinstance(node, list) and node:
+        del node[-1]
+    elif edit == "tuple" and isinstance(node, list):
+        if parent is None:
+            val = tuple(val)
+        else:
+            parent[key] = tuple(node)
+    return kind, val
 
 
 def reference_csv(path, header, table):
@@ -618,3 +809,65 @@ class TestFuzzContract:
                     values = np.loadtxt(io.StringIO(body), delimiter=",",
                                         ndmin=2)
                     assert np.all(np.isfinite(values))
+
+
+class TestOnePassParsing:
+    """An all-pairs reach tensor parses in one pass, and every numeric array
+    of a config to the bytes and error messages of the per-entry parsers."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=parse_documents())
+    @example(case=("initial_weights", [0.5, 2**1024 - 2**970 - 1]))
+    @example(case=("times", [1.0, sys.float_info.max]))
+    @example(case=("coefficients", [[[[-0.0, -0.0]]]]))
+    @example(case=("coefficients", [[[["1.5", 0.0]]]]))
+    @example(case=("coefficients", [[[[0.0, True]]]]))
+    @example(case=("coefficients", [[[[None, 0.0]]]]))
+    @example(case=("coefficients", [[[(0.5, 0.0)]]]))
+    @example(case=("coefficients", [[[[0.5, 2**1024 - 2**970 - 1]]]]))
+    def test_matches_per_entry_reference(self, case):
+        kind, val = case
+        parse, reference = PARSERS[kind]
+        assert parse_outcome(parse, val) == parse_outcome(reference, val)
+
+    @pytest.mark.parametrize("path", [(1,), (1, 0), (1, 0, 1)])
+    def test_tuples_rejected_by_validate_config(self, path):
+        # numpy reads tuples as rows; the config must not
+        doc = reach_pairs_config()
+        parent = doc["coefficients"]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = tuple(parent[path[-1]])
+        with pytest.raises(cli.ConfigError) as exc:
+            cli.validate_config(doc)
+        with pytest.raises(cli.ConfigError) as ref:
+            reference_coefficients(doc["coefficients"])
+        assert str(exc.value) == str(ref.value)
+
+    @staticmethod
+    def pair_reach_doc(n):
+        prob, _ = forward_reachability_instance(np.random.default_rng(n), n)
+        c = prob.coefficients
+        return {"mode": "reach",
+                "initial_weights": prob.initial_weights.tolist(),
+                "target_weights": prob.target_weights.tolist(),
+                "coefficients": np.stack([c.real, c.imag], -1).tolist()}
+
+    @pytest.mark.parametrize("n", [2, 6, 12])
+    def test_pair_reach_config_parses_in_one_pass(self, n, parse_calls):
+        doc = self.pair_reach_doc(n)
+        c = cli.validate_config(doc)["problem"].coefficients
+        assert parse_calls == []
+        assert c.tobytes() == \
+            reference_coefficients(doc["coefficients"]).tobytes()
+
+    @pytest.mark.parametrize("doc, key, calls", [
+        (reach_config(), "coefficients", 8),
+        (EXAMPLES["solve_example.json"], "target", 4)])
+    def test_bare_reals_parse_per_entry(self, doc, key, calls, parse_calls):
+        payload = cli.validate_config(copy.deepcopy(doc))
+        parsed = (payload["problem"].coefficients if key == "coefficients"
+                  else payload["target"])
+        reference = PARSERS[key][1](doc[key])
+        assert len(parse_calls) == calls
+        assert parsed.tobytes() == reference.tobytes()
