@@ -36,7 +36,7 @@ MODES = ("simulate", "solve", "reach", "thermal", "sweep")
 SWEEP_PARAMS = ("theta", "alpha", "p_p")
 # Rows of a simulate result and grid points of a sweep.  A run computes its
 # whole result in memory and writes it in chunks: 10^6 simulate rows peak
-# at ~0.51 GB, 10^6 sweep points at ~0.13 GB.
+# at ~0.21 GB, 10^6 sweep points at ~0.13 GB.
 MAX_ROWS = 10**6
 # CSV rows formatted per "%" call.
 _CSV_CHUNK = 4096
@@ -327,18 +327,14 @@ def _csv_result(path: Path, header: list, columns: list):
 def _run_simulate(payload, out_path: Path) -> int:
     g, times = payload["couplings"], payload["times"]
     p_s, p_p = payload["p_s"], payload["p_p"]
-    target = payload.get("target")
-    if target is None:
-        target = np.diag([1.0 - p_s, p_s]).astype(complex)
-    rho, ang = qubit.closed_form_reduced_state(g, times, p_s, p_p)
-    r = qubit.bloch_vector(rho)
+    target = payload.get("target", np.diag([1.0 - p_s, p_s]))
+    r, (rho00, rho11, rho10), _ = qubit.closed_form_reduced_state(
+        g, times, p_s, p_p)
     radius = np.linalg.norm(r, axis=-1)
     e_plus, e_minus = 0.5 * (1.0 + radius), 0.5 * (1.0 - radius)
     if np.any(e_minus < opkit.PSD_FLOOR):
         raise StateError(f"density matrix has eigenvalue {e_minus.min():.3e}"
                          f" < {opkit.PSD_FLOOR:.0e}")
-    rho00, rho11, rho10 = qubit.reduced_state_closed_form(
-        p_s, qubit.probe_mixing_angle(g), p_p, ang)
     distance = 0.5 * np.linalg.norm(r - qubit.bloch_vector(target), axis=-1)
     _csv_result(out_path, ["t", "rho00", "rho11", "re_rho10", "im_rho10",
                            "e_plus", "e_minus", "trace_distance_to_target"],

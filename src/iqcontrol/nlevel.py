@@ -129,7 +129,7 @@ def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
     return out
 
 
-def pure_state_transporter(src, dst, norm_tol: float = 1e-10) -> np.ndarray:
+def pure_state_transporter(src, dst) -> np.ndarray:
     """A unitary U with U src = dst (up to roundoff).
 
     Both vectors are completed to orthonormal bases by Gram-Schmidt
@@ -142,7 +142,7 @@ def pure_state_transporter(src, dst, norm_tol: float = 1e-10) -> np.ndarray:
         raise DimensionError("source and destination dimensions differ")
     for name, v in (("source", src), ("destination", dst)):
         n = np.linalg.norm(v)
-        if abs(n - 1.0) > norm_tol:
+        if abs(n - 1.0) > 1e-10:
             raise NormalizationError(f"{name} vector norm {n} != 1")
 
     def complete(v):

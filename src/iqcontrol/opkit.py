@@ -44,28 +44,27 @@ def herm_defect(a: np.ndarray) -> float:
     return float(np.abs(a - dag(a)).max(initial=0.0))
 
 
-def require_hermitian(a, tol: float = HERM_TOL) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     m = as_matrix(a)
     d = herm_defect(m)
-    if d > tol:
-        raise HermiticityError(f"matrix is not Hermitian (defect {d:.3e} > {tol:.0e})")
+    if d > HERM_TOL:
+        raise HermiticityError(
+            f"matrix is not Hermitian (defect {d:.3e} > {HERM_TOL:.0e})")
     return m
 
 
-def validate_density_matrix(rho, herm_tol: float = TRACE_TOL,
-                            trace_tol: float = TRACE_TOL,
-                            psd_floor: float = PSD_FLOOR) -> np.ndarray:
+def validate_density_matrix(rho, herm_tol: float = TRACE_TOL) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the array."""
     m = as_matrix(rho)
     d = herm_defect(m)
     if d > herm_tol:
         raise StateError(f"density matrix not Hermitian (defect {d:.3e})")
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise StateError(f"density matrix trace {tr} differs from 1")
     lowest = np.linalg.eigvalsh(0.5 * (m + dag(m)))[0]
-    if lowest < psd_floor:
-        raise StateError(f"density matrix has eigenvalue {lowest:.3e} < {psd_floor:.0e}")
+    if lowest < PSD_FLOOR:
+        raise StateError(f"density matrix has eigenvalue {lowest:.3e} < {PSD_FLOOR:.0e}")
     return m
 
 
@@ -87,7 +86,7 @@ def partial_trace_probe(rho, dim_s: int, dim_p: int) -> np.ndarray:
     return np.trace(m.reshape(dim_s, dim_p, dim_s, dim_p), axis1=1, axis2=3)
 
 
-def eig_hermitian(a, tol: float = HERM_TOL):
+def eig_hermitian(a):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(values, vectors)`` with values ascending and orthonormal
@@ -95,20 +94,20 @@ def eig_hermitian(a, tol: float = HERM_TOL):
     largest-magnitude component real and positive, so downstream phase
     extractions are deterministic.
     """
-    values, vectors = np.linalg.eigh(require_hermitian(a, tol))
+    values, vectors = np.linalg.eigh(require_hermitian(a))
     # A unit vector's largest-magnitude component is never zero.
     i = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
     top = np.take_along_axis(vectors, i, axis=-2)
     return values, vectors * (np.abs(top) / top)
 
 
-def expm_i_hermitian(h, t, tol: float = HERM_TOL) -> np.ndarray:
+def expm_i_hermitian(h, t) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via one eigendecomposition.
 
     An array of times gives a stack (..., n, n) with one propagator per
     time.  Unitary up to the eigensolver tolerance; exact at t = 0.
     """
-    values, vectors = eig_hermitian(h, tol)
+    values, vectors = eig_hermitian(h)
     phases = np.exp(np.multiply.outer(t, -1j * values))
     return (vectors * phases[..., None, :]) @ dag(vectors)
 

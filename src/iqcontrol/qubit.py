@@ -9,11 +9,11 @@ factor splits the composite evolution into two conditional unitaries
 U_+/U_- acting on the system alone, which yields a closed-form reduced
 state parametrized by the probe mixing angle theta, the overlap angles
 (alpha, beta) of the conditionally evolved states, and the probe ground
-occupancy p_p.  Since the system factor is n.sigma, U_+ is an SU(2)
-rotation with a closed form, and no evolution here needs an eigensolver.
-The closed-form functions work element by element on arrays, so one call
-serves a whole time series or grid; a scalar input still gives a scalar
-result.  A 2x2 state is measured through its Bloch vector alone.
+occupancy p_p.  The kernels know U_+ = cos(a) I - i sin(a) n_hat.sigma only
+as (a, n_hat): U_+^2 gives the overlaps, and U_+ rotates Bloch vectors by
+2a about n_hat, so the reduced state is a Bloch vector, built without 2x2
+matrices.  The closed-form functions work element by element on arrays; a
+scalar input still gives a scalar result.
 
 Basis convention: states are written in the {|1>, |0>} order with
 sz|1> = +|1>, |0> the ground state, and s+ = |1><0|.  A diagonal system
@@ -163,9 +163,6 @@ def probe_mixing_angle(g: QubitCouplings) -> float:
     g3 < 0; either way cos(theta/2)|1> + sin(theta/2)|0> is the +r
     eigenvector of the probe factor.
     """
-    r = np.hypot(g.g3, g.g4)
-    if r == 0.0:
-        raise DegenerateProbeError("probe factor vanishes")
     return float(np.arctan2(g.g3, g.g4))
 
 
@@ -177,45 +174,51 @@ def probe_pm_vectors(theta: float):
     return plus, minus
 
 
+def _axis_angle(g: QubitCouplings, t):
+    """U_+ = exp(-i r h_s t) = cos(a) I - i sin(a) n_hat.sigma as (a, n_hat);
+    h_s = n.sigma, n = (Re g2, -Im g2, g1), a = r|n|t, n_hat = n/|n| or 0."""
+    norm = np.hypot(g.g1, abs(g.g2))
+    n = np.array([g.g2.real, -g.g2.imag, g.g1])
+    a = np.hypot(g.g3, g.g4) * norm * np.asarray(t, dtype=float)
+    return a, (n / norm if norm else n)
+
+
 def conditional_unitaries(g: QubitCouplings, t):
     """(U_+, U_-) with U_pm = exp(-i H_pm t), H_pm = +/- r (g1 sz + g2 s+ + g2* s-).
 
-    The system factor is n.sigma with n = (Re g2, -Im g2, g1), so
-    U_+ = cos(r|n|t) I - i sin(r|n|t) n.sigma/|n|, and U_+ = I when n = 0.
-    An array of times gives stacks (..., 2, 2).
+    U_+ from ``_axis_angle``, U_- = U_+^dag; an array of times gives stacks.
     """
-    h = system_factor(g)
-    norm = np.hypot(g.g1, abs(g.g2))
-    angle = np.hypot(g.g3, g.g4) * norm * np.asarray(t, dtype=float)
-    u_plus = (np.multiply.outer(np.cos(angle), np.eye(2))
-              - 1j * np.multiply.outer(np.sin(angle), h / norm if norm else h))
+    a, (nx, ny, nz) = _axis_angle(g, t)
+    n_sigma = np.array([[nz, complex(nx, -ny)], [complex(nx, ny), -nz]])
+    u_plus = (np.multiply.outer(np.cos(a), np.eye(2))
+              - 1j * np.multiply.outer(np.sin(a), n_sigma))
     return u_plus, opkit.dag(u_plus)
 
 
-def overlap_angles(g: QubitCouplings, t, tol: float = 1e-12) -> OverlapAngles:
+def overlap_angles(g: QubitCouplings, t) -> OverlapAngles:
     """Overlap angles of U_-|0> against the basis {U_+|0>, U_+|1>}.
 
     cos(alpha) = |<psi_+0|psi_-0>|; beta is the phase of <perp|psi_-0>
     relative to <psi_+0|psi_-0>.  When either overlap vanishes beta is set
     to 0 by convention (it then multiplies a zero coherence).
     """
-    u_plus, _ = conditional_unitaries(g, t)
-    return _overlap_angles(u_plus, tol)
+    a, n_hat = _axis_angle(g, t)
+    return _square_overlaps(np.cos(2.0 * a), np.sin(2.0 * a), *n_hat)
 
 
-def _overlap_angles(u_plus, tol: float = 1e-12) -> OverlapAngles:
-    """overlap_angles from U_+ (or a stack of them)."""
-    # With U_- = U_+^dag, <U_+ k|U_- 0> = conj(<0|U_+^2|k>): row 1 (|0>) of
-    # U_+^2 holds both overlaps, for k = |1> (index 0) and k = |0> (index 1).
-    row = (u_plus @ u_plus)[..., 1, :].conj()
-    ip_perp, ip = row[..., 0], row[..., 1]
+def _square_overlaps(c, s, nx, ny, nz) -> OverlapAngles:
+    """overlap_angles from U_+^2 = c I - i s n_hat.sigma, c = cos 2a, s = sin 2a."""
+    # With U_- = U_+^dag, <U_+ k|U_- 0> = conj(<0|U_+^2|k>): row |0> of
+    # U_+^2, conjugated, is (i s (n_x - i n_y), c - i s n_z) for k = |1>, |0>.
+    ip_perp = s * complex(ny, nx)
+    ip = c - 1j * (s * nz)
     # arctan2 of the two magnitudes avoids the arccos error amplification
     # near alpha = 0 and alpha = pi/2.
     mag_perp, mag = np.abs(ip_perp), np.abs(ip)
     alpha = np.arctan2(mag_perp, mag)
     beta = (np.angle(ip_perp) - np.angle(ip) + np.pi) % (2.0 * np.pi) - np.pi
     beta = np.where(beta <= -np.pi, beta + 2.0 * np.pi, beta)
-    beta = np.where((mag <= tol) | (mag_perp <= tol), 0.0, beta)
+    beta = np.where((mag <= 1e-12) | (mag_perp <= 1e-12), 0.0, beta)
     return OverlapAngles(alpha=_unbox(alpha), beta=_unbox(beta))
 
 
@@ -246,21 +249,25 @@ def reduced_state_closed_form(p_s, theta, p_p, ang: OverlapAngles):
 
 
 def closed_form_reduced_state(g: QubitCouplings, t, p_s: float, p_p: float):
-    """Evolved reduced state assembled in the computational basis, and the
-    overlap angles it was built from, as ``(rho, ang)``.
+    """Evolved reduced state as ``(r, (rho00, rho11, rho10), ang)``.
 
-    Combines the closed-form entries with the conditional basis vectors;
-    diagonal initial states only (weight p_s on |0><0|).  No
-    eigendecomposition; an array of times gives a stack (..., 2, 2).
+    r, the Bloch vector, is (3,) or (..., 3) for an array of times; the
+    entries and ang are those of ``reduced_state_closed_form``.  Diagonal
+    initial states only (weight p_s on |0><0|).
     """
-    u_plus, _ = conditional_unitaries(g, t)
-    ang = _overlap_angles(u_plus)
-    rho00, rho11, rho10 = reduced_state_closed_form(
-        p_s, probe_mixing_angle(g), p_p, ang)
-    # The entries in the basis of U_+'s columns, (U_+|1>, U_+|0>).
-    m = np.stack([np.stack([rho11, rho10], axis=-1),
-                  np.stack([np.conj(rho10), rho00], axis=-1)], axis=-2)
-    return u_plus @ m @ opkit.dag(u_plus), ang
+    a, (nx, ny, nz) = _axis_angle(g, t)
+    c, s = np.cos(2.0 * a), np.sin(2.0 * a)
+    ang = _square_overlaps(c, s, nx, ny, nz)
+    entries = reduced_state_closed_form(p_s, probe_mixing_angle(g), p_p, ang)
+    rho00, rho11, rho10 = entries
+    # The Bloch vector v in the basis (U_+|1>, U_+|0>), rotated by 2a about
+    # n_hat (Rodrigues): r = c v + s (n_hat x v) + (1 - c)(n_hat . v) n_hat.
+    vx, vy, vz = 2.0 * np.real(rho10), -2.0 * np.imag(rho10), rho11 - rho00
+    dot = (1.0 - c) * (nx * vx + ny * vy + nz * vz)
+    r = np.stack([c * vx + s * (ny * vz - nz * vy) + dot * nx,
+                  c * vy + s * (nz * vx - nx * vz) + dot * ny,
+                  c * vz + s * (nx * vy - ny * vx) + dot * nz], axis=-1)
+    return r, entries, ang
 
 
 def conditional_reduced_state(g: QubitCouplings, t: float,
@@ -283,8 +290,7 @@ def conditional_reduced_state(g: QubitCouplings, t: float,
             + w_minus * u_minus @ rho_s0 @ opkit.dag(u_minus))
 
 
-def spectral_form(rho00: float, rho11: float, rho01: complex,
-                  tol: float = 1e-10) -> SpectralForm:
+def spectral_form(rho00: float, rho11: float, rho01: complex) -> SpectralForm:
     """Eigenvalues/eigenvectors of [[rho00, rho01], [rho01*, rho11]].
 
     E_pm = (1/2)[(rho00+rho11) +/- sqrt((rho00-rho11)^2 + 4|rho01|^2)],
@@ -297,8 +303,8 @@ def spectral_form(rho00: float, rho11: float, rho01: complex,
     root = np.sqrt(d * d + 4.0 * abs(rho01) ** 2)
     e_plus = 0.5 * ((rho00 + rho11) + root)
     e_minus = 0.5 * ((rho00 + rho11) - root)
-    gamma = float(np.angle(rho01)) if abs(rho01) > tol else 0.0
-    if root > tol:
+    gamma = float(np.angle(rho01)) if abs(rho01) > 1e-10 else 0.0
+    if root > 1e-10:
         mixing = float(np.arccos(np.clip(d / root, -1.0, 1.0)))
     else:
         mixing = 0.0
@@ -310,8 +316,7 @@ def spectral_form(rho00: float, rho11: float, rho01: complex,
                         psi_plus=psi_plus, psi_minus=psi_minus)
 
 
-def analytic_conditions(p_s: float, q: float, theta: float, alpha: float,
-                        den_tol: float = 1e-12) -> float:
+def analytic_conditions(p_s: float, q: float, theta: float, alpha: float) -> float:
     """Probe occupancy p_p solving rho00 = q at the given (p_s, theta, alpha).
 
     Evaluates the printed occupancy formula literally.  The denominator
@@ -325,7 +330,7 @@ def analytic_conditions(p_s: float, q: float, theta: float, alpha: float,
     num = q - p_s * c2 - s2 * sa2 - p_s * s2 * c2a
     den = (np.cos(theta) * sa2 + p_s * np.cos(theta) * c2a
            - p_s * np.cos(theta))
-    if abs(den) <= den_tol:
+    if abs(den) <= 1e-12:
         raise DegenerateConditionError(
             f"occupancy formula denominator {den:.3e} is degenerate")
     p_p = num / den
@@ -334,15 +339,14 @@ def analytic_conditions(p_s: float, q: float, theta: float, alpha: float,
     return float(min(max(p_p, 0.0), 1.0))
 
 
-def zero_coherence_condition(theta: float, p_p: float, alpha: float,
-                             tol: float = 1e-10) -> bool:
+def zero_coherence_condition(theta: float, p_p: float, alpha: float) -> bool:
     """Whether (theta, p_p, alpha) satisfies cos(theta) = 1/(1-2p_p) and
-    alpha = n pi, both to the given tolerance."""
-    if abs(1.0 - 2.0 * p_p) <= tol:
+    alpha = n pi, both to 1e-10."""
+    if abs(1.0 - 2.0 * p_p) <= 1e-10:
         return False
-    cos_ok = abs(np.cos(theta) - 1.0 / (1.0 - 2.0 * p_p)) <= tol
+    cos_ok = abs(np.cos(theta) - 1.0 / (1.0 - 2.0 * p_p)) <= 1e-10
     n = np.round(alpha / np.pi)
-    alpha_ok = abs(alpha - n * np.pi) <= tol
+    alpha_ok = abs(alpha - n * np.pi) <= 1e-10
     return bool(cos_ok and alpha_ok)
 
 
@@ -409,8 +413,8 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
         t = phi / 2.0
         p_p = (1.0 - u) / 2.0
     g = _couplings_from_axis(n_hat)
-    rho, ang = closed_form_reduced_state(g, t, p_s, p_p)
-    res = 0.5 * float(np.linalg.norm(bloch_vector(rho) - r_tau))
+    r, _, ang = closed_form_reduced_state(g, t, p_s, p_p)
+    res = 0.5 * float(np.linalg.norm(r - r_tau))
     return ControlSolution(couplings=g, theta=probe_mixing_angle(g),
                            alpha=ang.alpha, p_p=p_p, t=t, residual=res,
                            feasible=res <= tol)

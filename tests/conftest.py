@@ -91,3 +91,17 @@ def parse_calls(monkeypatch):
 
     monkeypatch.setattr(cli, "_parse_complex", counted)
     return calls
+
+
+@pytest.fixture
+def unitary_calls(monkeypatch):
+    """A list that gains one entry per ``qubit.conditional_unitaries`` call."""
+    from iqcontrol import qubit
+    calls, unitaries = [], qubit.conditional_unitaries
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return unitaries(*args, **kwargs)
+
+    monkeypatch.setattr(qubit, "conditional_unitaries", counted)
+    return calls

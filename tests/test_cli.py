@@ -172,6 +172,14 @@ class TestRunSimulate:
         assert len(eig_calls) == 0
         assert shapes == [(2, 2)]
 
+    def test_no_unitary_stack_per_run(self, tmp_path, unitary_calls):
+        # every column comes from the Bloch-vector closed form; U_+ is
+        # never built as a matrix
+        path = write_config(tmp_path, "sim.json", simulate_config())
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 0
+        assert unitary_calls == []
+
     def test_deterministic_reruns(self, tmp_path):
         path = write_config(tmp_path, "sim.json", simulate_config())
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -738,6 +746,7 @@ class TestArgv:
                 [str(root / "src"), os.environ.get("PYTHONPATH", "")])})
         assert proc.returncode == 0
         assert proc.stderr == ""
+        assert proc.stdout.endswith("solve_example.json: valid (solve)\n")
 
 
 def numeric_leaves(node, path=()):

@@ -197,6 +197,23 @@ class TestKrausChannel:
         out = nlevel.apply_channel(ch, rand_density(rng, 4))
         opkit.validate_density_matrix(out, herm_tol=1e-10)
 
+    def test_probe_state_dimension_mismatch(self):
+        rng = np.random.default_rng(27)
+        h = nlevel.ProductHamiltonian(h_s=rand_hermitian(rng, 3),
+                                      h_p=rand_hermitian(rng, 3))
+        decomp = nlevel.conditional_decomposition(h, 0.5)
+        with pytest.raises(DimensionError, match="probe state dim 2"):
+            nlevel.kraus_from_probe(decomp, rand_density(rng, 2))
+
+    def test_system_state_dimension_mismatch(self):
+        rng = np.random.default_rng(28)
+        h = nlevel.ProductHamiltonian(h_s=rand_hermitian(rng, 3),
+                                      h_p=rand_hermitian(rng, 3))
+        decomp = nlevel.conditional_decomposition(h, 0.5)
+        ch = nlevel.kraus_from_probe(decomp, rand_density(rng, 3))
+        with pytest.raises(DimensionError, match="^state dim 2 != channel dim 3"):
+            nlevel.apply_channel(ch, rand_density(rng, 2))
+
     def test_bad_weights_raise(self):
         with pytest.raises(ProbabilityError):
             nlevel.KrausChannel(weights=np.array([0.7, 0.7]),
@@ -340,12 +357,26 @@ class TestReachability:
                                        target_weights=np.array(q),
                                        coefficients=c)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3, 2), (3, 3, 3)])
+    def test_coefficient_shape_mismatch_raises(self, shape):
+        with pytest.raises(DimensionError, match="coefficient tensor shape"):
+            nlevel.ReachabilityProblem(initial_weights=np.array([0.6, 0.4]),
+                                       target_weights=np.array([0.5, 0.5]),
+                                       coefficients=np.ones(shape))
+
     def test_non_unit_columns_raise(self):
         c = np.stack([2.0 * np.eye(2, dtype=complex)] * 2, axis=2)
         with pytest.raises(ProbabilityError):
             nlevel.ReachabilityProblem(initial_weights=np.array([0.5, 0.5]),
                                        target_weights=np.array([0.5, 0.5]),
                                        coefficients=c)
+
+    @pytest.mark.parametrize("w", [[1.0], [0.2, 0.3, 0.5]])
+    def test_candidate_size_mismatch_raises(self, w):
+        rng = np.random.default_rng(38)
+        prob, _ = forward_reachability_instance(rng, 2)
+        with pytest.raises(DimensionError, match="expected 2"):
+            nlevel.reachability_residual(prob, np.array(w))
 
     def test_candidate_outside_simplex_raises(self):
         rng = np.random.default_rng(39)

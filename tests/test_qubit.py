@@ -43,6 +43,19 @@ class TestBuildInteraction:
             QubitCouplings(g1=1.0, g2=1.0, g3=0.0, g4=0.0)
 
 
+class TestLocalRotation:
+    @pytest.mark.parametrize("theta, phi, name", [
+        (-0.1, 1.0, "theta"), (np.pi + 1e-9, 1.0, "theta"),
+        (1.0, -1e-9, "phi"), (1.0, 2.0 * np.pi + 0.1, "phi")])
+    def test_out_of_range_rejected(self, theta, phi, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            LocalRotation(theta, phi)
+
+    def test_range_ends_accepted(self):
+        LocalRotation(0.0, 0.0)
+        LocalRotation(np.pi, 2.0 * np.pi)
+
+
 class TestTransformCouplings:
     def test_identity_rotation(self):
         g = QubitCouplings(g1=0.3, g2=0.4 - 0.2j, g3=1.0, g4=0.5)
@@ -339,10 +352,67 @@ class TestDecompositionAgainstOracle:
                 2, 2, qubit.build_interaction(g),
                 np.diag([1 - p_s, p_s]).astype(complex),
                 np.diag([1 - p_p, p_p]).astype(complex))
-            closed, ang = qubit.closed_form_reduced_state(g, t, p_s, p_p)
-            assert opkit.trace_distance(closed, verify.evolve_full(sc, t)) \
-                <= 1e-10
+            r, _, ang = qubit.closed_form_reduced_state(g, t, p_s, p_p)
+            oracle = qubit.bloch_vector(verify.evolve_full(sc, t))
+            assert 0.5 * np.linalg.norm(r - oracle) <= 1e-10
             assert ang == qubit.overlap_angles(g, t)
+
+
+def matrix_overlap_angles(u_plus):
+    """Overlap angles read from the matrix square U_+ @ U_+: row |0>,
+    conjugated, holds <U_+ k|U_- 0> for k = |1>, |0>."""
+    row = (u_plus @ u_plus)[..., 1, :].conj()
+    ip_perp, ip = row[..., 0], row[..., 1]
+    mag_perp, mag = np.abs(ip_perp), np.abs(ip)
+    beta = (np.angle(ip_perp) - np.angle(ip) + np.pi) % (2.0 * np.pi) - np.pi
+    beta = np.where(beta <= -np.pi, beta + 2.0 * np.pi, beta)
+    beta = np.where((mag <= 1e-12) | (mag_perp <= 1e-12), 0.0, beta)
+    return OverlapAngles(alpha=np.arctan2(mag_perp, mag), beta=beta)
+
+
+def matrix_reduced_state(g, t, p_s, p_p):
+    """The reduced state assembled as U_+ m U_+^dag from (..., 2, 2) stacks,
+    m holding the closed-form entries in the basis (U_+|1>, U_+|0>)."""
+    u_plus, _ = qubit.conditional_unitaries(g, t)
+    ang = matrix_overlap_angles(u_plus)
+    rho00, rho11, rho10 = qubit.reduced_state_closed_form(
+        p_s, qubit.probe_mixing_angle(g), p_p, ang)
+    m = np.stack([np.stack([rho11, rho10], axis=-1),
+                  np.stack([np.conj(rho10), rho00], axis=-1)], axis=-2)
+    return u_plus @ m @ opkit.dag(u_plus), (rho00, rho11, rho10), ang
+
+
+class TestBlochKernel:
+    """The Bloch-vector closed form against the matrix assembly it
+    replaced, to rounding."""
+
+    @staticmethod
+    def cases(rng):
+        # every block of 8 takes scalar and array t with each kind of p_s
+        for k in range(160):
+            g = rand_couplings(rng, scale=2.0)
+            if k // 8 % 5 == 0:   # h_s vanishes: U_+ = I
+                g = QubitCouplings(g1=0.0, g2=0.0, g3=g.g3, g4=g.g4)
+            t = (rng.uniform(0.0, 50.0) if k % 2 else
+                 np.append(rng.uniform(0.0, 50.0, size=63), [0.0, 50.0]))
+            p_s = (0.0, 0.5, 1.0, rng.uniform())[k // 2 % 4]
+            yield g, t, p_s, rng.uniform()
+
+    def test_matches_matrix_assembly(self):
+        rng = np.random.default_rng(14)
+        for g, t, p_s, p_p in self.cases(rng):
+            r, entries, ang = qubit.closed_form_reduced_state(g, t, p_s, p_p)
+            rho, ref_entries, ref_ang = matrix_reduced_state(g, t, p_s, p_p)
+            assert r.shape == np.shape(t) + (3,)
+            np.testing.assert_allclose(r, qubit.bloch_vector(rho),
+                                       rtol=0, atol=1e-14)
+            for x, y in zip(entries, ref_entries):
+                np.testing.assert_allclose(x, y, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(ang.alpha, ref_ang.alpha,
+                                       rtol=0, atol=1e-14)
+            direct = qubit.overlap_angles(g, t)
+            np.testing.assert_array_equal(ang.alpha, direct.alpha)
+            np.testing.assert_array_equal(ang.beta, direct.beta)
 
 
 class TestFInvariance:
@@ -560,6 +630,14 @@ class TestSolver:
             eig_calls.clear()
             qubit.solve_controls_numeric(p_s, target)
             assert len(eig_calls) == 0
+
+    def test_no_unitary_stack_per_solve(self, unitary_calls):
+        # the solve path measures the state by its Bloch vector and never
+        # builds U_+ as a matrix
+        target = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
+        for p_s in (0.1, 0.5, 1.0):
+            qubit.solve_controls_numeric(p_s, target)
+        assert unitary_calls == []
 
     def test_tol_flags_residual(self):
         target = np.diag([0.95, 0.05]).astype(complex)

@@ -15,6 +15,16 @@ class TestCompositeScenario:
                                      rho_s0=rand_density(rng, 2),
                                      rho_p0=rand_density(rng, 3))
 
+    @pytest.mark.parametrize("n_s, n_p", [(3, 2), (2, 2), (3, 3)])
+    def test_state_dimensions_inconsistent(self, n_s, n_p):
+        # h_full matches dim_s * dim_p = 2 * 3, the state sizes do not
+        rng = np.random.default_rng(53)
+        with pytest.raises(DimensionError, match="initial state dimensions"):
+            verify.CompositeScenario(dim_s=2, dim_p=3,
+                                     h_full=rand_hermitian(rng, 6),
+                                     rho_s0=rand_density(rng, n_s),
+                                     rho_p0=rand_density(rng, n_p))
+
     def test_invalid_state(self):
         rng = np.random.default_rng(51)
         with pytest.raises(StateError):
