@@ -2,11 +2,11 @@
 
 For a product interaction h_s (x) h_p the composite propagator factorizes
 over the probe eigenbasis into conditional unitaries
-U_M = exp(-i E_M h_s t).  Weighting them by the probe's eigenbasis
-diagonal gives a completely positive trace-preserving (Kraus) channel on
-the system.  The reachability machinery expresses a diagonal target in a
-reference evolved basis and solves for the probe spectrum on the
-probability simplex.
+U_M = exp(-i E_M h_s t), held as one (N, n, n) stack from decomposition
+to channel.  Weighting them by the probe's eigenbasis diagonal gives a
+completely positive trace-preserving (Kraus) channel on the system.  The
+reachability machinery expresses a diagonal target in a reference evolved
+basis and solves for the probe spectrum on the probability simplex.
 """
 
 from __future__ import annotations
@@ -52,42 +52,51 @@ class ProductHamiltonian:
         return self.h_s.shape[0]
 
 
+def _is_distribution(w: np.ndarray, tol: float) -> bool:
+    """Entries >= -1e-12 and |sum - 1| <= tol; False if any entry is NaN."""
+    return bool(np.all(w >= -1e-12)) and abs(w.sum() - 1.0) <= tol
+
+
 @dataclass(frozen=True)
 class ConditionalDecomposition:
-    """Conditional unitaries U_M = exp(-i E_M h_s t), one per probe eigenvalue."""
+    """Conditional unitaries U_M = exp(-i E_M h_s t) as one (N, n, n) stack."""
 
-    energies: np.ndarray
-    unitaries: list
+    unitaries: np.ndarray
     probe_vectors: np.ndarray
 
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Weighted conditional unitaries forming a CPTP map."""
+    """Weighted conditional unitaries forming a CPTP map, stored as one
+    (N, n, n) complex stack (a list of N n x n matrices is accepted)."""
 
     weights: np.ndarray
-    unitaries: list
+    unitaries: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-12:
+        if not _is_distribution(w, 1e-12):
             raise ProbabilityError(f"channel weights {w} are not a distribution")
         object.__setattr__(self, "weights", np.clip(w, 0.0, None))
-        dim = self.unitaries[0].shape[0]
-        for u in self.unitaries:
-            if u.shape != (dim, dim):
-                raise DimensionError("channel unitaries have mixed dimensions")
-            defect = np.max(np.abs(opkit.dag(u) @ u - np.eye(dim)))
-            if defect > 1e-10:
-                raise ProbabilityError(
-                    f"channel operator not unitary (defect {defect:.3e})")
+        u = self.unitaries  # a ragged list cannot be stacked: compare shapes
+        if not isinstance(u, np.ndarray) and len(set(map(np.shape, u))) > 1:
+            raise DimensionError("channel unitaries have mixed dimensions")
+        u = np.asarray(u, dtype=complex)
+        if u.shape != (w.size,) + u.shape[-1:] * 2 or w.ndim != 1 or u.size == 0:
+            raise DimensionError(f"channel unitaries of shape {u.shape} "
+                                 f"are not a ({w.size}, n, n) stack")
+        defect = np.max(np.abs(opkit.dag(u) @ u - np.eye(u.shape[1])))
+        if not defect <= 1e-10:
+            raise ProbabilityError(
+                f"channel operator not unitary (defect {defect:.3e})")
+        object.__setattr__(self, "unitaries", u)
 
     @property
     def dim(self) -> int:
-        return self.unitaries[0].shape[0]
+        return self.unitaries.shape[1]
 
-    def kraus_operators(self) -> list:
-        return [np.sqrt(w) * u for w, u in zip(self.weights, self.unitaries)]
+    def kraus_operators(self) -> np.ndarray:
+        return np.sqrt(self.weights)[:, None, None] * self.unitaries
 
 
 def conditional_decomposition(h: ProductHamiltonian, t: float
@@ -96,10 +105,9 @@ def conditional_decomposition(h: ProductHamiltonian, t: float
 
     One eigendecomposition of h_s serves every probe energy.
     """
-    unitaries = list(opkit.expm_i_hermitian(h.h_s, h.probe_values * t))
-    return ConditionalDecomposition(energies=h.probe_values.copy(),
-                                    unitaries=unitaries,
-                                    probe_vectors=h.probe_vectors.copy())
+    return ConditionalDecomposition(
+        unitaries=opkit.expm_i_hermitian(h.h_s, h.probe_values * t),
+        probe_vectors=h.probe_vectors.copy())
 
 
 def kraus_from_probe(decomp: ConditionalDecomposition, probe_state
@@ -115,26 +123,23 @@ def kraus_from_probe(decomp: ConditionalDecomposition, probe_state
         raise DimensionError(
             f"probe state dim {rho_p.shape[0]} != decomposition dim {v.shape[0]}")
     weights = np.real(np.einsum("iM,ij,jM->M", v.conj(), rho_p, v))
-    return KrausChannel(weights=weights, unitaries=list(decomp.unitaries))
+    return KrausChannel(weights=weights, unitaries=decomp.unitaries)
 
 
 def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
-    """Sum_M K_M rho K_M^dag."""
+    """Sum_M K_M rho K_M^dag, one batched product over the stack."""
     rho = opkit.as_matrix(rho)
     if rho.shape[0] != ch.dim:
         raise DimensionError(f"state dim {rho.shape[0]} != channel dim {ch.dim}")
-    out = np.zeros_like(rho)
-    for k in ch.kraus_operators():
-        out += k @ rho @ opkit.dag(k)
-    return out
+    k = ch.kraus_operators()
+    return np.sum(k @ rho @ opkit.dag(k), axis=0)
 
 
 def pure_state_transporter(src, dst) -> np.ndarray:
     """A unitary U with U src = dst (up to roundoff).
 
-    Both vectors are completed to orthonormal bases by Gram-Schmidt
-    against the standard basis in index order, skipping candidates whose
-    residual falls below 1e-8; U maps basis to basis.
+    One batched Householder QR of [v | I] completes src and dst to unitary
+    bases whose first columns, rescaled by r_00/|r_00|, are src and dst.
     """
     src = np.asarray(src, dtype=complex).ravel()
     dst = np.asarray(dst, dtype=complex).ravel()
@@ -142,27 +147,13 @@ def pure_state_transporter(src, dst) -> np.ndarray:
         raise DimensionError("source and destination dimensions differ")
     for name, v in (("source", src), ("destination", dst)):
         n = np.linalg.norm(v)
-        if abs(n - 1.0) > 1e-10:
+        if not abs(n - 1.0) <= 1e-10:
             raise NormalizationError(f"{name} vector norm {n} != 1")
-
-    def complete(v):
-        dim = v.size
-        basis = [v]
-        for k in range(dim):
-            cand = np.zeros(dim, dtype=complex)
-            cand[k] = 1.0
-            for b in basis:
-                cand = cand - np.vdot(b, cand) * b
-            n = np.linalg.norm(cand)
-            if n >= 1e-8:
-                basis.append(cand / n)
-            if len(basis) == dim:
-                break
-        return np.column_stack(basis)
-
-    b_src = complete(src)
-    b_dst = complete(dst)
-    return b_dst @ opkit.dag(b_src)
+    eye = np.broadcast_to(np.eye(src.size), (2, src.size, src.size))
+    q, r = np.linalg.qr(
+        np.concatenate([np.stack([src, dst])[:, :, None], eye], axis=2))
+    q[:, :, 0] *= (r[:, 0, 0] / np.abs(r[:, 0, 0]))[:, None]
+    return q[1] @ opkit.dag(q[0])
 
 
 def expansion_coefficients(h_s, energies, t: float, ref_time: float
@@ -197,7 +188,7 @@ class ReachabilityProblem:
         q = np.asarray(self.target_weights, dtype=float)
         c = np.asarray(self.coefficients, dtype=complex)
         for name, v in (("initial", p), ("target", q)):
-            if np.any(v < -1e-12) or abs(v.sum() - 1.0) > 1e-10:
+            if not _is_distribution(v, 1e-10):
                 raise ProbabilityError(f"{name} weights are not a distribution")
         if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[0] != p.size:
             raise DimensionError(f"coefficient tensor shape {c.shape} invalid")
@@ -205,7 +196,7 @@ class ReachabilityProblem:
             raise DimensionError(
                 f"{q.size} target weights for {p.size} initial weights")
         col_norms = np.sum(np.abs(c) ** 2, axis=0)
-        if np.max(np.abs(col_norms - 1.0)) > 1e-10:
+        if not np.max(np.abs(col_norms - 1.0)) <= 1e-10:
             raise ProbabilityError("coefficient columns are not unit norm")
         object.__setattr__(self, "initial_weights", p)
         object.__setattr__(self, "target_weights", q)
@@ -226,18 +217,17 @@ def reachability_residual(prob: ReachabilityProblem, w):
     """Defects of the reachability system at probe diagonal w.
 
     Returns (diag_residuals, offdiag_residuals): the per-target-weight
-    defects q_alpha - sum_jm ..., and the ordered beta != gamma
-    off-diagonal sums (all of which must vanish for an exact realization).
+    defects q_alpha - sum_jm ..., and the beta != gamma off-diagonal sums
+    in row-major order (all of which must vanish for an exact realization).
     """
     w, n = np.asarray(w, dtype=float), prob.dim
     if w.size != n:
         raise DimensionError(f"candidate has {w.size} entries, expected {n}")
-    if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-10:
+    if not _is_distribution(w, 1e-10):
         raise ProbabilityError(f"candidate {w} is not a probability vector")
     value = _gram_tensor(prob) @ w
     diag = prob.target_weights - np.real(np.diagonal(value))
-    off = [complex(value[b, c]) for b in range(n) for c in range(n) if b != c]
-    return diag, off
+    return diag, value[~np.eye(n, dtype=bool)]
 
 
 def project_simplex(v) -> np.ndarray:

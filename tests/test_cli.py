@@ -385,6 +385,15 @@ def exact_message_cases():
     cases["reach_weights_bools"] = (
         json.dumps(dict(reach_pairs_config(), initial_weights=[True, False])),
         "config.initial_weights: expected a list of finite numbers")
+    for key in ("initial_weights", "target_weights"):
+        cases[f"reach_{key}_not_a_distribution"] = (
+            json.dumps(dict(reach_pairs_config(), **{key: [0.7, 0.7]})),
+            f"config: {key.split('_')[0]} weights are not a distribution")
+    doc = reach_config()
+    doubled = (2.0 * np.array(doc["coefficients"])).tolist()
+    cases["reach_columns_not_unit_norm"] = (
+        json.dumps(dict(doc, coefficients=pairs(doubled))),
+        "config: coefficient columns are not unit norm")
     cases["simulate_times_string"] = (
         json.dumps(dict(simulate_config(), times=[0.0, "1.0"])),
         "config.times: expected a list of finite numbers")

@@ -82,6 +82,25 @@ def factorized_propagator(h, t):
     return total
 
 
+def loop_kraus_operators(ch):
+    """Per-operator reference for the stacked Kraus operators."""
+    return [np.sqrt(w) * u for w, u in zip(ch.weights, ch.unitaries)]
+
+
+def loop_apply_channel(ch, rho):
+    """Per-operator reference for the batched channel."""
+    out = np.zeros_like(rho)
+    for k in loop_kraus_operators(ch):
+        out += k @ rho @ opkit.dag(k)
+    return out
+
+
+def comprehension_offdiag(value):
+    """Reference order of the off-diagonal sums: beta-major, beta != gamma."""
+    n = value.shape[0]
+    return [complex(value[b, c]) for b in range(n) for c in range(n) if b != c]
+
+
 class TestProductHamiltonian:
     def test_eigensystem_stored(self):
         rng = np.random.default_rng(20)
@@ -141,6 +160,16 @@ class TestConditionalDecomposition:
             np.testing.assert_allclose(
                 u, opkit.expm_i_hermitian(h.h_s, float(e) * t),
                 rtol=0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_unitaries_are_one_stack(self, n):
+        rng = np.random.default_rng(24 + n)
+        h = nlevel.ProductHamiltonian(h_s=rand_hermitian(rng, n),
+                                      h_p=rand_hermitian(rng, n))
+        decomp = nlevel.conditional_decomposition(h, 0.7)
+        assert isinstance(decomp.unitaries, np.ndarray)
+        assert decomp.unitaries.shape == (n, n, n)
 
 
 class TestKrausChannel:
@@ -226,8 +255,60 @@ class TestKrausChannel:
                                            2.0 * np.eye(2, dtype=complex)])
 
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stack_matches_loop_reference(self, n):
+        rng = np.random.default_rng(700 + n)
+        for _ in range(5):
+            h = nlevel.ProductHamiltonian(h_s=rand_hermitian(rng, n),
+                                          h_p=rand_hermitian(rng, n))
+            decomp = nlevel.conditional_decomposition(h, rng.uniform(0.0, 5.0))
+            ch = nlevel.kraus_from_probe(decomp, rand_density(rng, n))
+            rho = rand_density(rng, n)
+            k = ch.kraus_operators()
+            assert k.shape == (n, n, n)
+            assert np.max(np.abs(k - loop_kraus_operators(ch))) <= 1e-14
+            assert np.max(np.abs(nlevel.apply_channel(ch, rho)
+                                 - loop_apply_channel(ch, rho))) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_list_input_stored_as_stack(self, n):
+        rng = np.random.default_rng(710 + n)
+        us = [rand_unitary(rng, n) for _ in range(4)]
+        ch = nlevel.KrausChannel(weights=np.full(4, 0.25), unitaries=us)
+        assert isinstance(ch.unitaries, np.ndarray)
+        assert ch.unitaries.shape == (4, n, n)
+        assert ch.unitaries.dtype == complex
+        assert ch.dim == n
+        np.testing.assert_array_equal(ch.unitaries, np.stack(us))
+
+    @pytest.mark.parametrize("weights,unitaries,match", [
+        ([0.5, 0.5], [np.eye(2)], r"shape \(1, 2, 2\) are not a \(2, n, n\)"),
+        ([1.0], [np.eye(2)] * 2, r"shape \(2, 2, 2\) are not a \(1, n, n\)"),
+        ([1.0], [], r"shape \(0,\) are not a \(1, n, n\)"),
+        ([0.5, 0.5], [np.eye(2), np.eye(3)], "^channel unitaries have mixed"),
+        ([1.0], np.ones((1, 2, 3)), r"shape \(1, 2, 3\) are not"),
+        ([1.0], np.eye(2), r"shape \(2, 2\) are not"),
+    ], ids=["too_few", "too_many", "empty", "mixed", "non_square", "not_3d"])
+    def test_stack_shape_errors(self, weights, unitaries, match):
+        with pytest.raises(DimensionError, match=match):
+            nlevel.KrausChannel(weights=np.array(weights), unitaries=unitaries)
+
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan, 1.0],
+                                         [np.inf, -np.inf]])
+    def test_nan_weights_raise(self, weights):
+        with pytest.raises(ProbabilityError, match="are not a distribution"):
+            nlevel.KrausChannel(weights=np.array(weights),
+                                unitaries=[np.eye(2, dtype=complex)] * 2)
+
+    def test_nan_unitary_raises(self):
+        bad = np.full((2, 2), np.nan, dtype=complex)
+        with pytest.raises(ProbabilityError, match="defect nan"):
+            nlevel.KrausChannel(weights=np.array([0.5, 0.5]),
+                                unitaries=[np.eye(2, dtype=complex), bad])
+
+
 class TestPureStateTransporter:
-    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_maps_source_to_destination(self, n):
         rng = np.random.default_rng(30 + n)
         for _ in range(10):
@@ -241,6 +322,26 @@ class TestPureStateTransporter:
         u = nlevel.pure_state_transporter(np.array([1.0, 0.0, 0.0]),
                                           rand_pure(np.random.default_rng(31), 3))
         np.testing.assert_allclose(opkit.dag(u) @ u, np.eye(3), atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_special_pairs(self, n):
+        rng = np.random.default_rng(740 + n)
+        eye = np.eye(n, dtype=complex)
+        v = rand_pure(rng, n)
+        near = v + 1e-9 * rand_pure(rng, n)
+        pairs = [(eye[0], eye[-1]), (eye[-1], eye[0]), (eye[0], v), (v, eye[0]),
+                 (v, v), (eye[0], eye[0]), (v, -v), (-eye[0], eye[0]),
+                 (v, 1j * v), (1j * eye[-1], eye[-1]),
+                 (v, near / np.linalg.norm(near))]
+        for src, dst in pairs:
+            u = nlevel.pure_state_transporter(src, dst)
+            assert np.max(np.abs(u @ src - dst)) <= 1e-12
+            assert np.max(np.abs(opkit.dag(u) @ u - eye)) <= 1e-12
+
+    @pytest.mark.parametrize("src", [[np.nan, 0.0], [1.0, np.inf]])
+    def test_non_finite_raises(self, src):
+        with pytest.raises(NormalizationError, match="^source vector norm"):
+            nlevel.pure_state_transporter(np.array(src), np.array([1.0, 0.0]))
 
     def test_unnormalized_raises(self):
         with pytest.raises(NormalizationError):
@@ -319,6 +420,16 @@ class TestReachability:
             assert np.max(np.abs(diag)) <= 1e-12
             assert max(abs(x) for x in off) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_offdiag_order_matches_comprehension(self, n):
+        rng = np.random.default_rng(750 + n)
+        prob, _ = forward_reachability_instance(rng, n)
+        w = rng.dirichlet(np.ones(n))
+        diag, off = nlevel.reachability_residual(prob, w)
+        value = nlevel._gram_tensor(prob) @ w
+        assert diag.shape == (n,)
+        np.testing.assert_array_equal(off, comprehension_offdiag(value))
+
     def test_solver_recovers_feasible_point(self):
         rng = np.random.default_rng(37)
         for n in (2, 3, 12, 16, 32):
@@ -376,6 +487,31 @@ class TestReachability:
         rng = np.random.default_rng(38)
         prob, _ = forward_reachability_instance(rng, 2)
         with pytest.raises(DimensionError, match="expected 2"):
+            nlevel.reachability_residual(prob, np.array(w))
+
+    @pytest.mark.parametrize("field", ["initial_weights", "target_weights"])
+    def test_nan_weights_raise(self, field):
+        kwargs = dict(initial_weights=np.array([0.5, 0.5]),
+                      target_weights=np.array([0.5, 0.5]),
+                      coefficients=np.stack([np.eye(2, dtype=complex)] * 2,
+                                            axis=2))
+        kwargs[field] = np.array([np.nan, np.nan])
+        with pytest.raises(ProbabilityError, match="weights are not a"):
+            nlevel.ReachabilityProblem(**kwargs)
+
+    def test_nan_coefficients_raise(self):
+        c = np.stack([np.eye(2, dtype=complex)] * 2, axis=2)
+        c[0, 1, 0] = np.nan
+        with pytest.raises(ProbabilityError, match="not unit norm"):
+            nlevel.ReachabilityProblem(initial_weights=np.array([0.5, 0.5]),
+                                       target_weights=np.array([0.5, 0.5]),
+                                       coefficients=c)
+
+    @pytest.mark.parametrize("w", [[np.nan, np.nan], [np.nan, 1.0]])
+    def test_nan_candidate_raises(self, w):
+        rng = np.random.default_rng(39)
+        prob, _ = forward_reachability_instance(rng, 2)
+        with pytest.raises(ProbabilityError, match="not a probability vector"):
             nlevel.reachability_residual(prob, np.array(w))
 
     def test_candidate_outside_simplex_raises(self):

@@ -1,0 +1,64 @@
+"""Source hygiene of the package, checked with the standard library's ``ast``.
+
+Deletions tend to leave an import or a private helper behind; these two
+checks find both without a linter.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "iqcontrol"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def imported_names(tree):
+    """Module-level names bound by import statements (not __future__)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def referenced_names(tree):
+    """Every name read as a variable or attribute, and every __all__ entry."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            refs.update(ast.literal_eval(node.value))
+    return refs
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "nlevel.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = parse(path)
+    assert sorted(imported_names(tree) - referenced_names(tree)) == []
+
+
+def test_every_private_definition_is_referenced():
+    trees = {p.name: parse(p) for p in MODULES}
+    refs = set().union(*map(referenced_names, trees.values()))
+    unused = [f"{name}:{node.name}" for name, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and node.name not in refs]
+    assert unused == []
