@@ -22,6 +22,7 @@ state carries weight p_s on |0><0|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from . import opkit
 from .errors import (
     DegenerateConditionError,
     DegenerateProbeError,
+    DomainError,
     InfeasibleError,
     StateError,
 )
@@ -68,9 +70,9 @@ class LocalRotation:
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= np.pi:
-            raise ValueError(f"theta {self.theta} outside [0, pi]")
+            raise DomainError(f"theta {self.theta} outside [0, pi]")
         if not 0.0 <= self.phi <= 2.0 * np.pi:
-            raise ValueError(f"phi {self.phi} outside [0, 2pi]")
+            raise DomainError(f"phi {self.phi} outside [0, 2pi]")
 
 
 @dataclass(frozen=True)
@@ -363,56 +365,46 @@ def bloch_vector(rho) -> np.ndarray:
                      np.real(r00 - r11)], axis=-1)
 
 
-def _couplings_from_axis(n_hat: np.ndarray) -> QubitCouplings:
-    """Couplings whose conditional Hamiltonian axis is n_hat (unit), with
-    probe factor pz (theta = 0, r = 1)."""
-    return QubitCouplings(g1=float(n_hat[2]),
-                          g2=complex(n_hat[0] - 1j * n_hat[1]),
-                          g3=0.0, g4=1.0)
-
-
 def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
                            ) -> ControlSolution:
     """Find (g, t, p_p) steering diag(1-p_s, p_s) onto the target state.
 
-    The solution is closed form: the conditional rotation axis is chosen
-    perpendicular to the initial Bloch vector inside the plane spanned by
-    the initial and target Bloch vectors; the rotation angle and the +/-
-    branch imbalance then follow from two scalar projections.  Targets
-    with Bloch radius above |1-2p_s| are unreachable (the channel is
-    unital on the spectrum); for those the closest reachable state is
-    returned and the solution is flagged infeasible.  A residual above
-    ``tol`` is flagged infeasible too; it is not searched further.
+    The initial Bloch vector is (0, 0, z0), z0 = 1 - 2p_s, so the solve is
+    a closed form in the plane of z and m, the unit xy-direction of the
+    target's Bloch vector r (x when r has no xy-part).  The conditional
+    rotation axis is sign(z0) z x m; the rotation angle phi = 2t follows
+    from cos(phi) = r_z / z0, and the +/- branch imbalance u = 1 - 2p_p
+    from r.m = |z0| u sin(phi).  Targets with Bloch radius above |z0| are
+    unreachable (the channel is unital on the spectrum); for those the
+    closest reachable state is returned and the solution is flagged
+    infeasible.  A residual above ``tol`` is flagged infeasible too; it is
+    not searched further.
     """
     r_tau = bloch_vector(opkit.validate_density_matrix(target))
-    rad = float(np.linalg.norm(r_tau))
-    m0 = abs(1.0 - 2.0 * p_s)
-
-    z = np.array([0.0, 0.0, 1.0])
-    e_hat = z if p_s <= 0.5 else -z
-
+    z0 = 1.0 - 2.0 * p_s
+    m0 = abs(z0)
     if m0 < 1e-14:
         # Maximally mixed initial state: it is a fixed point of every
         # admissible channel.
-        n_hat, t, p_p = np.array([1.0, 0.0, 0.0]), 0.0, 0.5
+        g2, t, p_p = complex(1.0), 0.0, 0.5
     else:
-        r_aim = r_tau if rad <= m0 + 1e-9 else r_tau * (m0 / rad)
-        perp = r_aim - np.dot(r_aim, e_hat) * e_hat
-        pn = float(np.linalg.norm(perp))
-        m_hat = perp / pn if pn > 1e-13 else np.array([1.0, 0.0, 0.0])
-        n_hat = np.cross(e_hat, m_hat)
-
-        x = float(np.clip(np.dot(r_aim, e_hat) / m0, -1.0, 1.0))
-        phi = float(np.arccos(x))
-        sphi = np.sin(phi)
-        if sphi > 1e-12:
-            u = float(np.clip(np.dot(r_aim, m_hat) / (m0 * sphi), -1.0, 1.0))
-        else:
-            u = 0.0
-
-        t = phi / 2.0
-        p_p = (1.0 - u) / 2.0
-    g = _couplings_from_axis(n_hat)
+        ax, ay, az = r_tau.tolist()
+        rad = math.hypot(ax, ay, az)
+        if rad > m0 + 1e-9:
+            k = m0 / rad
+            ax, ay, az = ax * k, ay * k, az * k
+        pn = math.hypot(ax, ay)
+        mx, my = (ax / pn, ay / pn) if pn > 1e-13 else (1.0, 0.0)
+        phi = math.acos(min(max(az / z0, -1.0), 1.0))
+        sphi = math.sin(phi)
+        u = (min(max((ax * mx + ay * my) / (m0 * sphi), -1.0), 1.0)
+             if sphi > 1e-12 else 0.0)
+        e = 1.0 if z0 > 0.0 else -1.0
+        # g2 = n_x - i n_y for the axis n = e z x m = (-e m_y, e m_x, 0);
+        # "0.0 -" writes a zero part as 0.0, not -0.0
+        g2 = complex(0.0 - e * my, 0.0 - e * mx)
+        t, p_p = phi / 2.0, (1.0 - u) / 2.0
+    g = QubitCouplings(g1=0.0, g2=g2, g3=0.0, g4=1.0)
     r, _, ang = closed_form_reduced_state(g, t, p_s, p_p)
     res = 0.5 * float(np.linalg.norm(r - r_tau))
     return ControlSolution(couplings=g, theta=probe_mixing_angle(g),

@@ -295,6 +295,20 @@ class TestRunThermal:
         assert "error:" in capsys.readouterr().err
 
 
+class TestRunStdout:
+    @pytest.mark.parametrize("doc, ext", [
+        (simulate_config(), "csv"),
+        ({"mode": "thermal", "temperature": 2.0, "p_p": 0.75}, "json")],
+        ids=["simulate", "thermal"])
+    def test_one_line_naming_the_output(self, doc, ext, tmp_path, capsys):
+        # without --quiet, a run reports the file it wrote and nothing else
+        path = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr() == (
+            f"{doc['mode']}: wrote {out / ('c.' + ext)}\n", "")
+
+
 class TestSweep:
     def sweep_config(self):
         return {
@@ -339,6 +353,63 @@ class TestSweep:
         path = write_config(tmp_path, "sw.json", doc)
         with pytest.raises(cli.ConfigError, match="duplicate"):
             cli.validate_config(cli.load_config(path))
+
+    # Pauli literals ({|1>, |0>} ordering), independent of qubit.
+    SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    SM = SP.T.copy()
+
+    def oracle_row(self, p_s, beta, theta, alpha, p_p):
+        """(rho00, |rho10|) of a physical realization of one sweep row.
+
+        With g1 = 0, g2 = sin(beta) - i cos(beta), (g3, g4) = (sin, cos) of
+        theta and t = alpha/2, the system factor is a unit axis and U_+^2
+        has overlap angles (alpha, beta).  The columns depend on alpha only
+        through cos^2 and |sin 2 alpha|, so alpha is folded into [0, pi/2]
+        first.  The brute-force state is rotated into the basis
+        (U_+|1>, U_+|0>) by an independent 2x2 exponential.
+        """
+        g2 = complex(np.sin(beta), -np.cos(beta))
+        t = 0.5 * np.arctan2(abs(np.sin(alpha)), abs(np.cos(alpha)))
+        sc = verify.CompositeScenario(
+            dim_s=2, dim_p=2,
+            h_full=verify.interaction_from_couplings(
+                0.0, g2, np.sin(theta), np.cos(theta)),
+            rho_s0=np.diag([1.0 - p_s, p_s]).astype(complex),
+            rho_p0=np.diag([1.0 - p_p, p_p]).astype(complex))
+        u_plus = opkit.expm_i_hermitian(g2 * self.SP + np.conj(g2) * self.SM,
+                                        t)
+        rho_c = opkit.dag(u_plus) @ verify.evolve_full(sc, t) @ u_plus
+        return rho_c[1, 1].real, abs(rho_c[0, 1])
+
+    @pytest.mark.parametrize("doc", [
+        {"p_s": 0.0, "beta": 0.4, "fixed": {"theta": 0.5, "alpha": 2.2},
+         "axes": [{"name": "p_p", "start": 0.0, "stop": 1.0, "count": 7}]},
+        {"p_s": 0.3, "beta": -2.5, "fixed": {"theta": -1.1},
+         "axes": [{"name": "alpha", "start": -1.0, "stop": 4.0, "count": 9},
+                  {"name": "p_p", "start": 1.0, "stop": 0.0, "count": 5}]},
+        {"p_s": 1.0, "fixed": {},
+         "axes": [{"name": "theta", "start": -4.0, "stop": 4.0, "count": 6},
+                  {"name": "p_p", "start": 0.0, "stop": 1.0, "count": 3},
+                  {"name": "alpha", "start": 0.0, "stop": 3.5, "count": 5}]},
+        {"p_s": 0.5, "beta": 1.0, "fixed": {"p_p": 0.25},
+         "axes": [{"name": "alpha", "start": 0.0, "stop": 3.0, "count": 4},
+                  {"name": "theta", "start": 0.0, "stop": 3.0, "count": 4}]},
+    ], ids=["one_axis", "two_axes", "three_axes", "p_s_half"])
+    def test_rows_match_oracle(self, doc, tmp_path):
+        path = write_config(tmp_path, "sw.json", dict(doc, mode="sweep"))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(path), "--out", str(out), "--quiet"]) == 0
+        lines = (out / "sw.csv").read_text().splitlines()
+        names = [ax["name"] for ax in doc["axes"]]
+        assert lines[0] == ",".join(names + ["rho00", "abs_rho10"])
+        assert len(lines) == 1 + np.prod([ax["count"] for ax in doc["axes"]])
+        for line in lines[1:]:
+            vals = [float(x) for x in line.split(",")]
+            params = dict(doc["fixed"], **dict(zip(names, vals)))
+            expected = self.oracle_row(doc["p_s"], doc.get("beta", 0.0),
+                                       params["theta"], params["alpha"],
+                                       params["p_p"])
+            np.testing.assert_allclose(vals[-2:], expected, rtol=0, atol=1e-10)
 
 
 def reach_config():

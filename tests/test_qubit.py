@@ -6,6 +6,7 @@ from iqcontrol import opkit, qubit, verify
 from iqcontrol.errors import (
     DegenerateConditionError,
     DegenerateProbeError,
+    DomainError,
     InfeasibleError,
     StateError,
 )
@@ -48,7 +49,7 @@ class TestLocalRotation:
         (-0.1, 1.0, "theta"), (np.pi + 1e-9, 1.0, "theta"),
         (1.0, -1e-9, "phi"), (1.0, 2.0 * np.pi + 0.1, "phi")])
     def test_out_of_range_rejected(self, theta, phi, name):
-        with pytest.raises(ValueError, match=f"^{name} "):
+        with pytest.raises(DomainError, match=f"^{name} "):
             LocalRotation(theta, phi)
 
     def test_range_ends_accepted(self):
@@ -526,7 +527,46 @@ class TestZeroCoherenceCondition:
         assert not qubit.zero_coherence_condition(0.0, 0.5, 0.0)
 
 
+def frame_solve(p_s, target, tol=1e-8):
+    """The solver in a general 3-D frame: the axis e_hat x m_hat from
+    np.cross, the angle and the branch imbalance from dot products with
+    e_hat and m_hat.  Kept as the reference for the z-frame closed form."""
+    r_tau = qubit.bloch_vector(opkit.validate_density_matrix(target))
+    rad = float(np.linalg.norm(r_tau))
+    m0 = abs(1.0 - 2.0 * p_s)
+    z = np.array([0.0, 0.0, 1.0])
+    e_hat = z if p_s <= 0.5 else -z
+    if m0 < 1e-14:
+        n_hat, t, p_p = np.array([1.0, 0.0, 0.0]), 0.0, 0.5
+    else:
+        r_aim = r_tau if rad <= m0 + 1e-9 else r_tau * (m0 / rad)
+        perp = r_aim - np.dot(r_aim, e_hat) * e_hat
+        pn = float(np.linalg.norm(perp))
+        m_hat = perp / pn if pn > 1e-13 else np.array([1.0, 0.0, 0.0])
+        n_hat = np.cross(e_hat, m_hat)
+        x = float(np.clip(np.dot(r_aim, e_hat) / m0, -1.0, 1.0))
+        phi = float(np.arccos(x))
+        sphi = np.sin(phi)
+        if sphi > 1e-12:
+            u = float(np.clip(np.dot(r_aim, m_hat) / (m0 * sphi), -1.0, 1.0))
+        else:
+            u = 0.0
+        t, p_p = phi / 2.0, (1.0 - u) / 2.0
+    g = QubitCouplings(g1=float(n_hat[2]),
+                       g2=complex(n_hat[0] - 1j * n_hat[1]), g3=0.0, g4=1.0)
+    r, _, ang = qubit.closed_form_reduced_state(g, t, p_s, p_p)
+    res = 0.5 * float(np.linalg.norm(r - r_tau))
+    return qubit.ControlSolution(
+        couplings=g, theta=qubit.probe_mixing_angle(g), alpha=ang.alpha,
+        p_p=p_p, t=t, residual=res, feasible=res <= tol)
+
+
 class TestSolver:
+    @staticmethod
+    def bloch_state(r):
+        return 0.5 * (np.eye(2) + r[0] * qubit.SIGMA_X
+                      + r[1] * qubit.SIGMA_Y + r[2] * qubit.SIGMA_Z)
+
     def test_do_nothing_target(self):
         p_s = 0.25
         target = np.diag([1 - p_s, p_s]).astype(complex)
@@ -605,8 +645,7 @@ class TestSolver:
         # the nearest reachable state, the target shrunk to radius m0
         rng = np.random.default_rng(18)
         for p_s, r in self.adversarial_targets(rng, 40):
-            target = 0.5 * (np.eye(2) + r[0] * qubit.SIGMA_X
-                            + r[1] * qubit.SIGMA_Y + r[2] * qubit.SIGMA_Z)
+            target = self.bloch_state(r)
             m0, rad = abs(1 - 2 * p_s), np.linalg.norm(r)
             sol = qubit.solve_controls_numeric(p_s, target)
             oracle = verify.check_solution(sol, p_s, target)
@@ -618,6 +657,27 @@ class TestSolver:
                 assert sol.residual == pytest.approx((rad - m0) / 2, abs=1e-12)
                 assert oracle == pytest.approx(sol.residual, abs=1e-8)
 
+    def test_matches_frame_construction(self):
+        # the z-frame closed form against the 3-D frame it replaced:
+        # exact where the frame's values are exact, else to rounding
+        rng = np.random.default_rng(20)
+        for p_s, r in self.adversarial_targets(rng, 40):
+            target = self.bloch_state(r)
+            sol, ref = (qubit.solve_controls_numeric(p_s, target),
+                        frame_solve(p_s, target))
+            assert ((sol.feasible, sol.theta, sol.couplings.g1,
+                     sol.couplings.g3, sol.couplings.g4)
+                    == (ref.feasible, ref.theta, ref.couplings.g1,
+                        ref.couplings.g3, ref.couplings.g4))
+            for a, b in ((sol.t, ref.t), (sol.p_p, ref.p_p),
+                         (sol.alpha, ref.alpha), (sol.residual, ref.residual),
+                         (sol.couplings.g2, ref.couplings.g2)):
+                assert abs(a - b) <= 1e-14
+        # maximally mixed initial state: t = 0, p_p = 1/2, g2 = 1
+        target = self.bloch_state([0.1, -0.2, 0.3])
+        assert (qubit.solve_controls_numeric(0.5, target)
+                == frame_solve(0.5, target))
+
     def test_one_eigendecomposition_per_solve(self, eig_calls):
         # the state, the residual and the reported alpha all come from one
         # closed-form evaluation of U_+, which needs no eigendecomposition
@@ -625,8 +685,7 @@ class TestSolver:
         cases = list(self.adversarial_targets(rng, 3))
         cases.append((0.5, np.zeros(3)))   # maximally mixed initial state
         for p_s, r in cases:
-            target = 0.5 * (np.eye(2) + r[0] * qubit.SIGMA_X
-                            + r[1] * qubit.SIGMA_Y + r[2] * qubit.SIGMA_Z)
+            target = self.bloch_state(r)
             eig_calls.clear()
             qubit.solve_controls_numeric(p_s, target)
             assert len(eig_calls) == 0

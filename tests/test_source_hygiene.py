@@ -1,7 +1,8 @@
 """Source hygiene of the package, checked with the standard library's ``ast``.
 
-Deletions tend to leave an import or a private helper behind; these two
-checks find both without a linter.
+Deletions tend to leave an import or a private helper behind; two checks
+find both without a linter.  A third keeps the brute-force oracle
+independent of the code it checks.
 """
 
 import ast
@@ -43,6 +44,20 @@ def referenced_names(tree):
     return refs
 
 
+def package_imports(tree):
+    """The package's modules that a module imports, relative or absolute."""
+    paths = []  # dotted names as lists, relative imports made absolute
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths += [a.name.split(".") for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = (["iqcontrol"] if node.level else []) + [
+                part for part in (node.module or "").split(".") if part]
+            paths += [base + [a.name] for a in node.names]
+    return {p[1] if len(p) > 1 else p[0]
+            for p in paths if p[0] == "iqcontrol"}
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "nlevel.py"}
 
@@ -62,3 +77,10 @@ def test_every_private_definition_is_referenced():
               and node.name.startswith("_") and not node.name.startswith("__")
               and node.name not in refs]
     assert unused == []
+
+
+def test_oracle_imports_no_decomposition_code():
+    # verify is the independent check of the closed forms and solvers: it
+    # may use the kernel primitives and the error types, nothing else
+    mods = package_imports(parse(SRC / "verify.py"))
+    assert mods and mods <= {"opkit", "errors"}
