@@ -29,7 +29,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise StateError("matrix contains NaN or Inf entries")
     return m
 
@@ -69,8 +69,10 @@ def validate_density_matrix(rho, herm_tol: float = TRACE_TOL) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product (system factor first)."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product (system factor first); the same bytes as np.kron."""
+    a, b = as_matrix(a), as_matrix(b)
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
 def partial_trace_probe(rho, dim_s: int, dim_p: int) -> np.ndarray:
@@ -105,9 +107,10 @@ def expm_i_hermitian(h, t) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via one eigendecomposition.
 
     An array of times gives a stack (..., n, n) with one propagator per
-    time.  Unitary up to the eigensolver tolerance; exact at t = 0.
+    time.  Unitary up to the eigensolver tolerance; at t = 0 it returns
+    V V^dag, the identity to roundoff, whatever phases V's columns carry.
     """
-    values, vectors = eig_hermitian(h)
+    values, vectors = np.linalg.eigh(require_hermitian(h))
     phases = np.exp(np.multiply.outer(t, -1j * values))
     return (vectors * phases[..., None, :]) @ dag(vectors)
 

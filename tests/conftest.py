@@ -66,42 +66,39 @@ def forward_reachability_instance(rng, n):
 
 
 @pytest.fixture
-def eig_calls(monkeypatch):
-    """A list that gains one entry per ``opkit.eig_hermitian`` call."""
-    from iqcontrol import opkit
-    calls, eig = [], opkit.eig_hermitian
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` replaces ``owner.name`` for the test by
+    a wrapper that calls through, and returns a list that gains the
+    positional arguments of each call."""
+    def count(owner, name):
+        calls, func = [], getattr(owner, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return eig(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return func(*args, **kwargs)
 
-    monkeypatch.setattr(opkit, "eig_hermitian", counted)
-    return calls
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return count
 
 
 @pytest.fixture
-def parse_calls(monkeypatch):
-    """A list that gains one entry per ``cli._parse_complex`` call."""
+def eig_calls(count_calls):
+    """One entry per ``np.linalg.eigh`` call: every eigendecomposition,
+    whether it goes through ``opkit.eig_hermitian`` or not."""
+    return count_calls(np.linalg, "eigh")
+
+
+@pytest.fixture
+def parse_calls(count_calls):
+    """One entry per ``cli._parse_complex`` call."""
     from iqcontrol import cli
-    calls, parse = [], cli._parse_complex
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return parse(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "_parse_complex", counted)
-    return calls
+    return count_calls(cli, "_parse_complex")
 
 
 @pytest.fixture
-def unitary_calls(monkeypatch):
-    """A list that gains one entry per ``qubit.conditional_unitaries`` call."""
+def unitary_calls(count_calls):
+    """One entry per ``qubit.conditional_unitaries`` call."""
     from iqcontrol import qubit
-    calls, unitaries = [], qubit.conditional_unitaries
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return unitaries(*args, **kwargs)
-
-    monkeypatch.setattr(qubit, "conditional_unitaries", counted)
-    return calls
+    return count_calls(qubit, "conditional_unitaries")

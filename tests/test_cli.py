@@ -153,24 +153,18 @@ class TestRunSimulate:
                                            rtol=0, atol=1e-10)
 
     def test_one_eigendecomposition_per_run(self, tmp_path, eig_calls,
-                                            monkeypatch):
+                                            count_calls):
         # the state and its conditional-frame columns come from one
         # closed-form evaluation of U_+ over all times, and every column
         # from its Bloch vectors: the only eigensolve left is the
         # validation of the one 2x2 target
-        shapes, eigvalsh = [], np.linalg.eigvalsh
-
-        def counted(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        eigvalsh = count_calls(np.linalg, "eigvalsh")
         doc = dict(simulate_config(), target=[[0.4, 0.1], [0.1, 0.6]])
         path = write_config(tmp_path, "sim.json", doc)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out"),
                          "--quiet"]) == 0
         assert len(eig_calls) == 0
-        assert shapes == [(2, 2)]
+        assert [np.shape(a) for a, *_ in eigvalsh] == [(2, 2)]
 
     def test_no_unitary_stack_per_run(self, tmp_path, unitary_calls):
         # every column comes from the Bloch-vector closed form; U_+ is

@@ -30,6 +30,44 @@ class TestKron:
         with pytest.raises(StateError):
             opkit.kron(bad, I2)
 
+    def test_matches_np_kron_bytes(self):
+        # one complex product per entry, as np.kron makes it: the bytes
+        # agree, signed zeros and overflow to inf included
+        rng = np.random.default_rng(60)
+        special = np.array([-0.0, 0.0, 1e308, -1e308, 1.0, -1.0])
+        for na in range(1, 5):
+            for nb in range(1, 5):
+                for _ in range(10):
+                    a = (rng.normal(size=(na, na))
+                         + 1j * rng.normal(size=(na, na)))
+                    b = (rng.normal(size=(nb, nb))
+                         + 1j * rng.normal(size=(nb, nb)))
+                    for m in (a, b):
+                        mask = rng.random(m.shape) < 0.4
+                        m[mask] = (rng.choice(special, mask.sum())
+                                   + 1j * rng.choice(special, mask.sum()))
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        got, want = opkit.kron(a, b), np.kron(a, b)
+                    assert got.shape == (na * nb, na * nb)
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, complex(0.0, np.nan),
+                                       complex(1.0, -np.inf)])
+    def test_rejects_non_finite_either_factor(self, entry):
+        # a complex entry is finite only if both of its parts are
+        bad = np.eye(2, dtype=complex)
+        bad[1, 0] = entry
+        for a, b in ((bad, I2), (I2, bad)):
+            with pytest.raises(StateError):
+                opkit.kron(a, b)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2), ()])
+    def test_rejects_non_square(self, shape):
+        bad = np.ones(shape, dtype=complex)
+        for a, b in ((bad, I2), (I2, bad)):
+            with pytest.raises(DimensionError):
+                opkit.kron(a, b)
+
 
 def contraction_oracle(rho, dim_s, dim_p):
     """Double-loop partial trace, independent of the reshape-based path."""
@@ -152,6 +190,21 @@ class TestExpm:
     def test_non_hermitian_raises(self):
         with pytest.raises(HermiticityError):
             opkit.expm_i_hermitian(np.array([[0, 1], [0, 0]]), 1.0)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 32])
+    def test_independent_of_eigenvector_phases(self, n):
+        # V exp(-i Lambda t) V^dag is the same whatever phase each column of
+        # V carries, so the propagator needs no phase convention
+        rng = np.random.default_rng(70 + n)
+        h = rand_hermitian(rng, n)
+        values, vectors = opkit.eig_hermitian(h)
+        spun = vectors * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        for t in (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0, size=5)):
+            phases = np.exp(np.multiply.outer(t, -1j * values))[..., None, :]
+            got = opkit.expm_i_hermitian(h, t)
+            for v in (vectors, spun):
+                np.testing.assert_allclose(got, (v * phases) @ v.conj().T,
+                                           rtol=0, atol=1e-14)
 
 
 class TestTraceDistance:

@@ -83,3 +83,19 @@ class TestCheckSolution:
             theta=0.0, alpha=0.0, p_p=0.5, t=0.0, residual=0.0, feasible=True)
         target = np.diag([0.2, 0.8]).astype(complex)
         assert verify.check_solution(sol, 0.2, target) > 0.5
+
+    def test_oracle_cost_by_counts(self, count_calls):
+        # one eigendecomposition, of the 4x4 propagator; four spectra:
+        # the two initial states, the reduced state and the trace
+        # distance; the tensor products never go through np.kron
+        rng = np.random.default_rng(55)
+        sol = qubit.ControlSolution(
+            couplings=rand_couplings(rng), theta=0.3, alpha=0.4, p_p=0.3,
+            t=1.7, residual=0.0, feasible=True)
+        eigh = count_calls(np.linalg, "eigh")
+        eigvalsh = count_calls(np.linalg, "eigvalsh")
+        krons = count_calls(np, "kron")
+        verify.check_solution(sol, 0.2, rand_density(rng, 2))
+        assert [np.shape(a) for a, *_ in eigh] == [(4, 4)]
+        assert [np.shape(a) for a, *_ in eigvalsh] == [(2, 2)] * 4
+        assert krons == []
