@@ -14,7 +14,11 @@ significant digits, JSON numbers are the shortest repr that reads back to
 the same float, and JSON keys are sorted.  Exit codes: 0 success, 1 error,
 2 infeasible-but-completed.
 A result with a non-finite number is an error, and no file or directory
-is written.
+is written.  An unreadable config and an unwritable output path also
+exit 1 with one "error:" line.
+
+``validate_config`` returns the mode's run: its ``_run_*`` function bound
+to the parsed values, which ``run`` and ``sweep`` call with the output path.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -154,7 +159,6 @@ def _parse_coefficients(val: list) -> np.ndarray:
 
 
 def _parse_couplings(cfg: dict, where: str) -> qubit.QubitCouplings:
-    _expect(isinstance(cfg, dict), f"{where}: expected an object")
     try:
         return qubit.QubitCouplings(
             g1=_get(cfg, "g1", float, where),
@@ -169,7 +173,6 @@ def _parse_times(val, where: str) -> np.ndarray:
     if isinstance(val, list):
         _expect(len(val) <= MAX_ROWS, f"{where}: more than {MAX_ROWS} times")
         return _parse_numbers(val, where)
-    _expect(isinstance(val, dict), f"{where}: expected a list or a range object")
     return _parse_range(val, where)
 
 
@@ -205,7 +208,7 @@ def _reject_constant(name: str):
 def load_config(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(text, parse_constant=_reject_constant)
@@ -213,7 +216,8 @@ def load_config(path: Path) -> dict:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # e.g. an integer beyond the digit limit
+    # e.g. an integer beyond the digit limit, or arrays nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     _expect(isinstance(cfg, dict), "config root must be an object")
     mode = _get(cfg, "mode", str, "config")
@@ -222,26 +226,26 @@ def load_config(path: Path) -> dict:
 
 
 def validate_config(cfg: dict):
-    """Full semantic validation; returns the parsed payload per mode."""
+    """Full semantic validation; returns the mode's run, a callable that
+    takes the output path, computes and writes the result, and returns the
+    exit code.  Nothing is computed before it is called."""
     mode = cfg["mode"]
     if mode == "simulate":
-        payload = {
-            "couplings": _parse_couplings(_get(cfg, "couplings", dict, "config"),
-                                          "config.couplings"),
-            "p_s": _parse_unit(cfg, "p_s", "config"),
-            "p_p": _parse_unit(cfg, "p_p", "config"),
-            "times": _parse_times(_get(cfg, "times", (list, dict), "config"),
-                                  "config.times"),
-        }
-        if "target" in cfg:
-            payload["target"] = _parse_target(cfg["target"])
-        return payload
+        couplings = _parse_couplings(_get(cfg, "couplings", dict, "config"),
+                                     "config.couplings")
+        p_s = _parse_unit(cfg, "p_s", "config")
+        p_p = _parse_unit(cfg, "p_p", "config")
+        times = _parse_times(_get(cfg, "times", (list, dict), "config"),
+                             "config.times")
+        target = (_parse_target(cfg["target"]) if "target" in cfg
+                  else np.diag([1.0 - p_s, p_s]))
+        return partial(_run_simulate, couplings, p_s, p_p, times, target)
     if mode == "solve":
         target = _parse_target(_get(cfg, "target", list, "config"))
         budget = cfg.get("budget", {})
         _expect(isinstance(budget, dict), "config.budget: expected object")
-        return {"p_s": _parse_unit(cfg, "p_s", "config"), "target": target,
-                "tol": _get_positive(budget, "tol", "config.budget", 1e-8)}
+        return partial(_run_solve, _parse_unit(cfg, "p_s", "config"), target,
+                       _get_positive(budget, "tol", "config.budget", 1e-8))
     if mode == "reach":
         c = _parse_coefficients(_get(cfg, "coefficients", list, "config"))
         p, q = (_parse_numbers(_get(cfg, key, list, "config"), f"config.{key}")
@@ -251,17 +255,17 @@ def validate_config(cfg: dict):
                                        coefficients=c)
         except IQControlError as exc:
             raise ConfigError(f"config: {exc}") from exc
-        return {"problem": prob,
-                "tol": _get_positive(cfg, "tol", "config", 1e-8)}
+        return partial(_run_reach, prob,
+                       _get_positive(cfg, "tol", "config", 1e-8))
     if mode == "thermal":
         temperature = _get_positive(cfg, "temperature", "config")
         if "p_p" in cfg:
             p_p = _get(cfg, "p_p", float, "config")
             _expect(0.0 < p_p < 1.0, "config: 'p_p' must lie in (0, 1)")
-            return {"temperature": temperature, "p_p": p_p}
-        return {"temperature": temperature,
-                "e0": _get(cfg, "e0", float, "config"),
-                "e1": _get(cfg, "e1", float, "config")}
+            return partial(_run_thermal_gap, temperature, p_p)
+        return partial(_run_thermal_occupancy, temperature,
+                       _get(cfg, "e0", float, "config"),
+                       _get(cfg, "e1", float, "config"))
     # sweep
     axes_raw = _get(cfg, "axes", list, "config")
     axes = [_parse_axis(ax, f"config.axes[{i}]") for i, ax in enumerate(axes_raw)]
@@ -275,9 +279,17 @@ def validate_config(cfg: dict):
               for p in SWEEP_PARAMS if p not in names}
     if "p_p" in params:
         _expect(0.0 <= params["p_p"] <= 1.0, "config.fixed: p_p outside [0, 1]")
-    return {"p_s": _parse_unit(cfg, "p_s", "config"),
-            "beta": _get(cfg, "beta", float, "config", 0.0),
-            "axes": axes, "fixed": params}
+    return partial(_run_sweep, _parse_unit(cfg, "p_s", "config"),
+                   _get(cfg, "beta", float, "config", 0.0), axes, params)
+
+
+def _open_result(path: Path):
+    """``path`` opened for writing, after making its directory."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path.open("w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write result: {exc}") from exc
 
 
 def _json_result(path: Path, doc: dict):
@@ -285,8 +297,8 @@ def _json_result(path: Path, doc: dict):
         text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise ConfigError(f"result has a non-finite value: {exc}") from exc
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n", encoding="utf-8")
+    with _open_result(path) as fh:
+        fh.write(text + "\n")
 
 
 def _csv_result(path: Path, header: list, columns: list):
@@ -312,8 +324,7 @@ def _csv_result(path: Path, header: list, columns: list):
     row = ",".join("%.17g" if texts is None else "%s"
                    for texts, _ in cells) + "\n"
     n = len(cells[0][1])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with _open_result(path) as fh:
         fh.write(",".join(header) + "\n")
         # one "%" call per chunk, with Python objects for that chunk only
         for start in range(0, n, _CSV_CHUNK):
@@ -324,10 +335,7 @@ def _csv_result(path: Path, header: list, columns: list):
             fh.write(row * len(cols[0]) % flat)
 
 
-def _run_simulate(payload, out_path: Path) -> int:
-    g, times = payload["couplings"], payload["times"]
-    p_s, p_p = payload["p_s"], payload["p_p"]
-    target = payload.get("target", np.diag([1.0 - p_s, p_s]))
+def _run_simulate(g, p_s, p_p, times, target, out_path: Path) -> int:
     r, (rho00, rho11, rho10), _ = qubit.closed_form_reduced_state(
         g, times, p_s, p_p)
     radius = np.linalg.norm(r, axis=-1)
@@ -343,10 +351,9 @@ def _run_simulate(payload, out_path: Path) -> int:
     return 0
 
 
-def _run_solve(payload, out_path: Path) -> int:
-    sol = qubit.solve_controls_numeric(payload["p_s"], payload["target"],
-                                       payload["tol"])
-    oracle = verify.check_solution(sol, payload["p_s"], payload["target"])
+def _run_solve(p_s, target, tol, out_path: Path) -> int:
+    sol = qubit.solve_controls_numeric(p_s, target, tol)
+    oracle = verify.check_solution(sol, p_s, target)
     doc = {
         "couplings": {"g1": sol.couplings.g1,
                       "g2": [sol.couplings.g2.real, sol.couplings.g2.imag],
@@ -359,38 +366,36 @@ def _run_solve(payload, out_path: Path) -> int:
     return 0 if sol.feasible else 2
 
 
-def _run_reach(payload, out_path: Path) -> int:
-    w, residual = solve_probe_spectrum(payload["problem"])
-    reachable = residual <= payload["tol"]
+def _run_reach(problem, tol, out_path: Path) -> int:
+    w, residual = solve_probe_spectrum(problem)
+    reachable = residual <= tol
     _json_result(out_path, {"probe_diagonal": list(w),
                             "residual": residual,
                             "reachable": bool(reachable)})
     return 0 if reachable else 2
 
 
-def _run_thermal(payload, out_path: Path) -> int:
-    if "p_p" in payload:
-        gap = thermal.required_gap(payload["p_p"], payload["temperature"])
-        _json_result(out_path, {"gap": gap,
-                                "temperature": payload["temperature"],
-                                "p_p": payload["p_p"]})
-        return 0
-    spec = thermal.ThermalSpec(e0=payload["e0"], e1=payload["e1"],
-                               temperature=payload["temperature"])
-    _json_result(out_path, {"p_p": thermal.thermal_occupancy(spec),
-                            "gap": spec.e1 - spec.e0,
-                            "temperature": spec.temperature})
+def _run_thermal_gap(temperature, p_p, out_path: Path) -> int:
+    _json_result(out_path, {"gap": thermal.required_gap(p_p, temperature),
+                            "temperature": temperature, "p_p": p_p})
     return 0
 
 
-def _run_sweep(payload, out_path: Path) -> int:
-    names = [n for n, _ in payload["axes"]]
-    axis_values = [vals for _, vals in payload["axes"]]
+def _run_thermal_occupancy(temperature, e0, e1, out_path: Path) -> int:
+    spec = thermal.ThermalSpec(e0=e0, e1=e1, temperature=temperature)
+    _json_result(out_path, {"p_p": thermal.thermal_occupancy(spec),
+                            "gap": e1 - e0, "temperature": temperature})
+    return 0
+
+
+def _run_sweep(p_s, beta, axes, fixed, out_path: Path) -> int:
+    names = [n for n, _ in axes]
+    axis_values = [vals for _, vals in axes]
     grid = np.meshgrid(*axis_values, indexing="ij", sparse=True)
-    params = dict(payload["fixed"], **dict(zip(names, grid)))
-    ang = qubit.OverlapAngles(alpha=params["alpha"], beta=payload["beta"])
+    params = dict(fixed, **dict(zip(names, grid)))
+    ang = qubit.OverlapAngles(alpha=params["alpha"], beta=beta)
     rho00, _, rho10 = qubit.reduced_state_closed_form(
-        payload["p_s"], params["theta"], params["p_p"], ang)
+        p_s, params["theta"], params["p_p"], ang)
     shape = tuple(len(vals) for vals in axis_values)
     # Rows in "ij" order: the last axis fastest, as nested loops would.
     index = [i.ravel() for i in np.indices(shape)]
@@ -399,20 +404,6 @@ def _run_sweep(payload, out_path: Path) -> int:
                 + [np.broadcast_to(c, shape).ravel()
                    for c in (rho00, np.abs(rho10))])
     return 0
-
-
-def _execute(cfg: dict, config_path: Path, out_dir: Path, quiet: bool) -> int:
-    payload = validate_config(cfg)
-    mode = cfg["mode"]
-    suffix = ".csv" if mode in ("simulate", "sweep") else ".json"
-    out_path = out_dir / (config_path.stem + suffix)
-    runner = {"simulate": _run_simulate, "solve": _run_solve,
-              "reach": _run_reach, "thermal": _run_thermal,
-              "sweep": _run_sweep}[mode]
-    code = runner(payload, out_path)
-    if not quiet:
-        print(f"{mode}: wrote {out_path}")
-    return code
 
 
 _PARSER = argparse.ArgumentParser(
@@ -435,15 +426,21 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        if args.command == "check":
-            validate_config(cfg)
-            if not args.quiet:
-                print(f"{args.config}: valid ({cfg['mode']})")
-            return 0
-        if args.command == "sweep" and cfg["mode"] != "sweep":
+        mode = cfg["mode"]
+        if args.command == "sweep" and mode != "sweep":
             raise ConfigError(
-                f"'iqctl sweep' requires mode 'sweep', got '{cfg['mode']}'")
-        return _execute(cfg, args.config, args.out, args.quiet)
+                f"'iqctl sweep' requires mode 'sweep', got '{mode}'")
+        run = validate_config(cfg)
+        if args.command == "check":
+            if not args.quiet:
+                print(f"{args.config}: valid ({mode})")
+            return 0
+        suffix = ".csv" if mode in ("simulate", "sweep") else ".json"
+        out_path = args.out / (args.config.stem + suffix)
+        code = run(out_path)
+        if not args.quiet:
+            print(f"{mode}: wrote {out_path}")
+        return code
     except IQControlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -161,13 +161,12 @@ def expansion_coefficients(h_s, energies, t: float, ref_time: float
     """Coefficients c[alpha, j, m] = <ref_alpha| exp(-i h_s E_m t) |j>.
 
     The reference basis is {exp(-i h_s ref_time)|alpha>}, orthonormal by
-    construction, so each (j, m) column has unit norm.
+    construction, so each (j, m) column has unit norm.  Since
+    W_ref^dag U_m = exp(-i h_s (E_m t - ref_time)), the coefficients come
+    from one propagator stack.
     """
-    h_s = opkit.require_hermitian(h_s)
-    energies = np.asarray(energies, dtype=float)
-    w_ref = opkit.expm_i_hermitian(h_s, ref_time)
-    u = opkit.expm_i_hermitian(h_s, energies * t)
-    return np.moveaxis(opkit.dag(w_ref) @ u, 0, -1)
+    times = np.asarray(energies, dtype=float) * t - ref_time
+    return np.moveaxis(opkit.expm_i_hermitian(h_s, times), 0, -1)
 
 
 @dataclass(frozen=True)

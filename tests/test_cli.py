@@ -303,6 +303,26 @@ class TestRunStdout:
             f"{doc['mode']}: wrote {out / ('c.' + ext)}\n", "")
 
 
+class TestUnwritableOut:
+    """An --out that cannot hold the result exits 1 with one error line."""
+
+    @pytest.mark.parametrize("doc", [
+        simulate_config(), {"mode": "thermal", "temperature": 2.0, "p_p": 0.75}],
+        ids=["simulate", "thermal"])
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_one_error_line(self, doc, out, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n", encoding="utf-8")
+        path = write_config(tmp_path, "c.json", doc)
+        code = cli.main(["run", str(path), "--out", str(tmp_path / out),
+                         "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cannot write result: ")
+        assert err.count("\n") == 1
+        assert afile.read_text(encoding="utf-8") == "kept\n"
+
+
 class TestSweep:
     def sweep_config(self):
         return {
@@ -324,9 +344,12 @@ class TestSweep:
         assert len(lines) == 1 + 5 * 4
 
     def test_sweep_command_rejects_other_modes(self, tmp_path, capsys):
-        path = write_config(tmp_path, "sim.json", simulate_config())
-        assert cli.main(["sweep", str(path)]) == 1
-        assert "requires mode 'sweep'" in capsys.readouterr().err
+        # the mode is checked before any key, so an invalid config says so too
+        for doc in (simulate_config(), {"mode": "simulate"}):
+            path = write_config(tmp_path, "sim.json", doc)
+            assert cli.main(["sweep", str(path)]) == 1
+            assert capsys.readouterr().err == (
+                "error: 'iqctl sweep' requires mode 'sweep', got 'simulate'\n")
 
     def test_run_accepts_sweep_mode(self, tmp_path):
         path = write_config(tmp_path, "sw.json", self.sweep_config())
@@ -571,6 +594,41 @@ class TestMalformedConfigs:
             assert code == 1
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not out.exists()
+
+    # Bytes that do not decode, or that nest past the parser's depth.
+    RAW = {
+        "non_utf8_byte": (
+            b'{"mode": "thermal", "temperature": 1, "p_p": 0.5\xff}',
+            "cannot read config: 'utf-8' codec can't decode byte 0xff"),
+        "arrays_nested_100000_deep": (
+            b'{"mode": "sweep", "axes": ' + b"[" * 10**5 + b"]" * 10**5
+            + b"}", "invalid JSON: maximum recursion depth exceeded"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RAW))
+    def test_unreadable_bytes(self, name, tmp_path, capsys):
+        data, message = self.RAW[name]
+        path = tmp_path / "c.json"
+        path.write_bytes(data)
+        out = tmp_path / "out"
+        for command in ("check", "run"):
+            code = cli.main([command, str(path), "--out", str(out), "--quiet"])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith(f"error: {message}")
+            assert err.count("\n") == 1
+            assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["gap_overflow", "sweep_alpha_1e308"])
+    def test_check_computes_nothing(self, name, tmp_path, capsys):
+        # the input is finite and only the result overflows, so it is valid
+        path = tmp_path / "c.json"
+        path.write_text(self.NON_FINITE[name], encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["check", str(path), "--out", str(out), "--quiet"]) == 0
+        code = cli.main(["run", str(path), "--out", str(out), "--quiet"])
+        self.assert_one_error(code, capsys)
+        assert not out.exists()
 
     def test_valid_budget_and_beta_accepted(self, tmp_path):
         for name, doc in (("s.json", solve_config(tol=1e-9, grid=8,
@@ -939,7 +997,8 @@ class TestOnePassParsing:
     @pytest.mark.parametrize("n", [2, 6, 12])
     def test_pair_reach_config_parses_in_one_pass(self, n, parse_calls):
         doc = self.pair_reach_doc(n)
-        c = cli.validate_config(doc)["problem"].coefficients
+        problem, _ = cli.validate_config(doc).args
+        c = problem.coefficients
         assert parse_calls == []
         assert c.tobytes() == \
             reference_coefficients(doc["coefficients"]).tobytes()
@@ -948,9 +1007,10 @@ class TestOnePassParsing:
         (reach_config(), "coefficients", 8),
         (EXAMPLES["solve_example.json"], "target", 4)])
     def test_bare_reals_parse_per_entry(self, doc, key, calls, parse_calls):
-        payload = cli.validate_config(copy.deepcopy(doc))
-        parsed = (payload["problem"].coefficients if key == "coefficients"
-                  else payload["target"])
+        # the run's bound arguments: (problem, tol) or (p_s, target, tol)
+        args = cli.validate_config(copy.deepcopy(doc)).args
+        parsed = (args[0].coefficients if key == "coefficients"
+                  else args[1])
         reference = PARSERS[key][1](doc[key])
         assert len(parse_calls) == calls
         assert parsed.tobytes() == reference.tobytes()

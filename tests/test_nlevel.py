@@ -376,15 +376,15 @@ class TestExpansionCoefficients:
                     assert abs(c[a, j, m]
                                - np.vdot(w_ref[:, a], u[:, j])) <= 1e-12
 
-    def test_two_eigendecompositions_per_coefficient_set(self, eig_calls):
-        # the reference basis, and one stack for every probe energy
+    def test_one_eigendecomposition_per_coefficient_set(self, eig_calls):
+        # one propagator stack, with the reference time folded into it
         rng = np.random.default_rng(34)
         for n in (2, 4, 6):
             eig_calls.clear()
             c = nlevel.expansion_coefficients(rand_hermitian(rng, n),
                                               rng.normal(size=n), 0.9, 2.1)
             assert c.shape == (n, n, n)
-            assert len(eig_calls) == 2
+            assert len(eig_calls) == 1
 
 
 class TestProjectSimplex:
