@@ -207,9 +207,11 @@ class ReachabilityProblem:
 
 
 def _gram_tensor(prob: ReachabilityProblem) -> np.ndarray:
-    """G[beta, gamma, m] = sum_j p_j c[beta,j,m] c[gamma,j,m]^*."""
-    c = prob.coefficients
-    return np.einsum("j,bjm,gjm->bgm", prob.initial_weights, c, c.conj())
+    """G[beta, gamma, m] = sum_j p_j c[beta,j,m] c[gamma,j,m]^*, as one
+    batched product C_m diag(p) C_m^dag over the probe levels m."""
+    c = prob.coefficients.transpose(2, 0, 1)
+    p = prob.initial_weights
+    return ((c * p) @ c.conj().transpose(0, 2, 1)).transpose(1, 2, 0)
 
 
 def reachability_residual(prob: ReachabilityProblem, w):
@@ -241,15 +243,15 @@ def project_simplex(v) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def _stacked_system(prob: ReachabilityProblem):
-    """Real least-squares form M w = b of the full residual system."""
+def _defect_matrix(prob: ReachabilityProblem) -> np.ndarray:
+    """Defect matrix A, whose column m is the defect vector at w = e_m: rows
+    diag(G_m) - q, then re and im of each beta < gamma entry in row order."""
     g = _gram_tensor(prob)
     n = prob.dim
-    # Diagonal rows, then re and im of each beta < gamma entry in row order.
     upper = g[np.triu_indices(n, k=1)]
-    m = np.concatenate([np.real(np.diagonal(g)).T,
-                        np.hstack([upper.real, upper.imag]).reshape(-1, n)])
-    return m, np.concatenate([prob.target_weights, np.zeros(len(m) - n)])
+    return np.concatenate(
+        [np.real(np.diagonal(g)).T - prob.target_weights[:, None],
+         np.hstack([upper.real, upper.imag]).reshape(-1, n)])
 
 
 def _min_norm_point(a: np.ndarray) -> np.ndarray:
@@ -293,14 +295,13 @@ def _min_norm_point(a: np.ndarray) -> np.ndarray:
 def solve_probe_spectrum(prob: ReachabilityProblem):
     """Probe spectrum minimizing the reachability defects over the simplex.
 
-    On the simplex 1^T w = 1, so the stacked defect M w - b equals
-    (M - b 1^T) w: w holds the barycentric weights of the least-norm point
-    in the convex hull of the columns of A = M - b 1^T.  Wolfe's
-    minimum-norm-point algorithm (P. Wolfe, "Finding the nearest point in
-    a polytope", Math. Programming 11, 1976) finds it exactly in finitely
-    many steps, here on R from A = QR (same Gram matrix, n x n).  Returns
-    (w, residual), residual the 2-norm of the stacked defect vector.
+    On the simplex the defect vector at w is A w, A = ``_defect_matrix``,
+    so w holds the barycentric weights of the least-norm point in the
+    convex hull of A's columns.  Wolfe's minimum-norm-point algorithm (P.
+    Wolfe, "Finding the nearest point in a polytope", Math. Programming 11,
+    1976) finds it exactly in finitely many steps, here on R from A = QR
+    (same Gram matrix, n x n).  Returns (w, |A w|).
     """
-    m, b = _stacked_system(prob)
-    w = _min_norm_point(np.linalg.qr(m - b[:, None], mode="r"))
-    return w, float(np.linalg.norm(m @ w - b))
+    a = _defect_matrix(prob)
+    w = _min_norm_point(np.linalg.qr(a, mode="r"))
+    return w, float(np.linalg.norm(a @ w))

@@ -89,28 +89,22 @@ def partial_trace_probe(rho, dim_s: int, dim_p: int) -> np.ndarray:
 
 
 def eig_hermitian(a):
-    """Eigendecomposition of a Hermitian matrix.
+    """The package's one eigendecomposition, of a Hermitian matrix.
 
-    Returns ``(values, vectors)`` with values ascending and orthonormal
-    eigenvector columns.  Each eigenvector's phase is fixed by making its
-    largest-magnitude component real and positive, so downstream phase
-    extractions are deterministic.
+    ``(values, vectors)`` as ``np.linalg.eigh`` returns them: values
+    ascending, orthonormal columns with the eigensolver's phases.
     """
-    values, vectors = np.linalg.eigh(require_hermitian(a))
-    # A unit vector's largest-magnitude component is never zero.
-    i = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
-    top = np.take_along_axis(vectors, i, axis=-2)
-    return values, vectors * (np.abs(top) / top)
+    return np.linalg.eigh(require_hermitian(a))
 
 
 def expm_i_hermitian(h, t) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, via one eigendecomposition.
+    """exp(-i h t) for Hermitian h, via one ``eig_hermitian`` call.
 
     An array of times gives a stack (..., n, n) with one propagator per
     time.  Unitary up to the eigensolver tolerance; at t = 0 it returns
     V V^dag, the identity to roundoff, whatever phases V's columns carry.
     """
-    values, vectors = np.linalg.eigh(require_hermitian(h))
+    values, vectors = eig_hermitian(h)
     phases = np.exp(np.multiply.outer(t, -1j * values))
     return (vectors * phases[..., None, :]) @ dag(vectors)
 

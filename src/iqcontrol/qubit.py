@@ -31,6 +31,7 @@ from . import opkit
 from .errors import (
     DegenerateConditionError,
     DegenerateProbeError,
+    DimensionError,
     DomainError,
     InfeasibleError,
     StateError,
@@ -360,6 +361,8 @@ def bloch_vector(rho) -> np.ndarray:
     distance between two states is |r_a - r_b|/2.
     """
     rho = np.asarray(rho)
+    if rho.shape[-2:] != (2, 2):
+        raise DimensionError(f"expected a 2x2 state, got shape {rho.shape}")
     r00, r01, r10, r11 = (rho[..., i, j] for i in (0, 1) for j in (0, 1))
     return np.stack([np.real(r01 + r10), np.imag(r10 - r01),
                      np.real(r00 - r11)], axis=-1)

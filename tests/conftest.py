@@ -86,7 +86,7 @@ def count_calls(monkeypatch):
 @pytest.fixture
 def eig_calls(count_calls):
     """One entry per ``np.linalg.eigh`` call: every eigendecomposition,
-    whether it goes through ``opkit.eig_hermitian`` or not."""
+    the ones made outside ``opkit.eig_hermitian`` included."""
     return count_calls(np.linalg, "eigh")
 
 

@@ -36,7 +36,9 @@ def test_wrapped_names_resolve(tracing):
 @pytest.mark.parametrize("config, spans", [
     ("reach_example.json", {"nlevel.solve_probe_spectrum": 1}),
     ("solve_example.json", {"qubit.solve_controls_numeric": 1,
-                            "verify.check_solution": 1}),
+                            "verify.check_solution": 1,
+                            "opkit.expm_i_hermitian": 1,
+                            "opkit.eig_hermitian": 1}),
     ("thermal_example.json", {"thermal.required_gap": 1}),
 ])
 def test_cli_run_passes_through_wrapped_names(config, spans, tracing,

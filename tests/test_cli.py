@@ -174,6 +174,25 @@ class TestRunSimulate:
                          "--quiet"]) == 0
         assert unitary_calls == []
 
+    def test_unphysical_state_exit_one(self, tmp_path, monkeypatch, capsys):
+        # a Bloch vector of radius 1 + 1e-9 has eigenvalue -5e-10 < PSD_FLOOR
+        closed_form = qubit.closed_form_reduced_state
+
+        def overshoot(*args):
+            r, rho, ang = closed_form(*args)
+            radius = np.linalg.norm(r, axis=-1, keepdims=True)
+            return r * ((1.0 + 1e-9) / radius), rho, ang
+
+        monkeypatch.setattr(qubit, "closed_form_reduced_state", overshoot)
+        path = write_config(tmp_path, "sim.json", simulate_config())
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: density matrix has eigenvalue "
+                                "-5.000e-10 < -1e-10\n")
+        assert not out.exists()
+
     def test_deterministic_reruns(self, tmp_path):
         path = write_config(tmp_path, "sim.json", simulate_config())
         out_a, out_b = tmp_path / "a", tmp_path / "b"

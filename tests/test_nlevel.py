@@ -45,6 +45,25 @@ def enumerated_supports_residual(m, b):
     return best
 
 
+def einsum_gram(prob):
+    """Reference Gram tensor G[beta, gamma, m], as one einsum."""
+    c = prob.coefficients
+    return np.einsum("j,bjm,gjm->bgm", prob.initial_weights, c, c.conj())
+
+
+def stacked_reference(prob):
+    """Reference form (M, b) of the defect system, from the einsum Gram tensor.
+
+    Rows of M: diag(G_m), then re and im of each beta < gamma entry in row
+    order; b holds the target weights, then zeros.
+    """
+    g, n = einsum_gram(prob), prob.dim
+    upper = g[np.triu_indices(n, k=1)]
+    m = np.concatenate([np.real(np.diagonal(g)).T,
+                        np.hstack([upper.real, upper.imag]).reshape(-1, n)])
+    return m, np.concatenate([prob.target_weights, np.zeros(len(m) - n)])
+
+
 def incompatible_instance(rng, n):
     """One unitary for every probe level and a target purer than p."""
     p = np.sort(rng.dirichlet(np.ones(n)))[::-1]
@@ -430,9 +449,27 @@ class TestReachability:
         assert diag.shape == (n,)
         np.testing.assert_array_equal(off, comprehension_offdiag(value))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 32])
+    def test_gram_tensor_matches_einsum(self, n):
+        rng = np.random.default_rng(760 + n)
+        prob = random_target_instance(rng, n)
+        g = nlevel._gram_tensor(prob)
+        assert g.shape == (n, n, n)
+        assert np.max(np.abs(g - einsum_gram(prob))) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 32])
+    def test_defect_matrix_matches_stacked_system(self, n):
+        # A = M - b 1^T, row for row
+        rng = np.random.default_rng(770 + n)
+        prob = random_target_instance(rng, n)
+        m, b = stacked_reference(prob)
+        a = nlevel._defect_matrix(prob)
+        assert a.shape == (n * n, n)
+        assert np.max(np.abs(a - (m - b[:, None]))) <= 1e-15
+
     def test_solver_recovers_feasible_point(self):
         rng = np.random.default_rng(37)
-        for n in (2, 3, 12, 16, 32):
+        for n in (2, 3, 12, 16, 32, 64):
             for _ in range(5 if n < 12 else 2):
                 prob, _ = forward_reachability_instance(rng, n)
                 w, res = nlevel.solve_probe_spectrum(prob)
@@ -532,8 +569,7 @@ class TestMinNormSolver:
         for prob in probs:
             w, res = nlevel.solve_probe_spectrum(prob)
             assert_simplex(w, n)
-            reference = enumerated_supports_residual(
-                *nlevel._stacked_system(prob))
+            reference = enumerated_supports_residual(*stacked_reference(prob))
             assert res <= reference + 1e-12
 
     def test_min_norm_point_of_point_clouds(self):

@@ -131,7 +131,6 @@ class TestEigHermitian:
         values, vectors = opkit.eig_hermitian(SX)
         np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-14)
         s = 1.0 / np.sqrt(2.0)
-        # phase fixed: largest-magnitude component real positive
         np.testing.assert_allclose(np.abs(vectors[:, 0]), [s, s], atol=1e-12)
         np.testing.assert_allclose(np.abs(vectors[:, 1]), [s, s], atol=1e-12)
 
@@ -145,14 +144,6 @@ class TestEigHermitian:
         np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(dim),
                                    atol=1e-10)
         assert np.all(np.diff(values) >= -1e-12)
-
-    def test_phase_convention(self):
-        rng = np.random.default_rng(11)
-        _, vectors = opkit.eig_hermitian(rand_hermitian(rng, 5))
-        for k in range(5):
-            col = vectors[:, k]
-            lead = col[np.argmax(np.abs(col))]
-            assert abs(lead.imag) <= 1e-12 and lead.real > 0
 
     def test_non_hermitian_raises(self):
         with pytest.raises(HermiticityError):

@@ -6,6 +6,7 @@ from iqcontrol import opkit, qubit, verify
 from iqcontrol.errors import (
     DegenerateConditionError,
     DegenerateProbeError,
+    DimensionError,
     DomainError,
     InfeasibleError,
     StateError,
@@ -220,6 +221,22 @@ class TestBlochVector:
         np.testing.assert_array_equal(
             qubit.bloch_vector(np.outer(qubit.KET_EXCITED, qubit.KET_EXCITED)),
             [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("rho", [
+        np.eye(1), np.diag([0.5, 0.3, 0.2]), np.full((4, 3, 3), np.eye(3) / 3.0),
+        np.array([0.5, 0.5]), np.full((3, 2), 0.5)],
+        ids=["1x1", "3x3", "stack_3x3", "vector", "3x2"])
+    def test_non_2x2_raises(self, rho):
+        with pytest.raises(DimensionError, match="expected a 2x2 state"):
+            qubit.bloch_vector(rho)
+
+    @pytest.mark.parametrize("target", [np.eye(1), np.diag([0.5, 0.3, 0.2]),
+                                        np.full((4, 3, 3), np.eye(3) / 3.0)],
+                             ids=["1x1", "3x3", "stack_3x3"])
+    def test_solver_rejects_non_2x2_target(self, target):
+        # a 3-level target used to be read through its top-left 2x2 block
+        with pytest.raises(DimensionError):
+            qubit.solve_controls_numeric(0.1, target)
 
 
 class TestOverlapAngles:

@@ -2,7 +2,8 @@
 
 Deletions tend to leave an import or a private helper behind; two checks
 find both without a linter.  A third keeps the brute-force oracle
-independent of the code it checks.
+independent of the code it checks.  Two more keep the error contract: the
+package raises only its own error types, and only the CLI prints.
 """
 
 import ast
@@ -58,6 +59,17 @@ def package_imports(tree):
             for p in paths if p[0] == "iqcontrol"}
 
 
+def raised_names(tree):
+    """Class names of the raise statements, None for a bare re-raise."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.append(None if exc is None else
+                         getattr(exc, "id", None) or getattr(exc, "attr", None))
+    return names
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "nlevel.py"}
 
@@ -84,3 +96,22 @@ def test_oracle_imports_no_decomposition_code():
     # may use the kernel primitives and the error types, nothing else
     mods = package_imports(parse(SRC / "verify.py"))
     assert mods and mods <= {"opkit", "errors"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_raises_only_package_errors(path):
+    # the CLI turns exactly these into one "error:" line and exit 1
+    allowed = {node.name for node in parse(SRC / "errors.py").body
+               if isinstance(node, ast.ClassDef)}
+    if path.name == "cli.py":
+        allowed.add("ConfigError")
+    allowed.add(None)
+    assert [n for n in raised_names(parse(path)) if n not in allowed] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_cli_prints(path):
+    prints = [node.lineno for node in ast.walk(parse(path))
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "print"]
+    assert prints == [] or path.name == "cli.py"
