@@ -1,12 +1,12 @@
 """Indirect control of an N-level system through an N-level probe.
 
 For a product interaction h_s (x) h_p the composite propagator factorizes
-over the probe eigenbasis into conditional unitaries
-U_M = exp(-i E_M h_s t), held as one (N, n, n) stack from decomposition
-to channel.  Weighting them by the probe's eigenbasis diagonal gives a
-completely positive trace-preserving (Kraus) channel on the system.  The
-reachability machinery expresses a diagonal target in a reference evolved
-basis and solves for the probe spectrum on the probability simplex.
+over the probe eigenbasis into conditional unitaries U_M = exp(-i E_M h_s t)
+= V exp(-i E_M t Lambda) V^dag, held as h_s's eigenvectors V and one phase
+row per probe level.  Weighted by the probe's eigenbasis diagonal they form
+a Kraus channel that only dephases h_s's eigenbasis.  The reachability
+machinery expresses a diagonal target in a reference evolved basis and
+solves for the probe spectrum on the probability simplex.
 """
 
 from __future__ import annotations
@@ -59,55 +59,51 @@ def _is_distribution(w: np.ndarray, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class ConditionalDecomposition:
-    """Conditional unitaries U_M = exp(-i E_M h_s t) as one (N, n, n) stack."""
+    """Conditional unitaries U_M = exp(-i E_M h_s t) = V diag(phases[M]) V^dag,
+    held as h_s's eigenvectors V and the (N, n) phases exp(-i E_M t lambda)."""
 
-    unitaries: np.ndarray
+    vectors: np.ndarray
+    phases: np.ndarray
     probe_vectors: np.ndarray
+
+    @property
+    def unitaries(self) -> np.ndarray:
+        """The (N, n, n) stack, in ``opkit.expm_i_hermitian``'s expressions."""
+        v = self.vectors
+        return (v * self.phases[:, None, :]) @ opkit.dag(v)
 
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Weighted conditional unitaries forming a CPTP map, stored as one
-    (N, n, n) complex stack (a list of N n x n matrices is accepted)."""
+    """The CPTP map sum_M w_M U_M rho U_M^dag, one weight per probe level."""
 
     weights: np.ndarray
-    unitaries: np.ndarray
+    decomposition: ConditionalDecomposition
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         if not _is_distribution(w, 1e-12):
             raise ProbabilityError(f"channel weights {w} are not a distribution")
+        n = self.decomposition.phases.shape[0]
+        if w.shape != (n,):
+            raise DimensionError(f"{w.size} channel weights for {n} probe levels")
         object.__setattr__(self, "weights", np.clip(w, 0.0, None))
-        u = self.unitaries  # a ragged list cannot be stacked: compare shapes
-        if not isinstance(u, np.ndarray) and len(set(map(np.shape, u))) > 1:
-            raise DimensionError("channel unitaries have mixed dimensions")
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (w.size,) + u.shape[-1:] * 2 or w.ndim != 1 or u.size == 0:
-            raise DimensionError(f"channel unitaries of shape {u.shape} "
-                                 f"are not a ({w.size}, n, n) stack")
-        defect = np.max(np.abs(opkit.dag(u) @ u - np.eye(u.shape[1])))
-        if not defect <= 1e-10:
-            raise ProbabilityError(
-                f"channel operator not unitary (defect {defect:.3e})")
-        object.__setattr__(self, "unitaries", u)
 
     @property
     def dim(self) -> int:
-        return self.unitaries.shape[1]
+        return self.decomposition.vectors.shape[0]
 
     def kraus_operators(self) -> np.ndarray:
-        return np.sqrt(self.weights)[:, None, None] * self.unitaries
+        return np.sqrt(self.weights)[:, None, None] * self.decomposition.unitaries
 
 
 def conditional_decomposition(h: ProductHamiltonian, t: float
                               ) -> ConditionalDecomposition:
-    """Split exp(-i (h_s (x) h_p) t) over the probe eigenbasis.
-
-    One eigendecomposition of h_s serves every probe energy.
-    """
-    return ConditionalDecomposition(
-        unitaries=opkit.expm_i_hermitian(h.h_s, h.probe_values * t),
-        probe_vectors=h.probe_vectors.copy())
+    """Split exp(-i (h_s (x) h_p) t) over the probe eigenbasis, with one
+    eigendecomposition of h_s for every probe energy."""
+    values, vectors = opkit.eig_hermitian(h.h_s)
+    phases = np.exp(np.multiply.outer(h.probe_values * t, -1j * values))
+    return ConditionalDecomposition(vectors, phases, h.probe_vectors.copy())
 
 
 def kraus_from_probe(decomp: ConditionalDecomposition, probe_state
@@ -123,16 +119,19 @@ def kraus_from_probe(decomp: ConditionalDecomposition, probe_state
         raise DimensionError(
             f"probe state dim {rho_p.shape[0]} != decomposition dim {v.shape[0]}")
     weights = np.real(np.einsum("iM,ij,jM->M", v.conj(), rho_p, v))
-    return KrausChannel(weights=weights, unitaries=decomp.unitaries)
+    return KrausChannel(weights=weights, decomposition=decomp)
 
 
 def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
-    """Sum_M K_M rho K_M^dag, one batched product over the stack."""
+    """Sum_M w_M U_M rho U_M^dag as V (Phi o V^dag rho V) V^dag, where for
+    the phases P, Phi = P^T diag(w) P^*: Phi_ab = sum_M w_M exp(-i E_M t
+    (lambda_a - lambda_b)), a dephasing of h_s's eigenbasis."""
     rho = opkit.as_matrix(rho)
     if rho.shape[0] != ch.dim:
         raise DimensionError(f"state dim {rho.shape[0]} != channel dim {ch.dim}")
-    k = ch.kraus_operators()
-    return np.sum(k @ rho @ opkit.dag(k), axis=0)
+    v, phases = ch.decomposition.vectors, ch.decomposition.phases
+    phi = phases.T @ (ch.weights[:, None] * phases.conj())
+    return v @ (phi * (opkit.dag(v) @ rho @ v)) @ opkit.dag(v)
 
 
 def pure_state_transporter(src, dst) -> np.ndarray:

@@ -1,7 +1,12 @@
 """Shared random-matrix helpers and fixtures for the test suite."""
 
+import signal
+
 import numpy as np
 import pytest
+
+# Above acceptance criterion 5's 60 s budget, so only a runaway test trips it.
+TEST_TIME_LIMIT_S = 120
 
 
 def rand_hermitian(rng, n, scale=1.0):
@@ -63,6 +68,21 @@ def forward_reachability_instance(rng, n):
     prob = ReachabilityProblem(initial_weights=p, target_weights=q,
                                coefficients=c)
     return prob, w_star
+
+
+@pytest.fixture(autouse=True)
+def wall_clock_limit():
+    """Fail any test that runs longer than TEST_TIME_LIMIT_S, so a loop that
+    never ends fails its test instead of hanging the suite."""
+    def expire(signum, frame):
+        pytest.fail(f"test ran longer than {TEST_TIME_LIMIT_S} s",
+                    pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -101,13 +101,21 @@ def factorized_propagator(h, t):
     return total
 
 
+def random_decomposition(rng, n):
+    h = nlevel.ProductHamiltonian(h_s=rand_hermitian(rng, n),
+                                  h_p=rand_hermitian(rng, n))
+    return nlevel.conditional_decomposition(h, 1.0)
+
+
 def loop_kraus_operators(ch):
     """Per-operator reference for the stacked Kraus operators."""
-    return [np.sqrt(w) * u for w, u in zip(ch.weights, ch.unitaries)]
+    return [np.sqrt(w) * u
+            for w, u in zip(ch.weights, ch.decomposition.unitaries)]
 
 
 def loop_apply_channel(ch, rho):
-    """Per-operator reference for the batched channel."""
+    """Per-operator Kraus sum, the reference for the Schur-multiplier
+    channel."""
     out = np.zeros_like(rho)
     for k in loop_kraus_operators(ch):
         out += k @ rho @ opkit.dag(k)
@@ -165,8 +173,8 @@ class TestConditionalDecomposition:
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_one_eigendecomposition_per_decomposition(self, n, eig_calls):
-        # all N conditional unitaries come from one stacked expm, and agree
-        # with one expm per probe energy
+        # all N conditional unitaries come from one eigendecomposition of
+        # h_s, and have the bytes of one expm per probe energy
         rng = np.random.default_rng(23 + n)
         h = nlevel.ProductHamiltonian(h_s=rand_hermitian(rng, n),
                                       h_p=rand_hermitian(rng, n))
@@ -176,9 +184,8 @@ class TestConditionalDecomposition:
         assert len(eig_calls) == 1
         assert len(decomp.unitaries) == n
         for e, u in zip(h.probe_values, decomp.unitaries):
-            np.testing.assert_allclose(
-                u, opkit.expm_i_hermitian(h.h_s, float(e) * t),
-                rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(
+                u, opkit.expm_i_hermitian(h.h_s, float(e) * t))
 
 
     @pytest.mark.parametrize("n", [1, 2, 5])
@@ -263,18 +270,12 @@ class TestKrausChannel:
             nlevel.apply_channel(ch, rand_density(rng, 2))
 
     def test_bad_weights_raise(self):
+        decomp = random_decomposition(np.random.default_rng(29), 2)
         with pytest.raises(ProbabilityError):
             nlevel.KrausChannel(weights=np.array([0.7, 0.7]),
-                                unitaries=[np.eye(2, dtype=complex)] * 2)
+                                decomposition=decomp)
 
-    def test_non_unitary_raises(self):
-        with pytest.raises(ProbabilityError):
-            nlevel.KrausChannel(weights=np.array([0.5, 0.5]),
-                                unitaries=[np.eye(2, dtype=complex),
-                                           2.0 * np.eye(2, dtype=complex)])
-
-
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", [*range(1, 9), 16, 32, 64])
     def test_stack_matches_loop_reference(self, n):
         rng = np.random.default_rng(700 + n)
         for _ in range(5):
@@ -289,41 +290,52 @@ class TestKrausChannel:
             assert np.max(np.abs(nlevel.apply_channel(ch, rho)
                                  - loop_apply_channel(ch, rho))) <= 1e-14
 
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_list_input_stored_as_stack(self, n):
-        rng = np.random.default_rng(710 + n)
-        us = [rand_unitary(rng, n) for _ in range(4)]
-        ch = nlevel.KrausChannel(weights=np.full(4, 0.25), unitaries=us)
-        assert isinstance(ch.unitaries, np.ndarray)
-        assert ch.unitaries.shape == (4, n, n)
-        assert ch.unitaries.dtype == complex
-        assert ch.dim == n
-        np.testing.assert_array_equal(ch.unitaries, np.stack(us))
+    @pytest.mark.parametrize("n", [2, 3, 8, 32, 64])
+    def test_eigenbasis_populations_invariant(self, n):
+        # the channel only dephases h_s's eigenbasis
+        rng = np.random.default_rng(720 + n)
+        h = nlevel.ProductHamiltonian(h_s=rand_hermitian(rng, n),
+                                      h_p=rand_hermitian(rng, n))
+        decomp = nlevel.conditional_decomposition(h, rng.uniform(0.0, 5.0))
+        ch = nlevel.kraus_from_probe(decomp, rand_density(rng, n))
+        rho = rand_density(rng, n)
+        v = opkit.eig_hermitian(h.h_s)[1]
+        out = nlevel.apply_channel(ch, rho)
+        assert np.max(np.abs(np.diagonal(opkit.dag(v) @ out @ v)
+                             - np.diagonal(opkit.dag(v) @ rho @ v))) <= 1e-14
 
-    @pytest.mark.parametrize("weights,unitaries,match", [
-        ([0.5, 0.5], [np.eye(2)], r"shape \(1, 2, 2\) are not a \(2, n, n\)"),
-        ([1.0], [np.eye(2)] * 2, r"shape \(2, 2, 2\) are not a \(1, n, n\)"),
-        ([1.0], [], r"shape \(0,\) are not a \(1, n, n\)"),
-        ([0.5, 0.5], [np.eye(2), np.eye(3)], "^channel unitaries have mixed"),
-        ([1.0], np.ones((1, 2, 3)), r"shape \(1, 2, 3\) are not"),
-        ([1.0], np.eye(2), r"shape \(2, 2\) are not"),
-    ], ids=["too_few", "too_many", "empty", "mixed", "non_square", "not_3d"])
-    def test_stack_shape_errors(self, weights, unitaries, match):
+    def test_channel_cost_by_counts(self, count_calls):
+        # one eigendecomposition, of h_s; no propagator stack and no Kraus
+        # operators between the decomposition and the channel's output
+        rng = np.random.default_rng(730)
+        h = nlevel.ProductHamiltonian(h_s=rand_hermitian(rng, 4),
+                                      h_p=rand_hermitian(rng, 4))
+        rho_p, rho_s = rand_density(rng, 4), rand_density(rng, 4)
+        eigh = count_calls(np.linalg, "eigh")
+        expms = count_calls(opkit, "expm_i_hermitian")
+        krauses = count_calls(nlevel.KrausChannel, "kraus_operators")
+        decomp = nlevel.conditional_decomposition(h, 0.9)
+        nlevel.apply_channel(nlevel.kraus_from_probe(decomp, rho_p), rho_s)
+        assert [np.shape(a) for a, *_ in eigh] == [(4, 4)]
+        assert expms == [] and krauses == []
+
+    @pytest.mark.parametrize("weights,levels,match", [
+        ([0.5, 0.5], 1, "^2 channel weights for 1 probe levels$"),
+        ([1.0], 2, "^1 channel weights for 2 probe levels$"),
+    ], ids=["too_few", "too_many"])
+    def test_stack_shape_errors(self, weights, levels, match):
+        decomp = random_decomposition(np.random.default_rng(31), levels)
         with pytest.raises(DimensionError, match=match):
-            nlevel.KrausChannel(weights=np.array(weights), unitaries=unitaries)
+            nlevel.KrausChannel(weights=np.array(weights),
+                                decomposition=decomp)
 
     @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan, 1.0],
                                          [np.inf, -np.inf]])
     def test_nan_weights_raise(self, weights):
+        decomp = random_decomposition(np.random.default_rng(32), 2)
         with pytest.raises(ProbabilityError, match="are not a distribution"):
             nlevel.KrausChannel(weights=np.array(weights),
-                                unitaries=[np.eye(2, dtype=complex)] * 2)
-
-    def test_nan_unitary_raises(self):
-        bad = np.full((2, 2), np.nan, dtype=complex)
-        with pytest.raises(ProbabilityError, match="defect nan"):
-            nlevel.KrausChannel(weights=np.array([0.5, 0.5]),
-                                unitaries=[np.eye(2, dtype=complex), bad])
+                                decomposition=decomp)
 
 
 class TestPureStateTransporter:
