@@ -10,10 +10,11 @@ U_+/U_- acting on the system alone, which yields a closed-form reduced
 state parametrized by the probe mixing angle theta, the overlap angles
 (alpha, beta) of the conditionally evolved states, and the probe ground
 occupancy p_p.  The kernels know U_+ = cos(a) I - i sin(a) n_hat.sigma only
-as (a, n_hat): U_+^2 gives the overlaps, and U_+ rotates Bloch vectors by
-2a about n_hat, so the reduced state is a Bloch vector, built without 2x2
-matrices.  The closed-form functions work element by element on arrays; a
-scalar input still gives a scalar result.
+as (a, n_hat): U_+^2 gives the overlaps, and U_+ and U_- = U_+^dag rotate
+Bloch vectors by +2a and -2a about n_hat, so every reduced state is a Bloch
+vector, a probe-weighted pair of rotations built without 2x2 matrices.  The
+closed-form functions work element by element on arrays; a scalar input
+still gives a scalar result.
 
 Basis convention: states are written in the {|1>, |0>} order with
 sz|1> = +|1>, |0> the ground state, and s+ = |1><0|.  A diagonal system
@@ -40,11 +41,8 @@ from .errors import (
 # Pauli matrices in the {|1>, |0>} ordering.
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-KET_EXCITED = np.array([1.0, 0.0], dtype=complex)   # |1>
-KET_GROUND = np.array([0.0, 1.0], dtype=complex)    # |0>
 
 
 @dataclass(frozen=True)
@@ -169,14 +167,6 @@ def probe_mixing_angle(g: QubitCouplings) -> float:
     return float(np.arctan2(g.g3, g.g4))
 
 
-def probe_pm_vectors(theta: float):
-    """The |+> and |-> eigenvectors of the probe factor, for eigenvalues +r, -r."""
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    plus = np.array([c, s], dtype=complex)
-    minus = np.array([s, -c], dtype=complex)
-    return plus, minus
-
-
 def _axis_angle(g: QubitCouplings, t):
     """U_+ = exp(-i r h_s t) = cos(a) I - i sin(a) n_hat.sigma as (a, n_hat);
     h_s = n.sigma, n = (Re g2, -Im g2, g1), a = r|n|t, n_hat = n/|n| or 0."""
@@ -258,19 +248,24 @@ def closed_form_reduced_state(g: QubitCouplings, t, p_s: float, p_p: float):
     entries and ang are those of ``reduced_state_closed_form``.  Diagonal
     initial states only (weight p_s on |0><0|).
     """
-    a, (nx, ny, nz) = _axis_angle(g, t)
+    a, n_hat = _axis_angle(g, t)
     c, s = np.cos(2.0 * a), np.sin(2.0 * a)
-    ang = _square_overlaps(c, s, nx, ny, nz)
+    ang = _square_overlaps(c, s, *n_hat)
     entries = reduced_state_closed_form(p_s, probe_mixing_angle(g), p_p, ang)
     rho00, rho11, rho10 = entries
-    # The Bloch vector v in the basis (U_+|1>, U_+|0>), rotated by 2a about
-    # n_hat (Rodrigues): r = c v + s (n_hat x v) + (1 - c)(n_hat . v) n_hat.
-    vx, vy, vz = 2.0 * np.real(rho10), -2.0 * np.imag(rho10), rho11 - rho00
+    # The Bloch vector in the basis (U_+|1>, U_+|0>), rotated by 2a.
+    v = (2.0 * np.real(rho10), -2.0 * np.imag(rho10), rho11 - rho00)
+    return _rotate(v, c, s, n_hat), entries, ang
+
+
+def _rotate(v, c, s, n_hat):
+    """Rodrigues' formula c v + s (n_hat x v) + (1 - c)(n_hat . v) n_hat,
+    stacked on the last axis; a rotation about n_hat when c^2 + s^2 = 1."""
+    (vx, vy, vz), (nx, ny, nz) = v, n_hat
     dot = (1.0 - c) * (nx * vx + ny * vy + nz * vz)
-    r = np.stack([c * vx + s * (ny * vz - nz * vy) + dot * nx,
-                  c * vy + s * (nz * vx - nx * vz) + dot * ny,
-                  c * vz + s * (nx * vy - ny * vx) + dot * nz], axis=-1)
-    return r, entries, ang
+    return np.stack([c * vx + s * (ny * vz - nz * vy) + dot * nx,
+                     c * vy + s * (nz * vx - nx * vz) + dot * ny,
+                     c * vz + s * (nx * vy - ny * vx) + dot * nz], axis=-1)
 
 
 def conditional_reduced_state(g: QubitCouplings, t: float,
@@ -278,19 +273,20 @@ def conditional_reduced_state(g: QubitCouplings, t: float,
                               rho_p0: np.ndarray) -> np.ndarray:
     """General conditional-evolution form of the reduced state.
 
-    Works for arbitrary system states and arbitrary probe states
-    (coherences included): only the +/- basis diagonal of the probe
-    enters, the cross terms cancel under the partial trace.
+    Any system and probe states (coherences included): the probe enters
+    only through its +/- basis weights, whose cross terms cancel under
+    the partial trace.  The system's Bloch vector r0 goes to
+    w_+ R(2a) r0 + w_- R(-2a) r0, one rotation whose sine is scaled by
+    w_+ - w_- = (g3 r_p,x + g4 r_p,z)/|(g3, g4)| for the probe's Bloch
+    vector r_p; it becomes a 2x2 matrix only on return.
     """
-    rho_s0 = opkit.as_matrix(rho_s0)
-    rho_p0 = opkit.as_matrix(rho_p0)
-    theta = probe_mixing_angle(g)
-    plus, minus = probe_pm_vectors(theta)
-    w_plus = float(np.real(np.vdot(plus, rho_p0 @ plus)))
-    w_minus = float(np.real(np.vdot(minus, rho_p0 @ minus)))
-    u_plus, u_minus = conditional_unitaries(g, t)
-    return (w_plus * u_plus @ rho_s0 @ opkit.dag(u_plus)
-            + w_minus * u_minus @ rho_s0 @ opkit.dag(u_minus))
+    r0 = bloch_vector(opkit.validate_density_matrix(rho_s0))
+    rp = bloch_vector(opkit.validate_density_matrix(rho_p0))
+    imbalance = (g.g3 * rp[0] + g.g4 * rp[2]) / np.hypot(g.g3, g.g4)
+    a, n_hat = _axis_angle(g, t)
+    x, y, z = _rotate(r0, np.cos(2.0 * a), imbalance * np.sin(2.0 * a), n_hat)
+    return 0.5 * np.array([[1.0 + z, complex(x, -y)],
+                           [complex(x, y), 1.0 - z]])
 
 
 def spectral_form(rho00: float, rho11: float, rho01: complex) -> SpectralForm:
@@ -300,6 +296,8 @@ def spectral_form(rho00: float, rho11: float, rho01: complex) -> SpectralForm:
     cos(mixing) = (rho00-rho11)/sqrt(...), gamma = Arg(rho01).  For the
     maximally mixed case the standard basis is returned.
     """
+    if not np.isfinite([rho00, rho11, rho01]).all():
+        raise StateError("state entries contain NaN or Inf")
     if abs(rho00 + rho11 - 1.0) > 1e-10:
         raise StateError(f"rho00 + rho11 = {rho00 + rho11} != 1")
     d = rho00 - rho11

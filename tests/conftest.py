@@ -8,6 +8,10 @@ import pytest
 # Above acceptance criterion 5's 60 s budget, so only a runaway test trips it.
 TEST_TIME_LIMIT_S = 120
 
+# Basis kets of a qubit in the package's {|1>, |0>} ordering.
+KET_EXCITED = np.array([1.0, 0.0], dtype=complex)   # |1>
+KET_GROUND = np.array([0.0, 1.0], dtype=complex)    # |0>
+
 
 def rand_hermitian(rng, n, scale=1.0):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import forward_reachability_instance
+from conftest import KET_EXCITED, KET_GROUND, forward_reachability_instance
 from iqcontrol import cli, opkit, qubit, verify
 from iqcontrol.errors import IQControlError
 
@@ -139,8 +139,8 @@ class TestRunSimulate:
                 t, rho00, rho11 = vals[0], vals[1], vals[2]
                 rho10 = complex(vals[3], vals[4])
                 u_plus, _ = qubit.conditional_unitaries(g, t)
-                psi0 = u_plus @ qubit.KET_GROUND
-                psi1 = u_plus @ qubit.KET_EXCITED
+                psi0 = u_plus @ KET_GROUND
+                psi1 = u_plus @ KET_EXCITED
                 rebuilt = (rho00 * np.outer(psi0, psi0.conj())
                            + rho11 * np.outer(psi1, psi1.conj())
                            + rho10 * np.outer(psi1, psi0.conj())

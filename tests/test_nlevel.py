@@ -509,6 +509,14 @@ class TestReachability:
                                        target_weights=np.array([0.5, 0.5]),
                                        coefficients=c)
 
+    def test_distribution_tolerance_edge(self):
+        # the weights may miss a unit sum by 1e-10
+        c = np.stack([np.eye(2, dtype=complex)] * 2, axis=2)
+        q = np.array([0.5, 0.5])
+        nlevel.ReachabilityProblem(np.array([0.5, 0.5 + 0.5e-10]), q, c)
+        with pytest.raises(ProbabilityError, match="initial weights"):
+            nlevel.ReachabilityProblem(np.array([0.5, 0.5 + 2e-10]), q, c)
+
     @pytest.mark.parametrize("q", [[1.0], [0.5, 0.25, 0.25]])
     def test_target_weights_length_mismatch_raises(self, q):
         c = np.stack([np.eye(2, dtype=complex)] * 2, axis=2)
@@ -598,6 +606,25 @@ class TestMinNormSolver:
             assert_simplex(w, n)
             reference = enumerated_supports_residual(pts, np.zeros(d))
             assert np.linalg.norm(pts @ w) <= reference + 1e-12
+
+    def test_tie_ends_the_walk(self):
+        # Cloud k = 21 of test_min_norm_point_of_point_clouds.  The origin
+        # lies inside the triangle of columns 0, 2, 3; once x is there to
+        # rounding, column 4 still looks improving, the minor cycle drops it
+        # again and y == x bit for bit.  Only the ">=" of "y @ y >= x @ x"
+        # ends the walk then; with ">" it never ends.
+        pts = np.array([
+            [0.33436394500396815, -0.9533377786634875, -1.6270862487162168,
+             -0.2552887348875013, 0.7430353340465827],
+            [0.771568788256428, 1.618155112180969, 0.15864281978318295,
+             -0.9864193804000527, 2.3472808718940987]])
+        w = nlevel._min_norm_point(pts)
+        support = [0, 2, 3]
+        expected = np.zeros(5)
+        expected[support] = np.linalg.solve(
+            np.vstack([pts[:, support], np.ones(3)]), [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(w, expected, rtol=0, atol=1e-14)
+        assert np.linalg.norm(pts @ w) <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_identical_blocks_rank_deficient(self, n):

@@ -150,6 +150,15 @@ class TestEigHermitian:
             opkit.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+class TestRequireHermitian:
+    def test_tolerance_edge(self):
+        # HERM_TOL = 1e-10 on the largest entry of a - a^dag
+        near = np.array([[0.0, 0.5e-10], [0.0, 0.0]], dtype=complex)
+        np.testing.assert_array_equal(opkit.require_hermitian(near), near)
+        with pytest.raises(HermiticityError, match="defect 2.000e-10"):
+            opkit.require_hermitian(np.array([[0.0, 2e-10], [0.0, 0.0]]))
+
+
 class TestExpm:
     def test_zero_time(self):
         rng = np.random.default_rng(12)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import rand_couplings, rand_density, qubit_mixed_target
+from conftest import (
+    KET_EXCITED,
+    KET_GROUND,
+    qubit_mixed_target,
+    rand_couplings,
+    rand_density,
+)
 from iqcontrol import opkit, qubit, verify
 from iqcontrol.errors import (
     DegenerateConditionError,
@@ -16,6 +22,15 @@ from iqcontrol.qubit import (
     OverlapAngles,
     QubitCouplings,
 )
+
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+
+
+def probe_pm_vectors(theta):
+    """The |+>, |-> eigenvectors of the probe factor (eigenvalues +r, -r)."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return (np.array([c, s], dtype=complex),
+            np.array([s, -c], dtype=complex))
 
 
 class TestBuildInteraction:
@@ -113,7 +128,7 @@ class TestProbeMixingAngle:
             g = rand_couplings(rng)
             theta = qubit.probe_mixing_angle(g)
             r = np.hypot(g.g3, g.g4)
-            plus, minus = qubit.probe_pm_vectors(theta)
+            plus, minus = probe_pm_vectors(theta)
             hp = qubit.probe_factor(g)
             np.testing.assert_allclose(hp @ plus, r * plus, atol=1e-12)
             np.testing.assert_allclose(hp @ minus, -r * minus, atol=1e-12)
@@ -213,13 +228,13 @@ class TestBlochVector:
             np.linalg.eigvalsh(a), rtol=0, atol=1e-14)
 
     def test_pauli_eigenstates(self):
-        for sigma, axis in ((qubit.SIGMA_X, 0), (qubit.SIGMA_Y, 1),
+        for sigma, axis in ((qubit.SIGMA_X, 0), (SIGMA_Y, 1),
                             (qubit.SIGMA_Z, 2)):
             r = qubit.bloch_vector(0.5 * (np.eye(2) + sigma))
             np.testing.assert_array_equal(r, np.eye(3)[axis])
         # sz|1> = +|1>, and |1> comes first in the basis
         np.testing.assert_array_equal(
-            qubit.bloch_vector(np.outer(qubit.KET_EXCITED, qubit.KET_EXCITED)),
+            qubit.bloch_vector(np.outer(KET_EXCITED, KET_EXCITED)),
             [0.0, 0.0, 1.0])
 
     @pytest.mark.parametrize("rho", [
@@ -266,7 +281,7 @@ class TestOverlapAngles:
             t = rng.uniform(0, 10)
             ang = qubit.overlap_angles(g, t)
             up, um = qubit.conditional_unitaries(g, t)
-            ov = np.vdot(up @ qubit.KET_GROUND, um @ qubit.KET_GROUND)
+            ov = np.vdot(up @ KET_GROUND, um @ KET_GROUND)
             assert np.cos(ang.alpha) == pytest.approx(abs(ov), abs=1e-10)
 
 
@@ -339,7 +354,7 @@ class TestReducedStateClosedForm:
                 g, t, np.diag([1 - p_s, p_s]).astype(complex),
                 np.diag([1 - p_p, p_p]).astype(complex))
             up, _ = qubit.conditional_unitaries(g, t)
-            elem = np.vdot(up @ qubit.KET_EXCITED, rho @ (up @ qubit.KET_GROUND))
+            elem = np.vdot(up @ KET_EXCITED, rho @ (up @ KET_GROUND))
             assert abs(rho10) == pytest.approx(abs(elem), abs=1e-10)
             pm = qubit.pm_components(theta, p_p)
             expect = 0.5 * abs(pm.pp_minus) * abs(np.sin(2 * ang.alpha)) \
@@ -433,6 +448,57 @@ class TestBlochKernel:
             np.testing.assert_array_equal(ang.beta, direct.beta)
 
 
+def matrix_conditional_reduced_state(g, t, rho_s0, rho_p0):
+    """w_+ U_+ rho U_+^dag + w_- U_- rho U_-^dag from 2x2 matrices, w_pm the
+    probe's weights on the probe factor's |+>, |-> eigenvectors."""
+    plus, minus = probe_pm_vectors(qubit.probe_mixing_angle(g))
+    w_plus = float(np.real(np.vdot(plus, rho_p0 @ plus)))
+    w_minus = float(np.real(np.vdot(minus, rho_p0 @ minus)))
+    u_plus, u_minus = qubit.conditional_unitaries(g, t)
+    return (w_plus * u_plus @ rho_s0 @ opkit.dag(u_plus)
+            + w_minus * u_minus @ rho_s0 @ opkit.dag(u_minus))
+
+
+class TestConditionalReducedState:
+    """The general reduced state as a weighted pair of Bloch rotations,
+    against the matrix form it replaced."""
+
+    def test_matches_matrix_form(self):
+        rng = np.random.default_rng(21)
+        for k in range(1200):
+            g = rand_couplings(rng, scale=2.0)
+            if k % 10 == 0:   # h_s vanishes: U_+ = I
+                g = QubitCouplings(g1=0.0, g2=0.0, g3=g.g3, g4=g.g4)
+            t = rng.uniform(0.0, 50.0)
+            rho_s, rho_p = rand_density(rng, 2), rand_density(rng, 2)
+            np.testing.assert_allclose(
+                qubit.conditional_reduced_state(g, t, rho_s, rho_p),
+                matrix_conditional_reduced_state(g, t, rho_s, rho_p),
+                rtol=0, atol=1e-14)
+
+    def test_no_unitary_matrices(self, unitary_calls):
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            qubit.conditional_reduced_state(
+                rand_couplings(rng), rng.uniform(0.0, 10.0),
+                rand_density(rng, 2), rand_density(rng, 2))
+        assert unitary_calls == []
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["system", "probe"])
+    @pytest.mark.parametrize("bad, error", [
+        (np.eye(3) / 3.0, DimensionError),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), StateError),
+        (np.diag([0.6, 0.6]), StateError)],
+        ids=["3x3", "non_hermitian", "trace_1.2"])
+    def test_invalid_state_raises(self, side, bad, error):
+        # these used to reach matmul, or pass unchecked
+        g = QubitCouplings(g1=0.3, g2=0.4 - 0.2j, g3=1.0, g4=0.5)
+        states = [np.eye(2) / 2.0, np.eye(2) / 2.0]
+        states[side] = bad
+        with pytest.raises(error):
+            qubit.conditional_reduced_state(g, 0.4, *states)
+
+
 class TestFInvariance:
     def test_reduced_states_related_by_local_unitary(self):
         rng = np.random.default_rng(13)
@@ -475,6 +541,17 @@ class TestSpectralForm:
     def test_inconsistent_entries(self):
         with pytest.raises(StateError):
             qubit.spectral_form(0.7, 0.7, 0.0)
+
+    @pytest.mark.parametrize("entries", [
+        (0.5, 0.5, float("nan")), (float("nan"), 0.5, 0.0),
+        (0.5, float("nan"), 0.0), (0.5, 0.5, complex(0.1, float("nan"))),
+        (float("inf"), float("-inf"), 0.0), (0.5, 0.5, float("inf"))],
+        ids=["nan_coherence", "nan_rho00", "nan_rho11", "nan_imag",
+             "inf_diagonal", "inf_coherence"])
+    def test_non_finite_entries_raise(self, entries):
+        # NaN passes every "> 1e-10" test, so it is rejected up front
+        with pytest.raises(StateError, match="NaN or Inf"):
+            qubit.spectral_form(*entries)
 
     def test_cross_check_against_eig(self):
         rng = np.random.default_rng(14)
@@ -543,6 +620,11 @@ class TestZeroCoherenceCondition:
         assert not qubit.zero_coherence_condition(0.0, 0.0, 0.3)
         assert not qubit.zero_coherence_condition(0.0, 0.5, 0.0)
 
+    def test_alpha_tolerance_edge(self):
+        # alpha must lie within 1e-10 of a multiple of pi
+        assert qubit.zero_coherence_condition(0.0, 0.0, np.pi + 0.5e-10)
+        assert not qubit.zero_coherence_condition(0.0, 0.0, np.pi + 2e-10)
+
 
 def frame_solve(p_s, target, tol=1e-8):
     """The solver in a general 3-D frame: the axis e_hat x m_hat from
@@ -582,7 +664,7 @@ class TestSolver:
     @staticmethod
     def bloch_state(r):
         return 0.5 * (np.eye(2) + r[0] * qubit.SIGMA_X
-                      + r[1] * qubit.SIGMA_Y + r[2] * qubit.SIGMA_Z)
+                      + r[1] * SIGMA_Y + r[2] * qubit.SIGMA_Z)
 
     def test_do_nothing_target(self):
         p_s = 0.25

@@ -1,9 +1,10 @@
 """Source hygiene of the package, checked with the standard library's ``ast``.
 
-Deletions tend to leave an import or a private helper behind; two checks
-find both without a linter.  A third keeps the brute-force oracle
-independent of the code it checks.  Two more keep the error contract: the
-package raises only its own error types, and only the CLI prints.
+Deletions tend to leave an import, a private helper or a module constant
+behind; three checks find them without a linter.  A fourth keeps the
+brute-force oracle independent of the code it checks.  Two more keep the
+error contract: the package raises only its own error types, and only the
+CLI prints.
 """
 
 import ast
@@ -30,19 +31,38 @@ def imported_names(tree):
     return names
 
 
-def referenced_names(tree):
-    """Every name read as a variable or attribute, and every __all__ entry."""
+def read_names(tree):
+    """Every name read as a variable (Load context) or as an attribute."""
     refs = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__"
-                      for t in node.targets)):
+    return refs
+
+
+def referenced_names(tree):
+    """Every name read, and every __all__ entry."""
+    refs = read_names(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
             refs.update(ast.literal_eval(node.value))
     return refs
+
+
+def module_constants(tree):
+    """UPPERCASE names bound by module-level assignments."""
+    targets = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets.append(node.target)
+    return {t.id for t in targets
+            if isinstance(t, ast.Name) and t.id.isupper()}
 
 
 def package_imports(tree):
@@ -89,6 +109,15 @@ def test_every_private_definition_is_referenced():
               and node.name.startswith("_") and not node.name.startswith("__")
               and node.name not in refs]
     assert unused == []
+
+
+def test_every_constant_is_read():
+    # the assignment itself is a store, so it does not count as a read
+    trees = {p.name: parse(p) for p in MODULES}
+    reads = set().union(*map(read_names, trees.values()))
+    unread = [f"{name}:{const}" for name, tree in trees.items()
+              for const in sorted(module_constants(tree)) if const not in reads]
+    assert unread == []
 
 
 def test_oracle_imports_no_decomposition_code():
