@@ -14,8 +14,9 @@ significant digits, JSON numbers are the shortest repr that reads back to
 the same float, and JSON keys are sorted.  Exit codes: 0 success, 1 error,
 2 infeasible-but-completed.
 A result with a non-finite number is an error, and no file or directory
-is written.  An unreadable config and an unwritable output path also
-exit 1 with one "error:" line.
+is written.  An unreadable config, an unwritable output path and a failed
+write (which may leave a partial file) also exit 1 with one "error:" line;
+the output directory is made only when a result is written.
 
 ``validate_config`` returns the mode's run: its ``_run_*`` function bound
 to the parsed values, which ``run`` and ``sweep`` call with the output path.
@@ -45,6 +46,8 @@ SWEEP_PARAMS = ("theta", "alpha", "p_p")
 MAX_ROWS = 10**6
 # CSV rows formatted per "%" call.
 _CSV_CHUNK = 4096
+# JSON results: what json.dumps gives with these options, built once.
+_JSON = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
 
 
 class ConfigError(IQControlError):
@@ -207,7 +210,7 @@ def _reject_constant(name: str):
 
 def load_config(path: Path) -> dict:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
@@ -283,56 +286,65 @@ def validate_config(cfg: dict):
                    _get(cfg, "beta", float, "config", 0.0), axes, params)
 
 
-def _open_result(path: Path):
-    """``path`` opened for writing, after making its directory."""
+def _write_result(path: Path, chunks):
+    """Write the byte strings of ``chunks`` to ``path``.  Its directory is
+    made only when the open finds it missing; a failed open, write or close
+    is one error, and may leave a partial file."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return path.open("w", encoding="utf-8", newline="\n")
+        try:
+            fh = path.open("wb")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fh = path.open("wb")
+        with fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write result: {exc}") from exc
 
 
 def _json_result(path: Path, doc: dict):
     try:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+        text = _JSON.encode(doc)
     except ValueError as exc:
         raise ConfigError(f"result has a non-finite value: {exc}") from exc
-    with _open_result(path) as fh:
-        fh.write(text + "\n")
+    _write_result(path, [text.encode() + b"\n"])
 
 
 def _csv_result(path: Path, header: list, columns: list):
     """Write float columns as CSV with 17 significant digits.
 
     A column is an array, or a pair ``(values, index)`` that stands for
-    ``values[index]`` and whose distinct values are formatted once.  A
+    ``values[index]``; fewer values than rows are formatted once each.  A
     result with a non-finite cell is an error, and no file is written.
     """
     cells = []  # (texts of the distinct values or None, array of rows)
     for col in columns:
+        if isinstance(col, tuple) and len(col[0]) >= len(col[1]):
+            col = col[0][col[1]]
         if isinstance(col, tuple):
             values, index = col
             finite = np.isfinite(values)[index]
-            texts = np.array(["%.17g" % v for v in values.tolist()],
-                             dtype=object)
-            cells.append((texts, index))
+            texts = b"%.17g," * len(values) % tuple(values.tolist())
+            cells.append((np.array(texts.split(b",")[:-1], dtype=object),
+                          index))
         else:
             finite = np.isfinite(col)
             cells.append((None, col))
         if not np.all(finite):
             raise ConfigError("result has a non-finite value")
-    row = ",".join("%.17g" if texts is None else "%s"
-                   for texts, _ in cells) + "\n"
-    n = len(cells[0][1])
-    with _open_result(path) as fh:
-        fh.write(",".join(header) + "\n")
+    row = b",".join(b"%.17g" if texts is None else b"%s"
+                    for texts, _ in cells) + b"\n"
+
+    def chunks():
+        yield ",".join(header).encode() + b"\n"
         # one "%" call per chunk, with Python objects for that chunk only
-        for start in range(0, n, _CSV_CHUNK):
+        for start in range(0, len(cells[0][1]), _CSV_CHUNK):
             part = slice(start, start + _CSV_CHUNK)
             cols = [(rows[part] if texts is None else texts[rows[part]])
                     .tolist() for texts, rows in cells]
-            flat = tuple(chain.from_iterable(zip(*cols)))
-            fh.write(row * len(cols[0]) % flat)
+            yield row * len(cols[0]) % tuple(chain.from_iterable(zip(*cols)))
+
+    _write_result(path, chunks())
 
 
 def _run_simulate(g, p_s, p_p, times, target, out_path: Path) -> int:

@@ -342,6 +342,49 @@ class TestUnwritableOut:
         assert afile.read_text(encoding="utf-8") == "kept\n"
 
 
+class TestOutDirectory:
+    """--out is made, nested if need be, only when a result is written."""
+
+    def test_existing_out_makes_no_directory(self, tmp_path, count_calls):
+        path = write_config(tmp_path, "c.json", simulate_config())
+        out = tmp_path / "out"
+        out.mkdir()
+        mkdir = count_calls(Path, "mkdir")
+        assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+        assert mkdir == [] and (out / "c.csv").is_file()
+
+    def test_missing_nested_out_is_made(self, tmp_path):
+        path = write_config(tmp_path, "c.json", simulate_config())
+        out = tmp_path / "a" / "b" / "c"
+        assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+        assert (out / "c.csv").is_file()
+
+    def test_failed_run_makes_no_out(self, tmp_path, capsys):
+        doc = {"mode": "thermal", "temperature": 1.0, "p_p": 1.0}
+        path = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "a" / "b"
+        assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("doc, ext", [
+        (simulate_config(), "csv"),
+        ({"mode": "thermal", "temperature": 2.0, "p_p": 0.75}, "json")],
+        ids=["simulate", "thermal"])
+    def test_failed_write_one_error_line(self, doc, ext, tmp_path, capsys):
+        # the open succeeds and the write or the close finds the disk full
+        path = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / f"c.{ext}").symlink_to("/dev/full")
+        code = cli.main(["run", str(path), "--out", str(out), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: cannot write result: "
+                                           "[Errno 28] No space left on device\n")
+
+
 class TestSweep:
     def sweep_config(self):
         return {
@@ -834,6 +877,22 @@ class TestCsvWriter:
         reference_csv(tmp_path / "ref.csv", header,
                       np.column_stack([values[index], plain]))
         cli._csv_result(tmp_path / "new.csv", header,
+                        [(values, index)] + list(plain.T))
+        assert (tmp_path / "new.csv").read_bytes() \
+            == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("order", ["identity", "reversed", "more_values"])
+    def test_indexed_column_without_repeats(self, order, tmp_path):
+        # as many values as rows, or more: written as values[index]
+        rows = cli._CSV_CHUNK + 1
+        values = self.table(rows + (order == "more_values"), cols=1)[:, 0]
+        index = np.arange(rows)
+        if order == "reversed":
+            index = index[::-1]
+        plain = self.table(rows, cols=1)
+        reference_csv(tmp_path / "ref.csv", ["x", "p"],
+                      np.column_stack([values[index], plain]))
+        cli._csv_result(tmp_path / "new.csv", ["x", "p"],
                         [(values, index)] + list(plain.T))
         assert (tmp_path / "new.csv").read_bytes() \
             == (tmp_path / "ref.csv").read_bytes()

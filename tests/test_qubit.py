@@ -570,6 +570,20 @@ class TestSpectralForm:
             assert abs(np.vdot(sf.psi_plus, sf.psi_minus)) <= 1e-10
             assert sf.e_plus + sf.e_minus == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("d, mixing", [(-0.5e-10, 0.0), (-2e-10, np.pi)])
+    def test_root_floor_edge(self, d, mixing):
+        # with rho01 = 0 the root is |rho00 - rho11|; below 1e-10 the
+        # standard basis is kept, above it the eigenvectors swap
+        sf = qubit.spectral_form(0.5 + d / 2.0, 0.5 - d / 2.0, 0.0)
+        assert sf.mixing == mixing
+
+    @pytest.mark.parametrize("size, gamma", [(0.5e-10, 0.0),
+                                             (2e-10, np.pi / 2.0)])
+    def test_coherence_floor_edge(self, size, gamma):
+        # gamma = Arg(rho01) only for |rho01| above 1e-10
+        sf = qubit.spectral_form(0.5, 0.5, complex(0.0, size))
+        assert sf.gamma == gamma
+
 
 class TestAnalyticConditions:
     def test_alpha_multiple_of_pi_degenerate(self):
@@ -624,6 +638,12 @@ class TestZeroCoherenceCondition:
         # alpha must lie within 1e-10 of a multiple of pi
         assert qubit.zero_coherence_condition(0.0, 0.0, np.pi + 0.5e-10)
         assert not qubit.zero_coherence_condition(0.0, 0.0, np.pi + 2e-10)
+
+    def test_cos_tolerance_edge(self):
+        # at p_p = 0, cos(theta) must lie within 1e-10 of 1:
+        # 1 - cos(1e-5) = 0.5e-10 and 1 - cos(2e-5) = 2e-10
+        assert qubit.zero_coherence_condition(1e-5, 0.0, 0.0)
+        assert not qubit.zero_coherence_condition(2e-5, 0.0, 0.0)
 
 
 def frame_solve(p_s, target, tol=1e-8):
@@ -709,6 +729,16 @@ class TestSolver:
         sol = qubit.solve_controls_numeric(0.3, target)
         assert not sol.feasible
         assert sol.residual == pytest.approx(0.25, abs=1e-9)
+
+    @pytest.mark.parametrize("excess, feasible", [(1e-8, True),
+                                                  (4e-8, False)])
+    def test_default_tol_edge(self, excess, feasible):
+        # a target just outside the reachable radius |z0| = 0.8 is met at
+        # residual excess / 2, which the default tol of 1e-8 judges
+        r = np.array([0.36, 0.48, 0.8]) * (0.8 + excess)
+        sol = qubit.solve_controls_numeric(0.1, self.bloch_state(r))
+        assert sol.residual == pytest.approx(excess / 2.0, rel=1e-6)
+        assert sol.feasible is feasible
 
     def test_maximally_mixed_initial(self):
         sol = qubit.solve_controls_numeric(0.5, np.eye(2) / 2.0)

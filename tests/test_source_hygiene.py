@@ -2,9 +2,9 @@
 
 Deletions tend to leave an import, a private helper or a module constant
 behind; three checks find them without a linter.  A fourth keeps the
-brute-force oracle independent of the code it checks.  Two more keep the
+brute-force oracle independent of the code it checks.  Three more keep the
 error contract: the package raises only its own error types, and only the
-CLI prints.
+CLI prints and touches files.
 """
 
 import ast
@@ -144,3 +144,16 @@ def test_only_cli_prints(path):
               if isinstance(node, ast.Call)
               and isinstance(node.func, ast.Name) and node.func.id == "print"]
     assert prints == [] or path.name == "cli.py"
+
+
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_cli_opens_files(path):
+    # the CLI turns a failed read or write into one "error:" line
+    calls = [node.lineno for node in ast.walk(parse(path))
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None) == "open"
+                  or getattr(node.func, "attr", None) in FILE_CALLS)]
+    assert calls == [] or path.name == "cli.py"
