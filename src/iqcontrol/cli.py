@@ -18,8 +18,8 @@ is written.  An unreadable config, an unwritable output path and a failed
 write (which may leave a partial file) also exit 1 with one "error:" line;
 the output directory is made only when a result is written.
 
-``validate_config`` returns the mode's run: its ``_run_*`` function bound
-to the parsed values, which ``run`` and ``sweep`` call with the output path.
+``validate_config`` returns the mode's run, its ``_run_*`` bound to the
+parsed values; a run returns (exit code, (suffix, chunks)) and main writes.
 """
 
 from __future__ import annotations
@@ -230,8 +230,8 @@ def load_config(path: Path) -> dict:
 
 def validate_config(cfg: dict):
     """Full semantic validation; returns the mode's run, a callable that
-    takes the output path, computes and writes the result, and returns the
-    exit code.  Nothing is computed before it is called."""
+    computes and formats the result and returns (exit code, (suffix,
+    chunks)).  Nothing is computed before it is called."""
     mode = cfg["mode"]
     if mode == "simulate":
         couplings = _parse_couplings(_get(cfg, "couplings", dict, "config"),
@@ -302,20 +302,20 @@ def _write_result(path: Path, chunks):
         raise ConfigError(f"cannot write result: {exc}") from exc
 
 
-def _json_result(path: Path, doc: dict):
+def _json_result(doc: dict):
     try:
-        text = _JSON.encode(doc)
+        return ".json", [_JSON.encode(doc).encode() + b"\n"]
     except ValueError as exc:
         raise ConfigError(f"result has a non-finite value: {exc}") from exc
-    _write_result(path, [text.encode() + b"\n"])
 
 
-def _csv_result(path: Path, header: list, columns: list):
-    """Write float columns as CSV with 17 significant digits.
+def _csv_result(header: list, columns: list):
+    """``(".csv", chunks)``: float columns as CSV with 17 significant
+    digits, each chunk formatted only when the writer asks for it.
 
     A column is an array, or a pair ``(values, index)`` that stands for
     ``values[index]``; fewer values than rows are formatted once each.  A
-    result with a non-finite cell is an error, and no file is written.
+    result with a non-finite cell is an error, raised before any chunk.
     """
     cells = []  # (texts of the distinct values or None, array of rows)
     for col in columns:
@@ -344,10 +344,10 @@ def _csv_result(path: Path, header: list, columns: list):
                     .tolist() for texts, rows in cells]
             yield row * len(cols[0]) % tuple(chain.from_iterable(zip(*cols)))
 
-    _write_result(path, chunks())
+    return ".csv", chunks()
 
 
-def _run_simulate(g, p_s, p_p, times, target, out_path: Path) -> int:
+def _run_simulate(g, p_s, p_p, times, target):
     r, (rho00, rho11, rho10), _ = qubit.closed_form_reduced_state(
         g, times, p_s, p_p)
     radius = np.linalg.norm(r, axis=-1)
@@ -356,14 +356,13 @@ def _run_simulate(g, p_s, p_p, times, target, out_path: Path) -> int:
         raise StateError(f"density matrix has eigenvalue {e_minus.min():.3e}"
                          f" < {opkit.PSD_FLOOR:.0e}")
     distance = 0.5 * np.linalg.norm(r - qubit.bloch_vector(target), axis=-1)
-    _csv_result(out_path, ["t", "rho00", "rho11", "re_rho10", "im_rho10",
+    return 0, _csv_result(["t", "rho00", "rho11", "re_rho10", "im_rho10",
                            "e_plus", "e_minus", "trace_distance_to_target"],
-                [times, rho00, rho11, rho10.real, rho10.imag, e_plus, e_minus,
-                 distance])
-    return 0
+                          [times, rho00, rho11, rho10.real, rho10.imag,
+                           e_plus, e_minus, distance])
 
 
-def _run_solve(p_s, target, tol, out_path: Path) -> int:
+def _run_solve(p_s, target, tol):
     sol = qubit.solve_controls_numeric(p_s, target, tol)
     oracle = verify.check_solution(sol, p_s, target)
     doc = {
@@ -374,33 +373,29 @@ def _run_solve(p_s, target, tol, out_path: Path) -> int:
         "residual": sol.residual, "oracle_distance": oracle,
         "feasible": sol.feasible,
     }
-    _json_result(out_path, doc)
-    return 0 if sol.feasible else 2
+    return (0 if sol.feasible else 2), _json_result(doc)
 
 
-def _run_reach(problem, tol, out_path: Path) -> int:
+def _run_reach(problem, tol):
     w, residual = solve_probe_spectrum(problem)
     reachable = residual <= tol
-    _json_result(out_path, {"probe_diagonal": list(w),
-                            "residual": residual,
-                            "reachable": bool(reachable)})
-    return 0 if reachable else 2
+    return (0 if reachable else 2), _json_result(
+        {"probe_diagonal": list(w), "residual": residual,
+         "reachable": bool(reachable)})
 
 
-def _run_thermal_gap(temperature, p_p, out_path: Path) -> int:
-    _json_result(out_path, {"gap": thermal.required_gap(p_p, temperature),
+def _run_thermal_gap(temperature, p_p):
+    return 0, _json_result({"gap": thermal.required_gap(p_p, temperature),
                             "temperature": temperature, "p_p": p_p})
-    return 0
 
 
-def _run_thermal_occupancy(temperature, e0, e1, out_path: Path) -> int:
+def _run_thermal_occupancy(temperature, e0, e1):
     spec = thermal.ThermalSpec(e0=e0, e1=e1, temperature=temperature)
-    _json_result(out_path, {"p_p": thermal.thermal_occupancy(spec),
+    return 0, _json_result({"p_p": thermal.thermal_occupancy(spec),
                             "gap": e1 - e0, "temperature": temperature})
-    return 0
 
 
-def _run_sweep(p_s, beta, axes, fixed, out_path: Path) -> int:
+def _run_sweep(p_s, beta, axes, fixed):
     names = [n for n, _ in axes]
     axis_values = [vals for _, vals in axes]
     grid = np.meshgrid(*axis_values, indexing="ij", sparse=True)
@@ -411,11 +406,10 @@ def _run_sweep(p_s, beta, axes, fixed, out_path: Path) -> int:
     shape = tuple(len(vals) for vals in axis_values)
     # Rows in "ij" order: the last axis fastest, as nested loops would.
     index = [i.ravel() for i in np.indices(shape)]
-    _csv_result(out_path, names + ["rho00", "abs_rho10"],
-                list(zip(axis_values, index))
-                + [np.broadcast_to(c, shape).ravel()
-                   for c in (rho00, np.abs(rho10))])
-    return 0
+    return 0, _csv_result(names + ["rho00", "abs_rho10"],
+                          list(zip(axis_values, index))
+                          + [np.broadcast_to(c, shape).ravel()
+                             for c in (rho00, np.abs(rho10))])
 
 
 _PARSER = argparse.ArgumentParser(
@@ -447,9 +441,9 @@ def main(argv=None) -> int:
             if not args.quiet:
                 print(f"{args.config}: valid ({mode})")
             return 0
-        suffix = ".csv" if mode in ("simulate", "sweep") else ".json"
+        code, (suffix, chunks) = run()
         out_path = args.out / (args.config.stem + suffix)
-        code = run(out_path)
+        _write_result(out_path, chunks)
         if not args.quiet:
             print(f"{mode}: wrote {out_path}")
         return code

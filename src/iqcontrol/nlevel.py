@@ -205,27 +205,22 @@ class ReachabilityProblem:
         return self.initial_weights.size
 
 
-def _gram_tensor(prob: ReachabilityProblem) -> np.ndarray:
-    """G[beta, gamma, m] = sum_j p_j c[beta,j,m] c[gamma,j,m]^*, as one
-    batched product C_m diag(p) C_m^dag over the probe levels m."""
-    c = prob.coefficients.transpose(2, 0, 1)
-    p = prob.initial_weights
-    return ((c * p) @ c.conj().transpose(0, 2, 1)).transpose(1, 2, 0)
-
-
 def reachability_residual(prob: ReachabilityProblem, w):
     """Defects of the reachability system at probe diagonal w.
 
     Returns (diag_residuals, offdiag_residuals): the per-target-weight
-    defects q_alpha - sum_jm ..., and the beta != gamma off-diagonal sums
+    defects q_alpha - rho_alpha,alpha, and the beta != gamma entries of rho
     in row-major order (all of which must vanish for an exact realization).
+    rho = C diag(p (x) w) C^dag, C the coefficients as an n x n^2 matrix,
+    is built apart from the solver's defect matrix, so it checks the solver.
     """
     w, n = np.asarray(w, dtype=float), prob.dim
     if w.size != n:
         raise DimensionError(f"candidate has {w.size} entries, expected {n}")
     if not _is_distribution(w, 1e-10):
         raise ProbabilityError(f"candidate {w} is not a probability vector")
-    value = _gram_tensor(prob) @ w
+    c = prob.coefficients.reshape(n, n * n)
+    value = (c * np.kron(prob.initial_weights, w)) @ c.conj().T
     diag = prob.target_weights - np.real(np.diagonal(value))
     return diag, value[~np.eye(n, dtype=bool)]
 
@@ -233,6 +228,8 @@ def reachability_residual(prob: ReachabilityProblem, w):
 def project_simplex(v) -> np.ndarray:
     """Euclidean projection onto {w >= 0, sum w = 1} (sort-based)."""
     v = np.asarray(v, dtype=float)
+    if v.size == 0 or not np.isfinite(v).all():
+        raise ProbabilityError(f"cannot project {v} onto the simplex")
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, v.size + 1)
@@ -244,9 +241,12 @@ def project_simplex(v) -> np.ndarray:
 
 def _defect_matrix(prob: ReachabilityProblem) -> np.ndarray:
     """Defect matrix A, whose column m is the defect vector at w = e_m: rows
-    diag(G_m) - q, then re and im of each beta < gamma entry in row order."""
-    g = _gram_tensor(prob)
-    n = prob.dim
+    diag(G_m) - q, then re and im of each beta < gamma entry in row order.
+    G[beta, gamma, m] = sum_j p_j c[beta,j,m] c[gamma,j,m]^* comes from one
+    batched product C_m diag(p) C_m^dag over the probe levels m."""
+    c, n = prob.coefficients.transpose(2, 0, 1), prob.dim
+    g = ((c * prob.initial_weights) @ c.conj().transpose(0, 2, 1)
+         ).transpose(1, 2, 0)
     upper = g[np.triu_indices(n, k=1)]
     return np.concatenate(
         [np.real(np.diagonal(g)).T - prob.target_weights[:, None],

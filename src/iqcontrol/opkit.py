@@ -82,9 +82,9 @@ def partial_trace_probe(rho, dim_s: int, dim_p: int) -> np.ndarray:
     inner (fast) index.
     """
     m = as_matrix(rho)
-    if m.shape[0] != dim_s * dim_p:
+    if min(dim_s, dim_p) < 1 or m.shape[0] != dim_s * dim_p:
         raise DimensionError(
-            f"operator dim {m.shape[0]} != dim_s*dim_p = {dim_s * dim_p}")
+            f"operator dim {m.shape[0]} does not split as {dim_s} x {dim_p}")
     return np.trace(m.reshape(dim_s, dim_p, dim_s, dim_p), axis1=1, axis2=3)
 
 

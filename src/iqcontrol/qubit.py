@@ -47,7 +47,7 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 @dataclass(frozen=True)
 class QubitCouplings:
-    """Coupling vector (g1, g2, g3, g4); g2 may be complex."""
+    """Finite coupling vector (g1, g2, g3, g4); g2 may be complex."""
 
     g1: float
     g2: complex
@@ -55,6 +55,8 @@ class QubitCouplings:
     g4: float
 
     def __post_init__(self):
+        if not np.isfinite([self.g1, self.g2, self.g3, self.g4]).all():
+            raise DomainError(f"non-finite coupling in {self}")
         # hypot, not g3**2 + g4**2: squaring a float beyond ~1e154 overflows.
         if np.hypot(self.g3, self.g4) == 0.0:
             raise DegenerateProbeError("probe factor vanishes: g3 = g4 = 0")
@@ -112,6 +114,11 @@ class ControlSolution:
     t: float
     residual: float
     feasible: bool = True
+
+
+def _require_unit(name: str, v: float):
+    if not 0.0 <= v <= 1.0:
+        raise DomainError(f"{name} {v} outside [0, 1]")
 
 
 def _unbox(x):
@@ -248,6 +255,8 @@ def closed_form_reduced_state(g: QubitCouplings, t, p_s: float, p_p: float):
     entries and ang are those of ``reduced_state_closed_form``.  Diagonal
     initial states only (weight p_s on |0><0|).
     """
+    _require_unit("p_s", p_s)
+    _require_unit("p_p", p_p)
     a, n_hat = _axis_angle(g, t)
     c, s = np.cos(2.0 * a), np.sin(2.0 * a)
     ang = _square_overlaps(c, s, *n_hat)
@@ -381,6 +390,7 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
     infeasible.  A residual above ``tol`` is flagged infeasible too; it is
     not searched further.
     """
+    _require_unit("p_s", p_s)
     r_tau = bloch_vector(opkit.validate_density_matrix(target))
     z0 = 1.0 - 2.0 * p_s
     m0 = abs(z0)

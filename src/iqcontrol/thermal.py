@@ -19,15 +19,17 @@ from .errors import DomainError, InfeasibleError
 
 @dataclass(frozen=True)
 class ThermalSpec:
-    """Level energies and a positive temperature (k_B = 1)."""
+    """Finite level energies and a finite positive temperature (k_B = 1)."""
 
     e0: float
     e1: float
     temperature: float
 
     def __post_init__(self):
-        if not self.temperature > 0.0:
-            raise DomainError(f"temperature {self.temperature} must be > 0")
+        if not np.isfinite([self.e0, self.e1]).all():
+            raise DomainError(f"energies {self.e0}, {self.e1} must be finite")
+        if not 0.0 < self.temperature < np.inf:
+            raise DomainError(f"temperature {self.temperature} outside (0, inf)")
 
 
 def thermal_occupancy(spec: ThermalSpec) -> float:
@@ -41,8 +43,8 @@ def thermal_occupancy(spec: ThermalSpec) -> float:
 
 def required_gap(p_p: float, temperature: float) -> float:
     """Energy spacing e1 - e0 realizing occupancy p_p at the given temperature."""
-    if not temperature > 0.0:
-        raise DomainError(f"temperature {temperature} must be > 0")
+    if not 0.0 < temperature < np.inf:
+        raise DomainError(f"temperature {temperature} outside (0, inf)")
     if not 0.0 < p_p < 1.0:
         raise InfeasibleError(
             f"occupancy {p_p} needs an infinite gap; exact pure states are "

@@ -841,8 +841,15 @@ def reference_csv(path, header, table):
         fh.writelines(row % tuple(r) for r in table.tolist())
 
 
+def csv_bytes(header, columns):
+    """The bytes of ``cli._csv_result``'s chunks, checking its suffix."""
+    suffix, chunks = cli._csv_result(header, columns)
+    assert suffix == ".csv"
+    return b"".join(chunks)
+
+
 class TestCsvWriter:
-    """``cli._csv_result`` writes the bytes of ``reference_csv``."""
+    """``cli._csv_result`` gives the bytes of ``reference_csv``."""
 
     SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 2.0,
                         -3.0, 1e16, 0.1, 1.0 / 3.0, np.pi])
@@ -862,8 +869,7 @@ class TestCsvWriter:
         header = ["a", "b", "c", "d"]
         table = self.table(rows)
         reference_csv(tmp_path / "ref.csv", header, table)
-        cli._csv_result(tmp_path / "new.csv", header, list(table.T))
-        assert (tmp_path / "new.csv").read_bytes() \
+        assert csv_bytes(header, list(table.T)) \
             == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("rows", [0, 1, cli._CSV_CHUNK + 1])
@@ -876,9 +882,7 @@ class TestCsvWriter:
         header = ["x", "p", "q"]
         reference_csv(tmp_path / "ref.csv", header,
                       np.column_stack([values[index], plain]))
-        cli._csv_result(tmp_path / "new.csv", header,
-                        [(values, index)] + list(plain.T))
-        assert (tmp_path / "new.csv").read_bytes() \
+        assert csv_bytes(header, [(values, index)] + list(plain.T)) \
             == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("order", ["identity", "reversed", "more_values"])
@@ -892,20 +896,19 @@ class TestCsvWriter:
         plain = self.table(rows, cols=1)
         reference_csv(tmp_path / "ref.csv", ["x", "p"],
                       np.column_stack([values[index], plain]))
-        cli._csv_result(tmp_path / "new.csv", ["x", "p"],
-                        [(values, index)] + list(plain.T))
-        assert (tmp_path / "new.csv").read_bytes() \
+        assert csv_bytes(["x", "p"], [(values, index)] + list(plain.T)) \
             == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_cell_writes_nothing(self, bad, tmp_path):
-        path = tmp_path / "c.csv"
+    def test_non_finite_cell_writes_nothing(self, bad, count_calls):
+        # the check raises in the formatter, before any chunk is made
+        write = count_calls(cli, "_write_result")
         values, plain = np.array([0.0, bad]), np.zeros(3)
         for columns in ([(values, np.array([0, 1, 0])), plain],
                         [plain, np.array([1.0, bad, 2.0])]):
             with pytest.raises(cli.ConfigError, match="non-finite"):
-                cli._csv_result(path, ["x", "y"], columns)
-            assert not path.exists()
+                cli._csv_result(["x", "y"], columns)
+        assert write == []
 
 
 class TestArgv:
@@ -1092,3 +1095,36 @@ class TestOnePassParsing:
         reference = PARSERS[key][1](doc[key])
         assert len(parse_calls) == calls
         assert parsed.tobytes() == reference.tobytes()
+
+
+class TestRunReturnsResult:
+    """A run returns its exit code and (suffix, chunks); ``main`` writes
+    them with one ``_write_result`` call, and a failed run makes none."""
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_run_returns_what_main_writes(self, name, tmp_path):
+        code, (suffix, chunks) = cli.validate_config(
+            copy.deepcopy(EXAMPLES[name]))()
+        cfg = write_config(tmp_path, name, EXAMPLES[name])
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out), "--quiet"]) == code
+        assert [p.name for p in out.iterdir()] == [cfg.stem + suffix]
+        assert (out / (cfg.stem + suffix)).read_bytes() == b"".join(chunks)
+
+    @pytest.mark.parametrize("doc, code, name", [
+        (simulate_config(), 0, "c.csv"),
+        ({"mode": "solve", "p_s": 0.5, "target": [[1.0, 0.0], [0.0, 0.0]]},
+         2, "c.json"),
+        ({"mode": "thermal", "temperature": 1.0, "p_p": 1.0}, 1, None),
+        ({"mode": "thermal", "temperature": 1.0, "e0": -1e308, "e1": 1e308},
+         1, None)],
+        ids=["simulate", "infeasible_solve", "failed_run", "non_finite"])
+    def test_one_write_per_completed_run(self, doc, code, name, tmp_path,
+                                         count_calls, capsys):
+        write = count_calls(cli, "_write_result")
+        cfg = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out), "--quiet"]) == code
+        assert [args[0] for args in write] == ([] if name is None
+                                               else [out / name])
+        assert capsys.readouterr().err.startswith("error: ") == (code == 1)

@@ -441,6 +441,12 @@ class TestProjectSimplex:
             cand = rng.dirichlet(np.ones(3))
             assert np.linalg.norm(cand - v) >= d_opt - 1e-9
 
+    @pytest.mark.parametrize("v", [[], [np.nan, 0.5], [np.inf, 0.0],
+                                   [0.2, -np.inf]])
+    def test_empty_or_non_finite_rejected(self, v):
+        with pytest.raises(ProbabilityError, match="onto the simplex"):
+            nlevel.project_simplex(v)
+
 
 class TestReachability:
     def test_residual_zero_at_construction_point(self):
@@ -457,17 +463,28 @@ class TestReachability:
         prob, _ = forward_reachability_instance(rng, n)
         w = rng.dirichlet(np.ones(n))
         diag, off = nlevel.reachability_residual(prob, w)
-        value = nlevel._gram_tensor(prob) @ w
+        ref = np.array(comprehension_offdiag(einsum_gram(prob) @ w))
         assert diag.shape == (n,)
-        np.testing.assert_array_equal(off, comprehension_offdiag(value))
+        # the residual rebuilds rho by its own product, so it matches the
+        # einsum reference to roundoff; entries lie far further apart than
+        # that, so any other order fails
+        gaps = np.abs(ref[:, None] - ref[None, :])[~np.eye(ref.size, dtype=bool)]
+        assert np.all(gaps > 1e-12)
+        np.testing.assert_allclose(off, ref, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 32])
     def test_gram_tensor_matches_einsum(self, n):
+        # the residual's rho = C diag(p (x) w) C^dag is G w for the einsum G
         rng = np.random.default_rng(760 + n)
         prob = random_target_instance(rng, n)
-        g = nlevel._gram_tensor(prob)
-        assert g.shape == (n, n, n)
-        assert np.max(np.abs(g - einsum_gram(prob))) <= 1e-15
+        w = rng.dirichlet(np.ones(n))
+        diag, off = nlevel.reachability_residual(prob, w)
+        value = einsum_gram(prob) @ w
+        assert value.shape == (n, n)
+        assert np.max(np.abs(diag - prob.target_weights
+                             + np.real(np.diagonal(value)))) <= 1e-15
+        assert np.max(np.abs(off - value[~np.eye(n, dtype=bool)]),
+                      initial=0.0) <= 1e-15
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 32])
     def test_defect_matrix_matches_stacked_system(self, n):

@@ -121,6 +121,12 @@ class TestPartialTrace:
         with pytest.raises(DimensionError):
             opkit.partial_trace_probe(np.eye(4), 2, 3)
 
+    @pytest.mark.parametrize("dims", [(-2, -2), (-1, -4), (0, 0), (4, 0)])
+    def test_dimensions_below_one_rejected(self, dims):
+        # (-2, -2) multiplies to 4, which used to reach numpy's reshape
+        with pytest.raises(DimensionError, match="does not split"):
+            opkit.partial_trace_probe(np.eye(4) / 4, *dims)
+
 
 class TestEigHermitian:
     def test_diagonal(self):

@@ -59,6 +59,17 @@ class TestBuildInteraction:
         with pytest.raises(DegenerateProbeError):
             QubitCouplings(g1=1.0, g2=1.0, g3=0.0, g4=0.0)
 
+    @pytest.mark.parametrize("g", [
+        (np.nan, 0.0, 0.0, 1.0), (0.0, complex(np.nan, 0.0), 0.0, 1.0),
+        (0.0, complex(0.0, np.inf), 0.0, 1.0), (0.0, 0.0, np.nan, 1.0),
+        (0.0, 0.0, np.nan, 0.0), (0.0, 0.0, 1.0, -np.inf)],
+        ids=["g1_nan", "g2_nan", "g2_inf", "g3_nan", "g3_nan_g4_zero",
+             "g4_inf"])
+    def test_non_finite_coupling_rejected(self, g):
+        # hypot(nan, 1) is NaN, so the g3 = g4 = 0 check alone lets it by
+        with pytest.raises(DomainError, match="^non-finite coupling"):
+            QubitCouplings(*g)
+
 
 class TestLocalRotation:
     @pytest.mark.parametrize("theta, phi, name", [
@@ -685,6 +696,23 @@ class TestSolver:
     def bloch_state(r):
         return 0.5 * (np.eye(2) + r[0] * qubit.SIGMA_X
                       + r[1] * SIGMA_Y + r[2] * qubit.SIGMA_Z)
+
+    @pytest.mark.parametrize("p_s", [-1e-12, 1.0 + 1e-12, 1.5, np.nan,
+                                     np.inf])
+    def test_p_s_outside_unit_rejected(self, p_s):
+        # diag(1 - p_s, p_s) is not a state: no solution, feasible or not
+        with pytest.raises(DomainError,
+                           match=rf"^p_s {p_s} outside \[0, 1\]$"):
+            qubit.solve_controls_numeric(p_s, [[0.6, 0.1], [0.1, 0.4]])
+
+    @pytest.mark.parametrize("p_s, p_p, name", [
+        (1.5, 0.3, "p_s"), (-0.5, 0.3, "p_s"), (np.nan, 0.3, "p_s"),
+        (0.3, 1.5, "p_p"), (0.3, -1e-12, "p_p"), (0.3, np.nan, "p_p")])
+    def test_closed_form_rejects_probabilities_outside_unit(self, p_s, p_p,
+                                                            name):
+        g = QubitCouplings(g1=0.4, g2=complex(0.2, -0.3), g3=0.5, g4=0.7)
+        with pytest.raises(DomainError, match=rf"^{name} .* outside \[0, 1\]$"):
+            qubit.closed_form_reduced_state(g, 1.0, p_s, p_p)
 
     def test_do_nothing_target(self):
         p_s = 0.25

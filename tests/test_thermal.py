@@ -29,6 +29,13 @@ class TestThermalOccupancy:
             thermal.ThermalSpec(e0=0.0, e1=g, temperature=t)) for g in gaps]
         assert np.all(np.diff(occ) > 0)
 
+    @pytest.mark.parametrize("e0, e1, temperature", [
+        (np.nan, 0.0, 1.0), (0.0, np.inf, 1.0), (-np.inf, 0.0, 1.0),
+        (0.0, 1.0, np.nan), (0.0, 1.0, np.inf)])
+    def test_non_finite_input_raises(self, e0, e1, temperature):
+        with pytest.raises(DomainError):
+            thermal.ThermalSpec(e0=e0, e1=e1, temperature=temperature)
+
     def test_nonpositive_temperature_raises(self):
         with pytest.raises(DomainError):
             thermal.ThermalSpec(e0=0.0, e1=1.0, temperature=0.0)
@@ -59,3 +66,9 @@ class TestRequiredGap:
     def test_bad_temperature_raises(self):
         with pytest.raises(DomainError):
             thermal.required_gap(0.3, 0.0)
+
+    @pytest.mark.parametrize("temperature", [np.inf, np.nan])
+    def test_non_finite_temperature_raises(self, temperature):
+        # inf used to give NaN and a RuntimeWarning
+        with pytest.raises(DomainError, match=r"outside \(0, inf\)"):
+            thermal.required_gap(0.5, temperature)
