@@ -390,7 +390,6 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
     infeasible.  A residual above ``tol`` is flagged infeasible too; it is
     not searched further.
     """
-    _require_unit("p_s", p_s)
     r_tau = bloch_vector(opkit.validate_density_matrix(target))
     z0 = 1.0 - 2.0 * p_s
     m0 = abs(z0)

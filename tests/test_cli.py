@@ -900,15 +900,14 @@ class TestCsvWriter:
             == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_cell_writes_nothing(self, bad, count_calls):
-        # the check raises in the formatter, before any chunk is made
-        write = count_calls(cli, "_write_result")
+    def test_non_finite_cell_writes_nothing(self, bad):
+        # the formatter raises when called, before any chunk is made; that
+        # main then writes nothing is TestRunReturnsResult's non_finite_csv
         values, plain = np.array([0.0, bad]), np.zeros(3)
         for columns in ([(values, np.array([0, 1, 0])), plain],
                         [plain, np.array([1.0, bad, 2.0])]):
             with pytest.raises(cli.ConfigError, match="non-finite"):
                 cli._csv_result(["x", "y"], columns)
-        assert write == []
 
 
 class TestArgv:
@@ -1117,8 +1116,11 @@ class TestRunReturnsResult:
          2, "c.json"),
         ({"mode": "thermal", "temperature": 1.0, "p_p": 1.0}, 1, None),
         ({"mode": "thermal", "temperature": 1.0, "e0": -1e308, "e1": 1e308},
-         1, None)],
-        ids=["simulate", "infeasible_solve", "failed_run", "non_finite"])
+         1, None),
+        (dict(simulate_config(), couplings={"g1": 1e200, "g3": 1e200,
+                                            "g4": 0}), 1, None)],
+        ids=["simulate", "infeasible_solve", "failed_run", "non_finite_json",
+             "non_finite_csv"])
     def test_one_write_per_completed_run(self, doc, code, name, tmp_path,
                                          count_calls, capsys):
         write = count_calls(cli, "_write_result")
