@@ -9,10 +9,10 @@ Configs are UTF-8 JSON with a top-level "mode" discriminator; a complex
 number is a finite real number or an [re, im] pair, and a matrix a nested
 row-major list of them.
 Results are CSV (time series, grids) or JSON (solve/reach/thermal), both
-fully deterministic with "\n" line endings: CSV numbers have 17
-significant digits, JSON numbers are the shortest repr that reads back to
-the same float, and JSON keys are sorted.  Exit codes: 0 success, 1 error,
-2 infeasible-but-completed.
+fully deterministic with "\n" line endings: a CSV number is the bytes of
+Python's "%.17g" (17 significant digits, ties to even), a JSON number the
+shortest repr that reads back to the same float, and JSON keys are sorted.
+Exit codes: 0 success, 1 error, 2 infeasible-but-completed.
 A result with a non-finite number is an error, and no file or directory
 is written.  An unreadable config, an unwritable output path and a failed
 write (which may leave a partial file) also exit 1 with one "error:" line;
@@ -42,9 +42,10 @@ MODES = ("simulate", "solve", "reach", "thermal", "sweep")
 SWEEP_PARAMS = ("theta", "alpha", "p_p")
 # Rows of a simulate result and grid points of a sweep.  A run computes its
 # whole result in memory and writes it in chunks: 10^6 simulate rows peak
-# at ~0.21 GB, 10^6 sweep points at ~0.095 GB.
+# at ~0.21 GB, 10^6 sweep points at ~0.11 GB (one axis; ~0.094 GB as
+# 100 x 100 x 100).
 MAX_ROWS = 10**6
-# CSV rows formatted per "%" call.
+# CSV rows formatted per kernel call.
 _CSV_CHUNK = 4096
 # JSON results: what json.dumps gives with these options, built once.
 _JSON = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
@@ -309,40 +310,152 @@ def _json_result(doc: dict):
         raise ConfigError(f"result has a non-finite value: {exc}") from exc
 
 
+# The CSV cell kernel (``_csv_cells``) gives the bytes of b"%.17g" % v.  A
+# cell is _CELL bytes, NUL where it has no character:
+#   [sign] ["0." and -e - 1 zeros] [d0 p0 d1 p1 ... p15 d16] [separator]
+# with the 17 significant digits d_i and point slots p_i.  Which bytes stay
+# depends only on the decimal exponent e and the count s of significant
+# digits left after cutting trailing zeros: _CELL_ROWS[(e - _E_LO) * 18 + s]
+# holds the kept zone and point characters and 0xFF on kept digit slots.
+_CELL = 40
+_E_LO, _E_HI = -4, 15  # fixed notation for 1e-4 <= |v| < 1e16
+_SPLIT = 2.0**27 + 1.0
+
+
+def _halves(a):
+    """Veltkamp's split a = hi + lo into two halves of 26 bits or fewer."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# 10^(16 - e) for every exponent a log10 estimate can give in range; all
+# are exact doubles (<= 10^21).
+_POW = np.array([float(10**(16 - e)) for e in range(_E_LO - 1, _E_HI + 2)])
+_POW_HI, _POW_LO = _halves(_POW)
+
+
+def _digit_pairs():
+    """_DIGIT_PAIRS: the groups "0000" to "9999" as one uint64 each, four
+    uint16 0xFF00 | ASCII digit.  ANDed into a cell's (d_i, p_i) pairs they
+    write the digit and keep the point slot."""
+    pairs = np.empty((10, 10, 10, 10, 4), "<u2")
+    digit = np.arange(0xFF00 + ord("0"), 0xFF00 + ord("9") + 1, dtype="<u2")
+    for k in range(4):
+        pairs[..., k] = digit.reshape((10,) + (1,) * (3 - k))
+    return pairs.view("<u8").ravel()
+
+
+_DIGIT_PAIRS = _digit_pairs()
+
+
+def _cell_rows():
+    """_CELL_ROWS: one row per (e, s), e in [_E_LO, _E_HI], s in [0, 17]."""
+    e = np.arange(_E_LO, _E_HI + 1)[:, None, None]
+    s = np.arange(18)[None, :, None]
+    col = np.arange(_CELL)
+    i = (col - 6) // 2  # the digit or point slot at col, from col 6 on
+    pair = (col >= 6) & (col < _CELL - 1)
+    zone = (col >= 1) & (col < 2 - e) & (e < 0)
+    digit = pair & (col % 2 == 0) & (i < np.maximum(s, e + 1))
+    point = pair & (col % 2 == 1) & (i == e) & (s > e + 1)
+    chars = np.zeros(_CELL, np.uint8)
+    chars[1:6] = np.frombuffer(b"0.000", np.uint8)
+    chars[6:-1:2], chars[7:-1:2] = 0xFF, ord(".")
+    return np.where(zone | digit | point, chars, 0).reshape(-1, _CELL)
+
+
+_CELL_ROWS = _cell_rows()
+
+
+def _scaled_digits(a, e):
+    """round-half-even(a 10^(16 - e)) as int64, exact.
+
+    Dekker's two-product gives the product as hi + lo exactly; from 2^53 on
+    hi is an even integer, so rounding lo alone rounds the sum."""
+    k = e - (_E_LO - 1)
+    hi = a * _POW[k]
+    a_hi, a_lo = _halves(a)
+    p_hi, p_lo = _POW_HI[k], _POW_LO[k]
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _csv_cells(x) -> np.ndarray:
+    """The cells of float64 ``x``, shape ``x.shape + (_CELL,)``, separator
+    byte NUL.  Stripped of NULs each is b"%.17g" % v: zero and
+    1e-4 <= |v| < 1e16 are built here, every other value by "%"."""
+    shape, x = x.shape, x.reshape(-1)
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = zero | ((a >= 1e-4) & (a < 1e16))
+    a = np.where(fast & ~zero, a, 1.0)
+    # the estimate is off by one at worst, next to a power of ten
+    e = np.floor(np.log10(a)).astype(np.intp)
+    d = _scaled_digits(a, e)
+    for off, step in ((d >= 10**17, 1), (d < 10**16, -1)):
+        if off.any():
+            e[off] += step
+            d[off] = _scaled_digits(a[off], e[off])
+    d[zero] = 0
+    q, r = np.divmod(d, 10**8)
+    g = np.empty((x.size, 5), np.intp)
+    g[:, 0], q = np.divmod(q, 10**8)
+    g[:, 1], g[:, 2] = np.divmod(q, 10**4)
+    g[:, 3], g[:, 4] = np.divmod(r, 10**4)
+    # 17 (digit, 0xFF) pairs per value; group 0 is "000" and d0
+    digits = _DIGIT_PAIRS.take(g).view("<u2")[:, 3:]
+    s = 17 - np.argmax(digits[:, ::-1] != 0xFF00 + ord("0"), axis=1)
+    s[zero] = 1
+    cells = _CELL_ROWS.take((e - _E_LO) * 18 + s, axis=0)
+    cells.view("<u2")[:, 3:] &= digits
+    cells[:, 0] = np.signbit(x) * ord("-")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = b"".join((b"%.17g" % v).ljust(_CELL, b"\0")
+                        for v in x[slow].tolist())
+        cells[slow] = np.frombuffer(text, np.uint8).reshape(-1, _CELL)
+    return cells.reshape(shape + (_CELL,))
+
+
 def _csv_result(header: list, columns: list):
-    """``(".csv", chunks)``: float columns as CSV with 17 significant
-    digits, each chunk formatted only when the writer asks for it.
+    """``(".csv", chunks)``: float columns as CSV cells b"%.17g" % v, each
+    chunk formatted only when the writer asks for it.
 
     A column is an array, or a pair ``(values, index)`` that stands for
     ``values[index]``; fewer values than rows are formatted once each.  A
     result with a non-finite cell is an error, raised before any chunk.
     """
-    cells = []  # (texts of the distinct values or None, array of rows)
-    for col in columns:
+    plain, indexed = [], []  # (position, column), (position, values, index)
+    for j, col in enumerate(columns):
         if isinstance(col, tuple) and len(col[0]) >= len(col[1]):
             col = col[0][col[1]]
         if isinstance(col, tuple):
-            values, index = col
-            finite = np.isfinite(values)[index]
-            texts = b"%.17g," * len(values) % tuple(values.tolist())
-            cells.append((np.array(texts.split(b",")[:-1], dtype=object),
-                          index))
+            finite = np.isfinite(col[0])[col[1]]
+            indexed.append((j, *col))
         else:
             finite = np.isfinite(col)
-            cells.append((None, col))
+            plain.append((j, col))
         if not np.all(finite):
             raise ConfigError("result has a non-finite value")
-    row = b",".join(b"%.17g" if texts is None else b"%s"
-                    for texts, _ in cells) + b"\n"
+    rows = len((plain or indexed)[0][-1])
+    at = [j for j, _ in plain]
+    indexed = [(j, _csv_cells(values), index) for j, values, index in indexed]
 
     def chunks():
         yield ",".join(header).encode() + b"\n"
-        # one "%" call per chunk, with Python objects for that chunk only
-        for start in range(0, len(cells[0][1]), _CSV_CHUNK):
+        for start in range(0, rows, _CSV_CHUNK):
             part = slice(start, start + _CSV_CHUNK)
-            cols = [(rows[part] if texts is None else texts[rows[part]])
-                    .tolist() for texts, rows in cells]
-            yield row * len(cols[0]) % tuple(chain.from_iterable(zip(*cols)))
+            block = np.empty((min(rows - start, _CSV_CHUNK), len(columns),
+                              _CELL), np.uint8)
+            if plain:  # every plain column of the chunk in one call
+                block[:, at] = _csv_cells(
+                    np.column_stack([col[part] for _, col in plain]))
+            for j, cells, index in indexed:
+                block[:, j] = cells[index[part]]
+            block[:, :, -1] = ord(",")
+            block[:, -1, -1] = ord("\n")
+            yield block.tobytes().translate(None, b"\0")
 
     return ".csv", chunks()
 

@@ -116,9 +116,12 @@ class ControlSolution:
     feasible: bool = True
 
 
-def _require_unit(name: str, v: float):
-    if not 0.0 <= v <= 1.0:
-        raise DomainError(f"{name} {v} outside [0, 1]")
+def _require_unit(name: str, v):
+    """Every entry of v, a number or an array, lies in [0, 1] (NaN fails)."""
+    inside = (0.0 <= v) & (v <= 1.0)  # a bool for a float: no numpy call
+    if inside is not True and not np.all(inside):
+        bad = np.asarray(v)[np.logical_not(inside)].flat[0]
+        raise DomainError(f"{name} {bad} outside [0, 1]")
 
 
 def _unbox(x):
@@ -223,7 +226,10 @@ def _square_overlaps(c, s, nx, ny, nz) -> OverlapAngles:
 
 
 def pm_components(theta, p_p) -> PMProbeComponents:
-    """Diagonal probe diag(1-p_p, p_p) re-expressed in the +/- basis."""
+    """Diagonal probe diag(1-p_p, p_p) re-expressed in the +/- basis.
+
+    DomainError unless every p_p lies in [0, 1]."""
+    _require_unit("p_p", p_p)
     pp_plus = np.cos(theta / 2.0) ** 2 - p_p * np.cos(theta)
     pm_cross = 0.5 * np.sin(theta) - p_p * np.sin(theta)
     return PMProbeComponents(pp_plus=_unbox(pp_plus),
@@ -237,7 +243,9 @@ def reduced_state_closed_form(p_s, theta, p_p, ang: OverlapAngles):
 
     rho10 is the (row U_+|1>, column U_+|0>) entry; its phase carries
     e^{+i beta}, which is the sign the brute-force oracle confirms.
+    DomainError unless p_s and every p_p lie in [0, 1].
     """
+    _require_unit("p_s", p_s)
     pm = pm_components(theta, p_p)
     ca2 = np.cos(ang.alpha) ** 2
     sa2 = np.sin(ang.alpha) ** 2
@@ -255,8 +263,6 @@ def closed_form_reduced_state(g: QubitCouplings, t, p_s: float, p_p: float):
     entries and ang are those of ``reduced_state_closed_form``.  Diagonal
     initial states only (weight p_s on |0><0|).
     """
-    _require_unit("p_s", p_s)
-    _require_unit("p_p", p_p)
     a, n_hat = _axis_angle(g, t)
     c, s = np.cos(2.0 * a), np.sin(2.0 * a)
     ang = _square_overlaps(c, s, *n_hat)

@@ -899,6 +899,74 @@ class TestCsvWriter:
         assert csv_bytes(["x", "p"], [(values, index)] + list(plain.T)) \
             == (tmp_path / "ref.csv").read_bytes()
 
+    @staticmethod
+    def assert_cells_match_percent(x):
+        # one cell per line, each b"%.17g" % v
+        assert csv_bytes(["x"], [x]) \
+            == b"x\n" + b"".join(b"%.17g\n" % v for v in x.tolist())
+
+    def test_random_doubles_in_every_binade(self):
+        # 2^20 doubles of either sign: half with an exponent field drawn
+        # over every finite binade (subnormals included), half over the
+        # binades that overlap [1e-4, 1e16)
+        rng = np.random.default_rng(20)
+        n = 1 << 20
+        exponent = np.concatenate([rng.integers(0, 2047, n // 2),
+                                   rng.integers(1023 - 14, 1023 + 54, n // 2)])
+        bits = ((rng.integers(0, 2, n).astype(np.uint64) << np.uint64(63))
+                | (exponent.astype(np.uint64) << np.uint64(52))
+                | rng.integers(0, 1 << 52, n, dtype=np.uint64))
+        self.assert_cells_match_percent(bits.view(np.float64))
+
+    def test_neighbours_of_powers_of_ten(self):
+        # 1 ulp either side of 10^k, k = -5..17, and of the fixed-notation
+        # range ends 1e-4 and 1e16 themselves
+        centres = np.array([float(10**k) if k >= 0 else 10.0**k
+                            for k in range(-5, 18)] + [1e-4, 1e16])
+        x = np.concatenate([np.nextafter(centres, 0.0), centres,
+                            np.nextafter(centres, np.inf)])
+        self.assert_cells_match_percent(np.concatenate([x, -x]))
+
+    def test_exact_ties_round_to_even(self):
+        # m + t/2^j with m of 18 - j digits has exactly 18 significant
+        # digits, the last a 5: a tie at the 17th, e.g. 1234567890123456.25
+        # -> ...56.2 and .75 -> ...56.8
+        rng = np.random.default_rng(21)
+        x = [1234567890123456.25, 1234567890123456.75]
+        for j in range(2, 18):
+            lo, hi = 10**(17 - j), min(10**(18 - j), 2**(53 - j))
+            m = rng.integers(lo, hi, 200)
+            t = 2 * rng.integers(0, 2**(j - 1), 200) + 1
+            x.extend((m + t / 2.0**j).tolist())
+        x = np.array(x)
+        assert len({(b"%.18g" % v)[-1:] for v in x.tolist()}) == 1  # all 5
+        self.assert_cells_match_percent(np.concatenate([x, -x]))
+
+    def test_special_values(self):
+        # zeros, subnormals, +-1e300 and the normal range's ends
+        self.assert_cells_match_percent(np.concatenate([self.SPECIAL, [
+            2.2250738585072009e-308, -2.2250738585072014e-308,
+            1.7976931348623157e308]]))
+
+    def test_fast_and_fallback_cells_in_one_csv(self, tmp_path):
+        # cells of the kernel's fixed notation and of its "%" fallback
+        # (|v| from 1e-8 to 1e20), zeros of both signs, and an indexed
+        # column holding both kinds, over more than one chunk
+        rows = cli._CSV_CHUNK + 3
+        rng = np.random.default_rng(22)
+        scale = 10.0 ** rng.integers(-8, 20, size=(rows, 3))
+        table = np.column_stack([
+            rng.uniform(-1.0, 1.0, (rows, 3)) * scale,
+            np.where(rng.integers(2, size=rows), 0.0, -0.0),
+            rng.uniform(1e-4, 1.0, rows)])
+        values = np.array([3e-5, 0.25, -7e17, 0.0])
+        index = rng.integers(len(values), size=rows)
+        header = ["a", "b", "c", "z", "u", "x"]
+        reference_csv(tmp_path / "ref.csv", header,
+                      np.column_stack([table, values[index]]))
+        assert csv_bytes(header, list(table.T) + [(values, index)]) \
+            == (tmp_path / "ref.csv").read_bytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_cell_writes_nothing(self, bad):
         # the formatter raises when called, before any chunk is made; that

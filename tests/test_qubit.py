@@ -318,8 +318,39 @@ class TestPMComponents:
             pm = qubit.pm_components(rng.uniform(0, np.pi), rng.uniform())
             assert pm.pp_plus + pm.pp_minus == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("p_p, bad", [
+        (-1e-12, "-1e-12"), (1.0 + 1e-12, "1.000000000001"), (np.nan, "nan"),
+        (np.array([0.0, 0.5, 1.5, 1.0]), "1.5"),
+        (np.array([[0.2], [np.nan]]), "nan")])
+    def test_p_p_outside_unit_rejected(self, p_p, bad):
+        with pytest.raises(DomainError,
+                           match=rf"^p_p {bad} outside \[0, 1\]$"):
+            qubit.pm_components(0.4, p_p)
+
 
 class TestReducedStateClosedForm:
+    @pytest.mark.parametrize("p_s, p_p, message", [
+        (1.5, 0.3, "p_s 1.5"), (-0.5, 0.3, "p_s -0.5"),
+        (np.nan, 0.3, "p_s nan"),
+        (0.3, -0.5, "p_p -0.5"), (0.3, np.nan, "p_p nan"),
+        (0.3, np.linspace(0.0, 1.0, 5) + [0, 0, 0, 0, 1e-12],
+         "p_p 1.000000000001"),
+        (0.3, np.array([0.1, 0.2, np.nan, 0.4]), "p_p nan")])
+    def test_rejects_probabilities_outside_unit(self, p_s, p_p, message):
+        # one bad entry of an array p_p is enough
+        ang = OverlapAngles(alpha=0.2, beta=0.0)
+        with pytest.raises(DomainError,
+                           match=rf"^{message} outside \[0, 1\]$"):
+            qubit.reduced_state_closed_form(p_s, 0.3, p_p, ang)
+
+    def test_unit_range_ends_accepted(self):
+        ang = OverlapAngles(alpha=np.array([0.2, 0.9]), beta=0.0)
+        for p_s in (0.0, 1.0):
+            rho00, rho11, _ = qubit.reduced_state_closed_form(
+                p_s, 0.3, np.array([0.0, 1.0]), ang)
+            assert np.all((0.0 <= rho00) & (rho00 <= 1.0))
+            assert np.allclose(rho00 + rho11, 1.0)
+
     def test_balanced_system_no_coherence(self):
         ang = OverlapAngles(alpha=0.7, beta=1.1)
         _, _, rho10 = qubit.reduced_state_closed_form(0.5, 1.2, 0.3, ang)
@@ -615,6 +646,30 @@ class TestAnalyticConditions:
     def test_out_of_range_infeasible(self):
         with pytest.raises(InfeasibleError):
             qubit.analytic_conditions(0.0, 5.0, 0.0, np.pi / 2.0)
+
+    @pytest.mark.parametrize("den", [0.5e-12, 2e-12])
+    def test_denominator_floor(self, den):
+        # p_s = 0, theta = 0: the denominator is sin^2(alpha), the numerator q
+        alpha = np.arcsin(np.sqrt(den))
+        q = 0.5 * np.sin(alpha) ** 2
+        if den < 1e-12:
+            with pytest.raises(DegenerateConditionError):
+                qubit.analytic_conditions(0.0, q, 0.0, alpha)
+        else:
+            assert qubit.analytic_conditions(0.0, q, 0.0, alpha) \
+                == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("q, p_p", [
+        (-0.5e-12, 0.0), (1.0 + 0.5e-12, 1.0), (-2e-12, None),
+        (1.0 + 2e-12, None)])
+    def test_occupancy_slack(self, q, p_p):
+        # p_s = 0, theta = 0, alpha = pi/2 gives p_p = q exactly; within
+        # 1e-12 of [0, 1] it is clipped, beyond that infeasible
+        if p_p is None:
+            with pytest.raises(InfeasibleError):
+                qubit.analytic_conditions(0.0, q, 0.0, np.pi / 2.0)
+        else:
+            assert qubit.analytic_conditions(0.0, q, 0.0, np.pi / 2.0) == p_p
 
     def test_consistency_with_closed_form(self):
         rng = np.random.default_rng(15)
