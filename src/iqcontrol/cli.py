@@ -28,7 +28,7 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from pathlib import Path
 
@@ -315,8 +315,10 @@ def _json_result(doc: dict):
 #   [sign] ["0." and -e - 1 zeros] [d0 p0 d1 p1 ... p15 d16] [separator]
 # with the 17 significant digits d_i and point slots p_i.  Which bytes stay
 # depends only on the decimal exponent e and the count s of significant
-# digits left after cutting trailing zeros: _CELL_ROWS[(e - _E_LO) * 18 + s]
+# digits left after cutting trailing zeros: _cell_rows()[(e - _E_LO) * 18 + s]
 # holds the kept zone and point characters and 0xFF on kept digit slots.
+# Both tables are built on the first CSV result, so a JSON run never
+# builds them.
 _CELL = 40
 _E_LO, _E_HI = -4, 15  # fixed notation for 1e-4 <= |v| < 1e16
 _SPLIT = 2.0**27 + 1.0
@@ -335,10 +337,11 @@ _POW = np.array([float(10**(16 - e)) for e in range(_E_LO - 1, _E_HI + 2)])
 _POW_HI, _POW_LO = _halves(_POW)
 
 
+@cache
 def _digit_pairs():
-    """_DIGIT_PAIRS: the groups "0000" to "9999" as one uint64 each, four
-    uint16 0xFF00 | ASCII digit.  ANDed into a cell's (d_i, p_i) pairs they
-    write the digit and keep the point slot."""
+    """The groups "0000" to "9999" as one uint64 each, four uint16
+    0xFF00 | ASCII digit.  ANDed into a cell's (d_i, p_i) pairs they write
+    the digit and keep the point slot."""
     pairs = np.empty((10, 10, 10, 10, 4), "<u2")
     digit = np.arange(0xFF00 + ord("0"), 0xFF00 + ord("9") + 1, dtype="<u2")
     for k in range(4):
@@ -346,11 +349,9 @@ def _digit_pairs():
     return pairs.view("<u8").ravel()
 
 
-_DIGIT_PAIRS = _digit_pairs()
-
-
+@cache
 def _cell_rows():
-    """_CELL_ROWS: one row per (e, s), e in [_E_LO, _E_HI], s in [0, 17]."""
+    """One row per (e, s), e in [_E_LO, _E_HI], s in [0, 17]."""
     e = np.arange(_E_LO, _E_HI + 1)[:, None, None]
     s = np.arange(18)[None, :, None]
     col = np.arange(_CELL)
@@ -363,9 +364,6 @@ def _cell_rows():
     chars[1:6] = np.frombuffer(b"0.000", np.uint8)
     chars[6:-1:2], chars[7:-1:2] = 0xFF, ord(".")
     return np.where(zone | digit | point, chars, 0).reshape(-1, _CELL)
-
-
-_CELL_ROWS = _cell_rows()
 
 
 def _scaled_digits(a, e):
@@ -404,10 +402,10 @@ def _csv_cells(x) -> np.ndarray:
     g[:, 1], g[:, 2] = np.divmod(q, 10**4)
     g[:, 3], g[:, 4] = np.divmod(r, 10**4)
     # 17 (digit, 0xFF) pairs per value; group 0 is "000" and d0
-    digits = _DIGIT_PAIRS.take(g).view("<u2")[:, 3:]
+    digits = _digit_pairs().take(g).view("<u2")[:, 3:]
     s = 17 - np.argmax(digits[:, ::-1] != 0xFF00 + ord("0"), axis=1)
     s[zero] = 1
-    cells = _CELL_ROWS.take((e - _E_LO) * 18 + s, axis=0)
+    cells = _cell_rows().take((e - _E_LO) * 18 + s, axis=0)
     cells.view("<u2")[:, 3:] &= digits
     cells[:, 0] = np.signbit(x) * ord("-")
     slow = np.flatnonzero(~fast)

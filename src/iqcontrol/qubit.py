@@ -118,8 +118,8 @@ class ControlSolution:
 
 def _require_unit(name: str, v):
     """Every entry of v, a number or an array, lies in [0, 1] (NaN fails)."""
-    inside = (0.0 <= v) & (v <= 1.0)  # a bool for a float: no numpy call
-    if inside is not True and not np.all(inside):
+    inside = (0.0 <= v) & (v <= 1.0)
+    if not np.all(inside):
         bad = np.asarray(v)[np.logical_not(inside)].flat[0]
         raise DomainError(f"{name} {bad} outside [0, 1]")
 

@@ -1,11 +1,11 @@
 """Output parity of iqctl between a git revision and the working tree.
 
-    python tools/parity.py d52662e [--seeds 0 1 2]
+    python tools/parity.py d52662e
 
 The script extracts the revision with ``git archive`` into a temporary
 directory and makes one list of iqctl invocations:
 
-* every config of the four benchmark workloads at each seed, generated by
+* every config of the four benchmark workloads at seeds 0-2, generated by
   ``iqbench/workloads.py`` of the working tree, under its own command;
 * each ``configs/*.json`` of the working tree under ``run``, ``sweep`` and
   ``check``.
@@ -38,9 +38,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("simulate_rows", "sweep_grid", "small_configs", "reach_ladder")
+SEEDS = (0, 1, 2)
 
 
-def invocations(cfg_dir: Path, seeds) -> list:
+def invocations(cfg_dir: Path) -> list:
     """Write every config into ``cfg_dir`` and return the argv lists, with
     paths relative to a sibling directory of it."""
     sys.dont_write_bytecode = True
@@ -52,7 +53,7 @@ def invocations(cfg_dir: Path, seeds) -> list:
     cfg_dir.mkdir()
     runs = []
     for name in WORKLOADS:
-        for seed in seeds:
+        for seed in SEEDS:
             for i, cfg in enumerate(workloads.generate(name, seed)):
                 path = cfg_dir / f"{name}-{seed}-{i:04d}.json"
                 path.write_text(json.dumps(cfg.doc), encoding="utf-8")
@@ -111,8 +112,6 @@ def lines_differ(what: str, argv: list, a: str, b: str) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", nargs="?", help="git revision to compare with")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2],
-                        help="workload seeds (default 0 1 2)")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker is not None:
@@ -130,7 +129,7 @@ def main(argv=None) -> int:
             return 2
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp / "base", filter="data")
-        plan = invocations(tmp / "cfg", args.seeds)
+        plan = invocations(tmp / "cfg")
         sides = {"base": tmp / "base", "tree": ROOT}
         results = {name: run_tree(tree, tmp / f"{name}-run", plan)
                    for name, tree in sides.items()}
