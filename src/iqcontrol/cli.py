@@ -316,9 +316,9 @@ def _json_result(doc: dict):
 # with the 17 significant digits d_i and point slots p_i.  Which bytes stay
 # depends only on the decimal exponent e and the count s of significant
 # digits left after cutting trailing zeros: _cell_rows()[(e - _E_LO) * 18 + s]
-# holds the kept zone and point characters and 0xFF on kept digit slots.
-# Both tables are built on the first CSV result, so a JSON run never
-# builds them.
+# holds the kept zone and point characters, and 0xFF on the digit slots that
+# keep the ASCII digit ANDed into them.  Both tables are built on the first
+# CSV result, so a JSON run never builds them.
 _CELL = 40
 _E_LO, _E_HI = -4, 15  # fixed notation for 1e-4 <= |v| < 1e16
 _SPLIT = 2.0**27 + 1.0
@@ -338,32 +338,25 @@ _POW_HI, _POW_LO = _halves(_POW)
 
 
 @cache
-def _digit_pairs():
-    """The groups "0000" to "9999" as one uint64 each, four uint16
-    0xFF00 | ASCII digit.  ANDed into a cell's (d_i, p_i) pairs they write
-    the digit and keep the point slot."""
-    pairs = np.empty((10, 10, 10, 10, 4), "<u2")
-    digit = np.arange(0xFF00 + ord("0"), 0xFF00 + ord("9") + 1, dtype="<u2")
-    for k in range(4):
-        pairs[..., k] = digit.reshape((10,) + (1,) * (3 - k))
-    return pairs.view("<u8").ravel()
+def _digit_groups():
+    """The ASCII groups "0000" to "9999", four bytes as one uint32 each."""
+    digits = np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10
+    return (digits + ord("0")).astype(np.uint8).view("<u4").ravel()
 
 
 @cache
 def _cell_rows():
     """One row per (e, s), e in [_E_LO, _E_HI], s in [0, 17]."""
-    e = np.arange(_E_LO, _E_HI + 1)[:, None, None]
-    s = np.arange(18)[None, :, None]
-    col = np.arange(_CELL)
-    i = (col - 6) // 2  # the digit or point slot at col, from col 6 on
-    pair = (col >= 6) & (col < _CELL - 1)
-    zone = (col >= 1) & (col < 2 - e) & (e < 0)
-    digit = pair & (col % 2 == 0) & (i < np.maximum(s, e + 1))
-    point = pair & (col % 2 == 1) & (i == e) & (s > e + 1)
-    chars = np.zeros(_CELL, np.uint8)
-    chars[1:6] = np.frombuffer(b"0.000", np.uint8)
-    chars[6:-1:2], chars[7:-1:2] = 0xFF, ord(".")
-    return np.where(zone | digit | point, chars, 0).reshape(-1, _CELL)
+    rows = np.zeros((_E_HI - _E_LO + 1, 18, _CELL), np.uint8)
+    for e in range(_E_LO, _E_HI + 1):
+        for s in range(18):
+            row = rows[e - _E_LO, s]
+            if e < 0:
+                row[1:2 - e] = list(b"0.000"[:1 - e])
+            row[6:6 + 2 * max(s, e + 1):2] = 0xFF
+            if 0 <= e < s - 1:
+                row[7 + 2 * e] = ord(".")
+    return rows.reshape(-1, _CELL)
 
 
 def _scaled_digits(a, e):
@@ -401,12 +394,12 @@ def _csv_cells(x) -> np.ndarray:
     g[:, 0], q = np.divmod(q, 10**8)
     g[:, 1], g[:, 2] = np.divmod(q, 10**4)
     g[:, 3], g[:, 4] = np.divmod(r, 10**4)
-    # 17 (digit, 0xFF) pairs per value; group 0 is "000" and d0
-    digits = _digit_pairs().take(g).view("<u2")[:, 3:]
-    s = 17 - np.argmax(digits[:, ::-1] != 0xFF00 + ord("0"), axis=1)
+    # 17 ASCII digits per value; group 0 is "000" and d0
+    digits = _digit_groups().take(g).view(np.uint8)[:, 3:]
+    s = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
     s[zero] = 1
     cells = _cell_rows().take((e - _E_LO) * 18 + s, axis=0)
-    cells.view("<u2")[:, 3:] &= digits
+    cells[:, 6:-1:2] &= digits
     cells[:, 0] = np.signbit(x) * ord("-")
     slow = np.flatnonzero(~fast)
     if slow.size:

@@ -225,6 +225,38 @@ class TestRunSolve:
         assert doc_out["feasible"] is False
 
 
+class TestDefaultTolerance:
+    """Solve and reach default ``tol`` to 1e-8: a residual just above it
+    exits 2, and a config with a larger ``tol`` exits 0."""
+
+    def run(self, tmp_path, doc):
+        path = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "out"
+        code = cli.main(["run", str(path), "--out", str(out), "--quiet"])
+        return code, json.loads((out / "c.json").read_text())
+
+    @pytest.mark.parametrize("extra, code",
+                             [({}, 2), ({"budget": {"tol": 1e-7}}, 0)])
+    def test_solve(self, extra, code, tmp_path):
+        # Bloch radius m0 + 4e-8 for m0 = |1 - 2 p_s| = 0.4: the solve
+        # returns the closest reachable state, 2e-8 away
+        doc = {"mode": "solve", "p_s": 0.3,
+               "target": [[0.70000002, 0.0], [0.0, 0.29999998]], **extra}
+        got, result = self.run(tmp_path, doc)
+        assert 1.5e-8 < result["residual"] < 2.5e-8
+        assert (got, result["feasible"]) == (code, code == 0)
+
+    @pytest.mark.parametrize("extra, code", [({}, 2), ({"tol": 1e-6}, 0)])
+    def test_reach(self, extra, code, tmp_path):
+        # rho00 reaches [0.4, 0.6] at most: a target 1e-7 beyond it leaves
+        # a residual of sqrt(2) 1e-7
+        doc = dict(reach_config(), target_weights=[0.6 + 1e-7, 0.4 - 1e-7],
+                   **extra)
+        got, result = self.run(tmp_path, doc)
+        assert 1e-8 < result["residual"] <= 1e-6
+        assert (got, result["reachable"]) == (code, code == 0)
+
+
 class TestSolveTargetTolerance:
     """``check`` and ``run`` accept and reject the same solve targets."""
 
@@ -927,6 +959,20 @@ class TestCsvWriter:
                             np.nextafter(centres, np.inf)])
         self.assert_cells_match_percent(np.concatenate([x, -x]))
 
+    def test_low_exponent_estimate_is_corrected(self, monkeypatch):
+        # a log10 one too low gives 18 digits, 10^17 itself for a = 1.0 or
+        # 10.0, which the kernel must move up one decade
+        rng = np.random.default_rng(23)
+        centres = np.array([float(10**k) if k >= 0 else 10.0**k
+                            for k in range(-4, 16)])
+        x = np.concatenate([np.nextafter(centres, 0.0), centres,
+                            np.nextafter(centres, np.inf),
+                            10.0 ** rng.uniform(-4.0, 16.0, 10**4)])
+        x = x[(x >= 1e-4) & (x < 1e16)]
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) - 1.0)
+        self.assert_cells_match_percent(x)
+
     def test_exact_ties_round_to_even(self):
         # m + t/2^j with m of 18 - j digits has exactly 18 significant
         # digits, the last a 5: a tie at the 17th, e.g. 1234567890123456.25
@@ -966,6 +1012,18 @@ class TestCsvWriter:
                       np.column_stack([table, values[index]]))
         assert csv_bytes(header, list(table.T) + [(values, index)]) \
             == (tmp_path / "ref.csv").read_bytes()
+
+    def test_tables_built_on_first_csv_result(self, tmp_path):
+        tables = (cli._digit_groups, cli._cell_rows)
+        for table in tables:
+            table.cache_clear()
+        out = str(tmp_path / "out")
+        json_run = write_config(tmp_path, "s.json", solve_config())
+        assert cli.main(["run", str(json_run), "--out", out, "--quiet"]) == 0
+        assert [t.cache_info().currsize for t in tables] == [0, 0]
+        csv_run = write_config(tmp_path, "w.json", sweep_config())
+        assert cli.main(["sweep", str(csv_run), "--out", out, "--quiet"]) == 0
+        assert [t.cache_info().currsize for t in tables] == [1, 1]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_cell_writes_nothing(self, bad):

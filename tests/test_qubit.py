@@ -285,6 +285,16 @@ class TestOverlapAngles:
         assert ang.alpha == pytest.approx(0.0, abs=1e-12)
         assert ang.beta == 0.0
 
+    @pytest.mark.parametrize("t, beta", [
+        (5e-12, np.pi / 2), (np.pi / 4 - 5e-12, np.pi / 2),
+        (5e-14, 0.0), (np.pi / 4 - 5e-14, 0.0)])
+    def test_beta_zero_only_below_overlap_floor(self, t, beta):
+        # near t = 0 the overlap <perp|psi_-0> is ~2t, near t = pi/4 the
+        # overlap <psi_+0|psi_-0> is ~pi/2 - 2t: beta is set to 0 only once
+        # one of them is at most 1e-12
+        g = QubitCouplings(g1=0.0, g2=1.0, g3=0.0, g4=1.0)
+        assert qubit.overlap_angles(g, t).beta == beta
+
     def test_alpha_reproducible_from_unitaries(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

@@ -1,7 +1,8 @@
 """Source hygiene of the package, checked with the standard library's ``ast``.
 
 Deletions tend to leave an import, a private helper or a module constant
-behind; three checks find them without a linter.  A fourth keeps the
+behind; three checks find them without a linter.  A fourth lists the public
+functions and classes that only unit tests reach.  A fifth keeps the
 brute-force oracle independent of the code it checks.  Three more keep the
 error contract: the package raises only its own error types, and only the
 CLI prints and touches files.
@@ -118,6 +119,32 @@ def test_every_constant_is_read():
     unread = [f"{name}:{const}" for name, tree in trees.items()
               for const in sorted(module_constants(tree)) if const not in reads]
     assert unread == []
+
+
+# Public names that no mode, other module or acceptance criterion reads;
+# the list may only shrink.
+UNREACHED_PUBLIC = {
+    "qubit.conditional_unitaries", "qubit.overlap_angles",
+    "qubit.spectral_form", "qubit.zero_coherence_condition",
+    "nlevel.pure_state_transporter", "nlevel.expansion_coefficients",
+    "nlevel.reachability_residual",
+}
+
+
+def test_public_definitions_reached_outside_unit_tests():
+    # a name counts as read when some other top-level statement of src/,
+    # or the acceptance tests, read it; a re-export in __init__ does not
+    tops = [(p.stem, node, read_names(node))
+            for p in MODULES for node in parse(p).body]
+    acceptance = read_names(parse(SRC.parents[1] / "tests"
+                                  / "test_acceptance.py"))
+    unreached = {f"{mod}.{node.name}" for mod, node, _ in tops
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and not node.name.startswith("_")
+                 and node.name not in acceptance
+                 and not any(node.name in reads
+                             for _, other, reads in tops if other is not node)}
+    assert unreached == UNREACHED_PUBLIC
 
 
 def test_oracle_imports_no_decomposition_code():

@@ -5,11 +5,12 @@ between strict and non-strict (``<`` <-> ``<=``, ``>`` <-> ``>=``), or a
 float literal of magnitude below 1e-3, multiplied by 100.  For each chosen
 site the script copies the repository (without ``.git``) to a temporary
 directory, applies that one mutation there, and runs the tier-1 suite with
-``-x`` under a time limit, one mutant at a time.  The limit is
-``HANG_FACTOR`` times the unmutated suite's seconds, and at least
-``HANG_FLOOR`` seconds.  A mutant is *killed* when the suite fails,
-*survived* when it passes, and *hung* when it runs over the limit.  The
-working tree is only read.
+``-x`` under a time limit, one mutant at a time.  The limit is the
+suite's per-test alarm (``TEST_TIME_LIMIT_S`` in ``tests/conftest.py``)
+plus ``HANG_FACTOR`` times the unmutated suite's seconds, so a mutant that
+loops in one test trips the alarm and fails first.  A mutant is *killed*
+when the suite fails, *survived* when it passes, and *hung* when it runs
+over the limit.  The working tree is only read.
 
     python tools/mutants.py --sample 10 --seed 0
 
@@ -35,7 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
 SMALL = 1e-3
-HANG_FACTOR, HANG_FLOOR = 5.0, 30.0
+HANG_FACTOR = 5.0
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
 
 
@@ -56,6 +57,19 @@ def sites(root: Path):
                     found.append((rel, row, col, tok.string,
                                   f"({tok.string} * 100)"))
     return found
+
+
+def alarm_seconds(root: Path) -> float:
+    """The suite's per-test alarm, read from its conftest without running
+    it."""
+    tree = ast.parse((root / "tests" / "conftest.py").read_text(
+        encoding="utf-8"))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TEST_TIME_LIMIT_S"
+                        for t in node.targets)):
+            return float(ast.literal_eval(node.value))
+    raise LookupError("tests/conftest.py sets no TEST_TIME_LIMIT_S")
 
 
 def apply(root: Path, site) -> None:
@@ -114,7 +128,7 @@ def main(argv=None) -> int:
         chosen = sorted(random.Random(args.seed).sample(chosen, k))
     # no limit here; the suite's own per-test alarm still applies
     outcome, seconds = trial(None, None)
-    limit = max(HANG_FLOOR, HANG_FACTOR * seconds)
+    limit = alarm_seconds(ROOT) + HANG_FACTOR * seconds
     print(f"{len(all_sites)} sites; unmutated suite {outcome} "
           f"in {seconds:.1f} s; mutants hang after {limit:.0f} s")
     if outcome != "passed":
