@@ -253,26 +253,38 @@ def _defect_matrix(prob: ReachabilityProblem) -> np.ndarray:
          np.hstack([upper.real, upper.imag]).reshape(-1, n)])
 
 
+def _affine_min(pts: np.ndarray):
+    """Affine least-norm weights (sum 1) and the rank of column differences."""
+    nu, _, rank, _ = np.linalg.lstsq(pts[:, 1:] - pts[:, :1], -pts[:, 0],
+                                     rcond=None)
+    return np.concatenate([[1.0 - nu.sum()], nu]), rank
+
+
 def _min_norm_point(a: np.ndarray) -> np.ndarray:
     """Barycentric weights of the least-norm point in the hull of a's columns.
 
+    The walk starts from every column if they are affinely independent and
+    their affine hull's least-norm point has weights >= 0 (then it is the
+    answer, after one least-squares solve), else from the least-norm column.
     Major cycles add the column most opposed to the current point x; minor
     cycles move x to the least-norm point of the active columns' affine
     hull, dropping columns whose weight would turn negative.  Ties go to
     the lowest index, and the walk stops once a cycle no longer lowers |x|.
     """
-    active = [int(np.argmin(np.einsum("ij,ij->j", a, a)))]
-    lam, x = np.ones(1), a[:, active[0]]
+    lam, rank = _affine_min(a)
+    if rank == a.shape[1] - 1 and np.all(lam >= 0.0):
+        active = list(range(a.shape[1]))
+    else:
+        active = [int(np.argmin(np.einsum("ij,ij->j", a, a)))]
+        lam = np.ones(1)
+    x = a[:, active] @ lam
     while True:
         j = int(np.argmin(a.T @ x))
         if j in active or x @ x - a[:, j] @ x <= 0.0:
             break
         s, mu_s = active + [j], np.append(lam, 0.0)
         while True:
-            pts = a[:, s]
-            nu = np.linalg.lstsq(pts[:, 1:] - pts[:, :1], -pts[:, 0],
-                                 rcond=None)[0]
-            mu = np.concatenate([[1.0 - nu.sum()], nu])
+            mu = _affine_min(a[:, s])[0]
             if np.all(mu >= 0.0):
                 break
             # Step from mu_s towards mu until a weight hits zero; drop it.
@@ -299,7 +311,10 @@ def solve_probe_spectrum(prob: ReachabilityProblem):
     convex hull of A's columns.  Wolfe's minimum-norm-point algorithm (P.
     Wolfe, "Finding the nearest point in a polytope", Math. Programming 11,
     1976) finds it exactly in finitely many steps, here on R from A = QR
-    (same Gram matrix, n x n).  Returns (w, |A w|).
+    (same Gram matrix, n x n).  The walk starts from every probe level when
+    their affine hull's least-norm point lies in the hull, so a reachable
+    target with a full-support probe spectrum costs one least-squares
+    solve; otherwise it starts from one level.  Returns (w, |A w|).
     """
     a = _defect_matrix(prob)
     w = _min_norm_point(np.linalg.qr(a, mode="r"))

@@ -75,6 +75,18 @@ def incompatible_instance(rng, n):
                                       coefficients=np.stack([u] * n, axis=2))
 
 
+def identical_blocks_instance(rng, n):
+    """One unitary for every probe level and a pure target: every column of
+    the defect matrix is the same vector, so the hull is a single point
+    away from the origin and its columns are affinely dependent."""
+    p = np.sort(rng.dirichlet(np.ones(n)))[::-1]
+    q = np.zeros(n)
+    q[0] = 1.0
+    u = rand_unitary(rng, n)
+    return nlevel.ReachabilityProblem(initial_weights=p, target_weights=q,
+                                      coefficients=np.stack([u] * n, axis=2))
+
+
 def random_target_instance(rng, n):
     """Random blocks and a random target: generally unreachable, with the
     optimum on a face of the simplex."""
@@ -643,21 +655,121 @@ class TestMinNormSolver:
         np.testing.assert_allclose(w, expected, rtol=0, atol=1e-14)
         assert np.linalg.norm(pts @ w) <= 1e-15
 
+    def test_two_drop_steps_in_one_minor_cycle(self):
+        # This cloud's walk drops two columns in one minor cycle, so the
+        # weights mu_s must stay aligned with s after the first drop.
+        pts = np.random.default_rng(83).normal(size=(4, 7))
+        w = nlevel._min_norm_point(pts)
+        assert_simplex(w, 7)
+        reference = enumerated_supports_residual(pts, np.zeros(4))
+        assert np.linalg.norm(pts @ w) <= reference + 1e-12
+
+    # Integer points whose least-squares weights and dot products are exact,
+    # so the walk's thresholds are met with equality.
+    FACE = [[0.0, 1.0, -1.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]]
+
+    def test_zero_start_weight_starts_from_every_column(self, count_calls):
+        # The affine hull's least-norm point (0, 1, 0) has weight exactly 0
+        # on column 0; it still lies in the hull, so the start takes it.
+        calls = count_calls(np.linalg, "lstsq")
+        w = nlevel._min_norm_point(np.array(self.FACE))
+        assert len(calls) == 1 and w[0] == 0.0
+        np.testing.assert_allclose(w, [0.0, 0.5, 0.5], rtol=0, atol=1e-15)
+
+    def test_zero_weight_in_a_minor_cycle_is_kept(self):
+        # Column 3 puts the origin in the affine hull but not in the hull, so
+        # the walk runs and its last minor cycle meets weights (0, 1/2, 1/2)
+        # with nothing negative to drop.
+        pts = np.hstack([self.FACE, [[0.0], [5.0], [0.0]]])
+        w = nlevel._min_norm_point(pts)
+        np.testing.assert_allclose(w, [0.0, 0.5, 0.5, 0.0], rtol=0,
+                                   atol=1e-15)
+
+    def test_no_descent_ends_the_walk(self, count_calls):
+        # Collinear columns (affinely dependent): the walk starts at column
+        # 2, and column 0 ties it, a_0 . x == |x|^2, so no cycle runs.
+        calls = count_calls(np.linalg, "lstsq")
+        w = nlevel._min_norm_point(np.array([[1.0, 1.0, 1.0],
+                                             [1.0, -1.0, 0.0]]))
+        assert len(calls) == 1
+        assert w.tolist() == [0.0, 0.0, 1.0]
+
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_identical_blocks_rank_deficient(self, n):
-        # Every column of M - b 1^T is the same vector, so the hull is a
-        # single point away from the origin.
-        rng = np.random.default_rng(600 + n)
-        p = np.sort(rng.dirichlet(np.ones(n)))[::-1]
-        q = np.zeros(n)
-        q[0] = 1.0
-        u = rand_unitary(rng, n)
-        prob = nlevel.ReachabilityProblem(
-            initial_weights=p, target_weights=q,
-            coefficients=np.stack([u] * n, axis=2))
+        prob = identical_blocks_instance(np.random.default_rng(600 + n), n)
         w, res = nlevel.solve_probe_spectrum(prob)
         assert_simplex(w, n)
         assert res > 1e-3
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_forward_instance_takes_one_least_squares_solve(self, n,
+                                                           count_calls):
+        # A full-support feasible point: the affine hull's least-norm point
+        # already has weights >= 0, so the walk starts and ends there.
+        prob, _ = forward_reachability_instance(
+            np.random.default_rng(800 + n), n)
+        calls = count_calls(np.linalg, "lstsq")
+        w, res = nlevel.solve_probe_spectrum(prob)
+        assert len(calls) == 1
+        assert_simplex(w, n)
+        assert res <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_identical_blocks_keep_the_vertex_walk(self, n, count_calls):
+        # Affinely dependent columns: the walk starts at the least-norm
+        # column of R and the first major cycle ends it there.
+        prob = identical_blocks_instance(np.random.default_rng(600 + n), n)
+        r = np.linalg.qr(nlevel._defect_matrix(prob), mode="r")
+        vertex = np.zeros(n)
+        vertex[np.argmin(np.einsum("ij,ij->j", r, r))] = 1.0
+        calls = count_calls(np.linalg, "lstsq")
+        w, _ = nlevel.solve_probe_spectrum(prob)
+        assert len(calls) == 1
+        assert w.tobytes() == vertex.tobytes()
+
+    def test_duplicated_column_keeps_the_vertex_walk(self):
+        # n + 1 columns of rank n - 1 whose affine least-norm point has
+        # weights >= 0: only the rank condition keeps the copy of column 1
+        # out of the start, so it ends with weight 0.
+        n = 4
+        prob, _ = forward_reachability_instance(np.random.default_rng(n), n)
+        r = np.linalg.qr(nlevel._defect_matrix(prob), mode="r")
+        pts = np.hstack([r, r[:, 1:2]])
+        mu, rank = nlevel._affine_min(pts)
+        assert rank == n - 1 and np.all(mu >= 0.0) and mu[-1] > 0.1
+        w = nlevel._min_norm_point(pts)
+        assert w[-1] == 0.0
+        assert_simplex(w, n + 1)
+        assert np.linalg.norm(pts @ w) <= 1e-14
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_random_target_walks(self, n, count_calls):
+        # Optimum on a face (2, 4 and 4 levels of support): the start
+        # fails its weight test and the walk goes on from a vertex.
+        prob = random_target_instance(np.random.default_rng(710 + n), n)
+        calls = count_calls(np.linalg, "lstsq")
+        w, res = nlevel.solve_probe_spectrum(prob)
+        assert len(calls) > 1 and np.count_nonzero(w) < n
+        assert_simplex(w, n)
+        reference = enumerated_supports_residual(*stacked_reference(prob))
+        assert res <= reference + 1e-12
+
+    @pytest.mark.parametrize("n", [10, 16, 24])
+    @pytest.mark.parametrize("make", [
+        lambda rng, n: forward_reachability_instance(rng, n)[0],
+        identical_blocks_instance,
+        random_target_instance,
+    ], ids=["forward", "identical_blocks", "random_target"])
+    def test_optimality_certificate(self, n, make):
+        # Wolfe's termination test: x = A w is the least-norm point of the
+        # hull iff min_j a_j^T x >= |x|^2.  Checked past support
+        # enumeration's reach.
+        prob = make(np.random.default_rng(900 + n), n)
+        w, _ = nlevel.solve_probe_spectrum(prob)
+        a = nlevel._defect_matrix(prob)
+        x = a @ w
+        gap = x @ x - np.min(a.T @ x)
+        assert gap <= 1e-12 * np.max(np.einsum("ij,ij->j", a, a))
 
     def test_reruns_bitwise_identical(self):
         rng = np.random.default_rng(42)

@@ -1,0 +1,90 @@
+"""The developer tools' pure helpers: the mutation sampler's line filter and
+the parity check's difference magnitudes.  Neither runs a suite or a tree."""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+mutants, parity = load("mutants"), load("parity")
+
+
+class TestMutantSites:
+    def test_site_filter_keeps_only_that_line(self):
+        all_sites = mutants.sites(mutants.ROOT)
+        rel, row = all_sites[0][:2]
+        chosen = mutants.on_lines(all_sites, [f"{rel}:{row}"])
+        assert chosen == [i for i, s in enumerate(all_sites)
+                          if s[:2] == (rel, row)]
+
+    def test_repeated_sites_are_merged_in_order(self):
+        all_sites = mutants.sites(mutants.ROOT)
+        first, last = all_sites[0], all_sites[-1]
+        chosen = mutants.on_lines(all_sites, [f"{last[0]}:{last[1]}",
+                                              f"{first[0]}:{first[1]}"])
+        assert chosen[0] == 0 and chosen[-1] == len(all_sites) - 1
+        assert chosen == sorted(chosen)
+
+    @pytest.mark.parametrize("spec", ["src/iqcontrol/nlevel.py",
+                                      "src/iqcontrol/nlevel.py:x",
+                                      "src/iqcontrol/nlevel.py:1",
+                                      "src/iqcontrol/missing.py:57"])
+    def test_bad_or_empty_line_raises(self, spec):
+        with pytest.raises(ValueError):
+            mutants.on_lines(mutants.sites(mutants.ROOT), [spec])
+
+
+class TestParityMagnitudes:
+    def write(self, tmp_path, name, a, b):
+        paths = tmp_path / f"a-{name}", tmp_path / f"b-{name}"
+        for path, text in zip(paths, (a, b)):
+            path.write_text(text, encoding="utf-8")
+        return paths
+
+    def test_json_list_entries_fold_into_their_key(self, tmp_path):
+        a = {"probe_diagonal": [0.25, 0.75], "reachable": True,
+             "residual": 1e-16, "stage": {"cycles": 3}}
+        b = {"probe_diagonal": [0.25 + 1e-14, 0.75 - 3e-14],
+             "reachable": True, "residual": 2e-16, "stage": {"cycles": 3}}
+        largest = parity.magnitudes(*self.write(
+            tmp_path, "r.json", json.dumps(a), json.dumps(b)))
+        assert largest.keys() == {"probe_diagonal", "reachable", "residual",
+                                  "stage.cycles"}
+        assert largest["probe_diagonal"] == pytest.approx(3e-14, rel=1e-3)
+        assert largest["residual"] == pytest.approx(1e-16)
+        assert largest["reachable"] == 0.0 and largest["stage.cycles"] == 0
+
+    def test_json_non_numeric_change_is_infinite(self, tmp_path):
+        largest = parity.magnitudes(*self.write(
+            tmp_path, "r.json", '{"reachable": true}', '{"reachable": false}'))
+        assert math.isinf(largest["reachable"])
+        assert parity.describe(largest) == "reachable not numeric"
+
+    def test_csv_columns(self, tmp_path):
+        largest = parity.magnitudes(*self.write(
+            tmp_path, "s.csv", "t,rho00\n0,0.5\n1,0.25\n",
+            "t,rho00\n0,0.5\n1,0.2500001\n"))
+        assert largest["t"] == 0.0
+        assert largest["rho00"] == pytest.approx(1e-7, rel=1e-6)
+
+    @pytest.mark.parametrize("name, a, b", [
+        ("r.json", '{"w": [1, 2]}', '{"w": [1, 2, 3]}'),
+        ("r.json", '{"w": 1}', '{"v": 1}'),
+        ("s.csv", "t\n0\n", "t\n0\n1\n"),
+        ("s.csv", "t\n0\n", "u\n0\n"),
+        ("s.txt", "a", "b"),
+    ])
+    def test_structure_change_has_no_magnitudes(self, tmp_path, name, a, b):
+        assert parity.magnitudes(*self.write(tmp_path, name, a, b)) is None

@@ -13,8 +13,11 @@ when the suite fails, *survived* when it passes, and *hung* when it runs
 over the limit.  The working tree is only read.
 
     python tools/mutants.py --sample 10 --seed 0
+    python tools/mutants.py --site src/iqcontrol/nlevel.py:298
 
-Standard library only.  It prints one Markdown table row per mutant.
+``--site PATH:LINE`` (repeatable) keeps only the sites on those lines,
+with PATH as the table's "where" column prints it.  Standard library only.
+It prints one Markdown table row per mutant.
 """
 
 from __future__ import annotations
@@ -113,18 +116,42 @@ def trial(site, timeout: float | None) -> tuple[str, float]:
     return outcome, time.perf_counter() - start
 
 
+def on_lines(all_sites, specs) -> list:
+    """Indices of the sites on the ``PATH:LINE`` lines of ``specs``.
+    Raises ValueError for a spec that is malformed or names no site."""
+    chosen = set()
+    for spec in specs:
+        path, _, line = spec.rpartition(":")
+        if not path or not line.isdigit():
+            raise ValueError(f"{spec!r} is not PATH:LINE")
+        found = {i for i, (rel, row, *_) in enumerate(all_sites)
+                 if (rel, row) == (path, int(line))}
+        if not found:
+            raise ValueError(f"no mutation site on {spec}")
+        chosen |= found
+    return sorted(chosen)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sample", type=int, default=None,
                         help="mutate K sites chosen at random (default: all)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed of the site sample (default 0)")
+    parser.add_argument("--site", action="append", default=[],
+                        metavar="PATH:LINE",
+                        help="mutate only the sites on this line; repeatable")
     args = parser.parse_args(argv)
 
     all_sites = sites(ROOT)
     chosen = list(range(len(all_sites)))
+    if args.site:
+        try:
+            chosen = on_lines(all_sites, args.site)
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.sample is not None:
-        k = min(max(args.sample, 0), len(all_sites))
+        k = min(max(args.sample, 0), len(chosen))
         chosen = sorted(random.Random(args.seed).sample(chosen, k))
     # no limit here; the suite's own per-test alarm still applies
     outcome, seconds = trial(None, None)

@@ -14,8 +14,14 @@ Each tree then runs the whole list in one fresh process that imports that
 tree's ``src/`` and calls ``iqcontrol.cli.main`` in process, with the same
 relative config and ``--out`` paths, so stdout can match line for line.
 Every output file, exit code, stdout line and stderr line that differs is
-printed, and the exit code is 1 if anything differs.  The working tree is
-only read.
+printed, and the exit code is 1 if anything differs.  For a JSON or CSV
+output whose bytes differ, both sides are parsed and the largest absolute
+difference is printed per JSON key (list entries folded into their key,
+nested keys joined by ``.``) or per CSV column; a key or column whose
+values differ other than as numbers reads ``not numeric``, and a file
+whose structure differs reads ``shape differs``.  The last lines give the
+largest difference per key or column over all such files.  The working
+tree is only read.
 
 Standard library and numpy only.
 """
@@ -24,9 +30,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -109,6 +117,66 @@ def lines_differ(what: str, argv: list, a: str, b: str) -> list:
             for i, (x, y) in enumerate(pairs) if x != y]
 
 
+def paired_values(a, b, key=""):
+    """(key, a value, b value) for every leaf of two parsed JSON documents
+    of the same shape; list entries keep their list's key.  Raises
+    ValueError where the shapes differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            raise ValueError(key)
+        for k in a:
+            yield from paired_values(a[k], b[k], f"{key}.{k}" if key else k)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise ValueError(key)
+        for x, y in zip(a, b):
+            yield from paired_values(x, y, key)
+    else:
+        yield key, a, b
+
+
+def paired_cells(a: str, b: str):
+    """(column, a cell, b cell) for every cell of two CSV texts with the
+    same header and row count, cells as floats where they parse."""
+    rows_a, rows_b = (list(csv.reader(text.splitlines())) for text in (a, b))
+    if (len(rows_a) != len(rows_b) or not rows_a or rows_a[0] != rows_b[0]
+            or any(len(x) != len(y) for x, y in zip(rows_a, rows_b))):
+        raise ValueError("rows")
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        for name, x, y in zip(rows_a[0], row_a, row_b):
+            with contextlib.suppress(ValueError):
+                x, y = float(x), float(y)
+            yield name, x, y
+
+
+def magnitudes(path_a: Path, path_b: Path) -> dict | None:
+    """Largest |a - b| per JSON key or CSV column of two output files (inf
+    where the values differ other than as numbers), or None if their
+    structure differs or they are neither JSON nor CSV."""
+    a, b = (p.read_text(encoding="utf-8") for p in (path_a, path_b))
+    try:
+        if path_a.suffix == ".json":
+            pairs = list(paired_values(json.loads(a), json.loads(b)))
+        elif path_a.suffix == ".csv":
+            pairs = list(paired_cells(a, b))
+        else:
+            return None
+    except ValueError:
+        return None
+    largest = {}
+    for key, x, y in pairs:
+        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      for v in (x, y))
+        d = abs(x - y) if numeric else (0.0 if x == y else math.inf)
+        largest[key] = max(largest.get(key, 0.0), d)
+    return largest
+
+
+def describe(largest: dict) -> str:
+    return ", ".join(f"{k} {'not numeric' if math.isinf(d) else f'{d:.2g}'}"
+                     for k, d in sorted(largest.items()))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", nargs="?", help="git revision to compare with")
@@ -140,14 +208,22 @@ def main(argv=None) -> int:
             diffs += lines_differ("stdout", argv, a[1], b[1])
             diffs += lines_differ("stderr", argv, a[2], b[2])
         out_a, out_b = (files(tmp / f"{name}-run" / "out") for name in sides)
+        overall = {}
         for rel in sorted(out_a.keys() | out_b.keys()):
             if rel not in out_a or rel not in out_b:
                 diffs.append(f"file {rel}: only in "
                              f"{'base' if rel in out_a else 'tree'}")
             elif out_a[rel].read_bytes() != out_b[rel].read_bytes():
-                diffs.append(f"file {rel}: bytes differ")
+                largest = magnitudes(out_a[rel], out_b[rel])
+                diffs.append(f"file {rel}: bytes differ; " + (
+                    "shape differs" if largest is None
+                    else f"max |d| {describe(largest)}"))
+                for key, d in (largest or {}).items():
+                    overall[key] = max(overall.get(key, 0.0), d)
     for line in diffs:
         print(line)
+    if overall:
+        print(f"max |d| over all differing files: {describe(overall)}")
     print(f"{len(plan)} runs, {len(out_b)} output files in the tree, "
           f"{len(out_a)} at {args.rev}; {len(diffs)} differences")
     return 1 if diffs else 0
