@@ -4,17 +4,18 @@ The interaction is
 
     H = (g1 sz + g2 s+ + g2* s-) (x) (g3 px + g4 pz),
 
-a product of a system factor and a probe factor.  Diagonalizing the probe
-factor splits the composite evolution into two conditional unitaries
-U_+/U_- acting on the system alone, which yields a closed-form reduced
-state parametrized by the probe mixing angle theta, the overlap angles
-(alpha, beta) of the conditionally evolved states, and the probe ground
-occupancy p_p.  The kernels know U_+ = cos(a) I - i sin(a) n_hat.sigma only
-as (a, n_hat): U_+^2 gives the overlaps, and U_+ and U_- = U_+^dag rotate
-Bloch vectors by +2a and -2a about n_hat, so every reduced state is a Bloch
-vector, a probe-weighted pair of rotations built without 2x2 matrices.  The
-closed-form functions work element by element on arrays; a scalar input
-still gives a scalar result.
+a system factor n.sigma, n = (Re g2, -Im g2, g1), times a probe factor;
+only the oracle (``verify.interaction_from_couplings``) builds it as a
+matrix.  Diagonalizing the probe factor splits the composite evolution
+into two conditional unitaries U_+/U_- acting on the system alone, which
+yields a closed-form reduced state parametrized by the probe mixing angle
+theta, the overlap angles (alpha, beta) of the conditionally evolved
+states, and the probe ground occupancy p_p.  The kernels know U_+ =
+cos(a) I - i sin(a) n_hat.sigma only as (a, n_hat): U_+^2 gives the
+overlaps, and U_+ and U_- = U_+^dag rotate Bloch vectors by +2a and -2a
+about n_hat, so every reduced state is a Bloch vector, a probe-weighted
+pair of rotations built without 2x2 matrices; a system-local unitary
+rotates n.  The closed forms act element-wise; a scalar gives a scalar.
 
 Basis convention: states are written in the {|1>, |0>} order with
 sz|1> = +|1>, |0> the ground state, and s+ = |1><0|.  A diagonal system
@@ -37,13 +38,6 @@ from .errors import (
     InfeasibleError,
     StateError,
 )
-
-# Pauli matrices in the {|1>, |0>} ordering.
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class QubitCouplings:
@@ -85,15 +79,6 @@ class OverlapAngles:
 
 
 @dataclass(frozen=True)
-class PMProbeComponents:
-    """Probe state components in the +/- eigenbasis of the probe factor."""
-
-    pp_plus: float
-    pp_minus: float
-    pm_cross: float
-
-
-@dataclass(frozen=True)
 class SpectralForm:
     """Eigen-decomposition of a 2x2 state given by its entries."""
 
@@ -130,22 +115,6 @@ def _unbox(x):
     return x.item() if x.ndim == 0 else x
 
 
-def system_factor(g: QubitCouplings) -> np.ndarray:
-    """g1 sz + g2 s+ + g2* s- (2x2 Hermitian, traceless)."""
-    g2 = complex(g.g2)
-    return g.g1 * SIGMA_Z + g2 * SIGMA_PLUS + np.conj(g2) * SIGMA_MINUS
-
-
-def probe_factor(g: QubitCouplings) -> np.ndarray:
-    """g3 px + g4 pz (2x2 Hermitian)."""
-    return g.g3 * SIGMA_X + g.g4 * SIGMA_Z
-
-
-def build_interaction(g: QubitCouplings) -> np.ndarray:
-    """The full 4x4 interaction Hamiltonian, system (x) probe."""
-    return opkit.kron(system_factor(g), probe_factor(g))
-
-
 def local_rotation_matrix(r: LocalRotation) -> np.ndarray:
     """The 2x2 system block f of the local transformation f (x) I."""
     c, s = np.cos(r.theta / 2.0), np.sin(r.theta / 2.0)
@@ -157,14 +126,13 @@ def local_rotation_matrix(r: LocalRotation) -> np.ndarray:
 def transform_couplings(r: LocalRotation, g: QubitCouplings) -> QubitCouplings:
     """Couplings g' with H(g') = (f (x) I) H(g) (f (x) I)^dag.
 
-    The probe couplings g3, g4 are untouched; the conjugated system factor
-    stays in the span of {sz, s+, s-}, so (g1', g2') are read off its
-    entries.
-    """
-    f = local_rotation_matrix(r)
-    h = f @ system_factor(g) @ opkit.dag(f)
-    return QubitCouplings(g1=float(h[0, 0].real), g2=complex(h[0, 1]),
-                          g3=g.g3, g4=g.g4)
+    f = exp(-i theta/2 m_hat.sigma), m_hat = (sin phi, cos phi, 0), turns
+    the system axis n = (Re g2, -Im g2, g1) by theta about m_hat into n':
+    g1' = n'_z, g2' = n'_x - i n'_y, and g3, g4 are kept."""
+    n = (g.g2.real, -g.g2.imag, g.g1)
+    m_hat = (np.sin(r.phi), np.cos(r.phi), 0.0)
+    x, y, z = _rotate(n, np.cos(r.theta), np.sin(r.theta), m_hat)
+    return QubitCouplings(g1=float(z), g2=complex(x, -y), g3=g.g3, g4=g.g4)
 
 
 def probe_mixing_angle(g: QubitCouplings) -> float:
@@ -225,33 +193,24 @@ def _square_overlaps(c, s, nx, ny, nz) -> OverlapAngles:
     return OverlapAngles(alpha=_unbox(alpha), beta=_unbox(beta))
 
 
-def pm_components(theta, p_p) -> PMProbeComponents:
-    """Diagonal probe diag(1-p_p, p_p) re-expressed in the +/- basis.
-
-    DomainError unless every p_p lies in [0, 1]."""
-    _require_unit("p_p", p_p)
-    pp_plus = np.cos(theta / 2.0) ** 2 - p_p * np.cos(theta)
-    pm_cross = 0.5 * np.sin(theta) - p_p * np.sin(theta)
-    return PMProbeComponents(pp_plus=_unbox(pp_plus),
-                             pp_minus=_unbox(1.0 - pp_plus),
-                             pm_cross=_unbox(pm_cross))
-
-
 def reduced_state_closed_form(p_s, theta, p_p, ang: OverlapAngles):
     """Entries (rho00, rho11, rho10) of the evolved state in the
     {U_+|0>, U_+|1>} basis.
 
     rho10 is the (row U_+|1>, column U_+|0>) entry; its phase carries
-    e^{+i beta}, which is the sign the brute-force oracle confirms.
+    e^{+i beta}, which is the sign the brute-force oracle confirms.  The
+    probe diag(1-p_p, p_p) puts pp_plus, pp_minus on the +/- eigenvectors.
     DomainError unless p_s and every p_p lie in [0, 1].
     """
     _require_unit("p_s", p_s)
-    pm = pm_components(theta, p_p)
+    _require_unit("p_p", p_p)
+    pp_plus = np.cos(theta / 2.0) ** 2 - p_p * np.cos(theta)
+    pp_minus = 1.0 - pp_plus
     ca2 = np.cos(ang.alpha) ** 2
     sa2 = np.sin(ang.alpha) ** 2
-    rho00 = p_s * pm.pp_plus + pm.pp_minus * (p_s * ca2 + (1.0 - p_s) * sa2)
+    rho00 = p_s * pp_plus + pp_minus * (p_s * ca2 + (1.0 - p_s) * sa2)
     rho11 = 1.0 - rho00
-    rho10 = (0.5 * pm.pp_minus * np.sin(2.0 * ang.alpha)
+    rho10 = (0.5 * pp_minus * np.sin(2.0 * ang.alpha)
              * np.exp(1j * ang.beta) * (2.0 * p_s - 1.0))
     return _unbox(rho00), _unbox(rho11), _unbox(rho10)
 
@@ -411,10 +370,11 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
             ax, ay, az = ax * k, ay * k, az * k
         pn = math.hypot(ax, ay)
         mx, my = (ax / pn, ay / pn) if pn > 1e-13 else (1.0, 0.0)
-        phi = math.acos(min(max(az / z0, -1.0), 1.0))
-        sphi = math.sin(phi)
-        u = (min(max((ax * mx + ay * my) / (m0 * sphi), -1.0), 1.0)
-             if sphi > 1e-12 else 0.0)
+        # sin(acos(c)) is 0 or 1.2e-16 at c = +/-1, else at least 1.49e-8
+        c = min(max(az / z0, -1.0), 1.0)
+        phi = math.acos(c)
+        u = (min(max((ax * mx + ay * my) / (m0 * math.sin(phi)), -1.0), 1.0)
+             if abs(c) < 1.0 else 0.0)
         e = 1.0 if z0 > 0.0 else -1.0
         # g2 = n_x - i n_y for the axis n = e z x m = (-e m_y, e m_x, 0);
         # "0.0 -" writes a zero part as 0.0, not -0.0

@@ -48,7 +48,7 @@ def test_criterion_1_conditional_decomposition_oracle():
         rho_p0 = rand_density(rng, 2)
         closed = qubit.conditional_reduced_state(g, t, rho_s0, rho_p0)
         sc = verify.CompositeScenario(
-            dim_s=2, dim_p=2, h_full=qubit.build_interaction(g),
+            dim_s=2, dim_p=2, h_full=verify.interaction_from_couplings(g.g1, g.g2, g.g3, g.g4),
             rho_s0=rho_s0, rho_p0=rho_p0)
         worst = max(worst, opkit.trace_distance(closed,
                                                 verify.evolve_full(sc, t)))
@@ -276,3 +276,36 @@ def test_criterion_9_cli_determinism(tmp_path):
            not mismatched and rows_ok,
            f"{len(configs)} configs byte-identical on rerun, "
            f"sweep rows {len(rows) - 1} == {expected}")
+
+
+def test_criterion_10_reachability_system_oracle():
+    # the N-level reach system at a known probe diagonal w against the
+    # brute-force evolution of diag(p) (x) V_p diag(w) V_p^dag under
+    # h_s (x) h_p, read in the reference basis W = exp(-i h_s ref_time)
+    rng = np.random.default_rng(110)
+    start = time.perf_counter()
+    worst = 0.0
+    for _ in range(100):
+        n = int(rng.choice([2, 3, 4]))
+        h_s, h_p = rand_hermitian(rng, n), rand_hermitian(rng, n)
+        energies, v_p = opkit.eig_hermitian(h_p)
+        t, ref_time = rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)
+        p, w = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        sc = verify.CompositeScenario(
+            dim_s=n, dim_p=n, h_full=opkit.kron(h_s, h_p),
+            rho_s0=np.diag(p).astype(complex),
+            rho_p0=(v_p * w) @ opkit.dag(v_p))
+        ref = opkit.expm_i_hermitian(h_s, ref_time)
+        rho = opkit.dag(ref) @ verify.evolve_full(sc, t) @ ref
+        q = np.real(np.diagonal(rho))
+        prob = nlevel.ReachabilityProblem(
+            initial_weights=p, target_weights=q,
+            coefficients=nlevel.expansion_coefficients(h_s, energies, t,
+                                                       ref_time))
+        diag, off = nlevel.reachability_residual(prob, w)
+        worst = max(worst, float(np.max(np.abs(diag))), float(np.max(
+            np.abs(off - rho[~np.eye(n, dtype=bool)]))))
+    elapsed = time.perf_counter() - start
+    report("10 N-level reach system vs oracle",
+           worst <= 1e-10 and elapsed <= 10.0,
+           f"worst entry error {worst:.3e}, {elapsed:.2f}s over 100 instances")

@@ -257,3 +257,23 @@ class TestValidateDensityMatrix:
     def test_rejects_negative(self):
         with pytest.raises(StateError):
             opkit.validate_density_matrix(np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("excess", [0.5e-12, 2e-12, -0.5e-12, -2e-12])
+    def test_trace_tolerance_edge(self, excess):
+        # TRACE_TOL = 1e-12 on |tr - 1|
+        rho = np.diag([0.5 + excess, 0.5])
+        if abs(excess) < 1e-12:
+            assert opkit.validate_density_matrix(rho) is not None
+        else:
+            with pytest.raises(StateError, match="trace"):
+                opkit.validate_density_matrix(rho)
+
+    @pytest.mark.parametrize("defect", [0.5e-12, 2e-12])
+    def test_hermiticity_tolerance_edge(self, defect):
+        # by default the Hermiticity defect is held to TRACE_TOL as well
+        rho = np.array([[0.5, 0.1 + defect], [0.1, 0.5]])
+        if defect < 1e-12:
+            assert opkit.validate_density_matrix(rho) is not None
+        else:
+            with pytest.raises(StateError, match="not Hermitian"):
+                opkit.validate_density_matrix(rho)

@@ -23,7 +23,9 @@ from iqcontrol.qubit import (
     QubitCouplings,
 )
 
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+def oracle_interaction(g):
+    """The 4x4 interaction H(g), built by the brute-force oracle."""
+    return verify.interaction_from_couplings(g.g1, g.g2, g.g3, g.g4)
 
 
 def probe_pm_vectors(theta):
@@ -33,26 +35,36 @@ def probe_pm_vectors(theta):
             np.array([s, -c], dtype=complex))
 
 
+def probe_pm_weights(theta, p_p):
+    """Weights of the probe diag(1 - p_p, p_p) on the |+>, |-> vectors."""
+    rho_p = np.diag([1.0 - p_p, p_p])
+    return tuple(float(np.real(np.vdot(v, rho_p @ v)))
+                 for v in probe_pm_vectors(theta))
+
+
 class TestBuildInteraction:
+    """The coupling vector's own checks, and the H it stands for as the
+    oracle builds it."""
+
     def test_diagonal_paulis(self):
         g = QubitCouplings(g1=1.0, g2=0.0, g3=0.0, g4=1.0)
-        np.testing.assert_allclose(qubit.build_interaction(g),
+        np.testing.assert_allclose(oracle_interaction(g),
                                    np.diag([1.0, -1.0, -1.0, 1.0]))
 
     def test_zero_system_factor(self):
         g = QubitCouplings(g1=0.0, g2=0.0, g3=1.0, g4=0.0)
-        np.testing.assert_allclose(qubit.build_interaction(g),
-                                   np.zeros((4, 4)))
+        np.testing.assert_allclose(oracle_interaction(g), np.zeros((4, 4)))
 
     def test_sigma_x_pair(self):
         g = QubitCouplings(g1=0.0, g2=1.0, g3=1.0, g4=0.0)
-        np.testing.assert_allclose(qubit.build_interaction(g),
-                                   np.kron(qubit.SIGMA_X, qubit.SIGMA_X))
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_allclose(oracle_interaction(g),
+                                   np.kron(sigma_x, sigma_x))
 
     def test_hermitian(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            h = qubit.build_interaction(rand_couplings(rng))
+            h = oracle_interaction(rand_couplings(rng))
             assert opkit.herm_defect(h) <= 1e-12
 
     def test_degenerate_probe_rejected(self):
@@ -98,17 +110,18 @@ class TestTransformCouplings:
         assert (gp.g3, gp.g4) == (g.g3, g.g4)
 
     def test_conjugation_identity(self):
+        # the rotated coupling axis against f H f^dag, both H from the oracle
         rng = np.random.default_rng(1)
-        for _ in range(20):
+        for _ in range(500):
             g = rand_couplings(rng)
             r = LocalRotation(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
             gp = qubit.transform_couplings(r, g)
             f = qubit.local_rotation_matrix(r)
             big_f = np.kron(f, np.eye(2))
             np.testing.assert_allclose(
-                qubit.build_interaction(gp),
-                big_f @ qubit.build_interaction(g) @ big_f.conj().T,
-                atol=1e-10)
+                oracle_interaction(gp),
+                big_f @ oracle_interaction(g) @ big_f.conj().T,
+                rtol=0, atol=1e-14)
 
     def test_spectrum_preserved(self):
         rng = np.random.default_rng(2)
@@ -116,8 +129,8 @@ class TestTransformCouplings:
         r = LocalRotation(1.1, 0.7)
         gp = qubit.transform_couplings(r, g)
         np.testing.assert_allclose(
-            np.linalg.eigvalsh(qubit.build_interaction(g)),
-            np.linalg.eigvalsh(qubit.build_interaction(gp)), atol=1e-10)
+            np.linalg.eigvalsh(oracle_interaction(g)),
+            np.linalg.eigvalsh(oracle_interaction(gp)), atol=1e-10)
 
 
 class TestProbeMixingAngle:
@@ -140,7 +153,7 @@ class TestProbeMixingAngle:
             theta = qubit.probe_mixing_angle(g)
             r = np.hypot(g.g3, g.g4)
             plus, minus = probe_pm_vectors(theta)
-            hp = qubit.probe_factor(g)
+            hp = np.array([[g.g4, g.g3], [g.g3, -g.g4]])   # g3 px + g4 pz
             np.testing.assert_allclose(hp @ plus, r * plus, atol=1e-12)
             np.testing.assert_allclose(hp @ minus, -r * minus, atol=1e-12)
 
@@ -171,7 +184,8 @@ class TestConditionalUnitaries:
     def reference(g, t):
         """U_+ through the general eigendecomposition-based kernel."""
         r = np.hypot(g.g3, g.g4)
-        return opkit.expm_i_hermitian(r * qubit.system_factor(g), t)
+        h_s = np.array([[g.g1, g.g2], [np.conj(g.g2), -g.g1]])
+        return opkit.expm_i_hermitian(r * h_s, t)
 
     def test_matches_expm_reference(self):
         # the SU(2) closed form against exp(-i r h_s t) by eigendecomposition,
@@ -239,9 +253,11 @@ class TestBlochVector:
             np.linalg.eigvalsh(a), rtol=0, atol=1e-14)
 
     def test_pauli_eigenstates(self):
-        for sigma, axis in ((qubit.SIGMA_X, 0), (SIGMA_Y, 1),
-                            (qubit.SIGMA_Z, 2)):
-            r = qubit.bloch_vector(0.5 * (np.eye(2) + sigma))
+        # (I + sigma_k)/2 for k = x, y, z
+        for rho, axis in (([[0.5, 0.5], [0.5, 0.5]], 0),
+                          ([[0.5, -0.5j], [0.5j, 0.5]], 1),
+                          ([[1.0, 0.0], [0.0, 0.0]], 2)):
+            r = qubit.bloch_vector(np.array(rho))
             np.testing.assert_array_equal(r, np.eye(3)[axis])
         # sz|1> = +|1>, and |1> comes first in the basis
         np.testing.assert_array_equal(
@@ -306,38 +322,6 @@ class TestOverlapAngles:
             assert np.cos(ang.alpha) == pytest.approx(abs(ov), abs=1e-10)
 
 
-class TestPMComponents:
-    def test_theta_zero_pure(self):
-        pm = qubit.pm_components(0.0, 0.0)
-        assert (pm.pp_plus, pm.pp_minus, pm.pm_cross) == (1.0, 0.0, 0.0)
-
-    def test_theta_right_angle(self):
-        pm = qubit.pm_components(np.pi / 2.0, 0.3)
-        assert pm.pp_plus == pytest.approx(0.5)
-        assert pm.pp_minus == pytest.approx(0.5)
-        assert pm.pm_cross == pytest.approx(0.2)
-
-    def test_balanced_probe_no_cross(self):
-        for theta in (0.3, 1.1, 2.9):
-            assert qubit.pm_components(theta, 0.5).pm_cross \
-                == pytest.approx(0.0, abs=1e-15)
-
-    def test_normalization(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            pm = qubit.pm_components(rng.uniform(0, np.pi), rng.uniform())
-            assert pm.pp_plus + pm.pp_minus == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("p_p, bad", [
-        (-1e-12, "-1e-12"), (1.0 + 1e-12, "1.000000000001"), (np.nan, "nan"),
-        (np.array([0.0, 0.5, 1.5, 1.0]), "1.5"),
-        (np.array([[0.2], [np.nan]]), "nan")])
-    def test_p_p_outside_unit_rejected(self, p_p, bad):
-        with pytest.raises(DomainError,
-                           match=rf"^p_p {bad} outside \[0, 1\]$"):
-            qubit.pm_components(0.4, p_p)
-
-
 class TestReducedStateClosedForm:
     @pytest.mark.parametrize("p_s, p_p, message", [
         (1.5, 0.3, "p_s 1.5"), (-0.5, 0.3, "p_s -0.5"),
@@ -345,7 +329,10 @@ class TestReducedStateClosedForm:
         (0.3, -0.5, "p_p -0.5"), (0.3, np.nan, "p_p nan"),
         (0.3, np.linspace(0.0, 1.0, 5) + [0, 0, 0, 0, 1e-12],
          "p_p 1.000000000001"),
-        (0.3, np.array([0.1, 0.2, np.nan, 0.4]), "p_p nan")])
+        (0.3, np.array([0.1, 0.2, np.nan, 0.4]), "p_p nan"),
+        (0.3, -1e-12, "p_p -1e-12"), (0.3, 1.0 + 1e-12, "p_p 1.000000000001"),
+        (0.3, np.array([0.0, 0.5, 1.5, 1.0]), "p_p 1.5"),
+        (0.3, np.array([[0.2], [np.nan]]), "p_p nan")])
     def test_rejects_probabilities_outside_unit(self, p_s, p_p, message):
         # one bad entry of an array p_p is enough
         ang = OverlapAngles(alpha=0.2, beta=0.0)
@@ -377,10 +364,10 @@ class TestReducedStateClosedForm:
     def test_orthogonal_overlap(self):
         ang = OverlapAngles(alpha=np.pi / 2.0, beta=0.0)
         p_s, theta, p_p = 0.2, 0.8, 0.6
-        pm = qubit.pm_components(theta, p_p)
+        w_plus, w_minus = probe_pm_weights(theta, p_p)
         rho00, _, rho10 = qubit.reduced_state_closed_form(p_s, theta, p_p, ang)
         assert abs(rho10) <= 1e-15
-        assert rho00 == pytest.approx(p_s * pm.pp_plus + (1 - p_s) * pm.pp_minus)
+        assert rho00 == pytest.approx(p_s * w_plus + (1 - p_s) * w_minus)
 
     def test_unit_trace(self):
         rng = np.random.default_rng(9)
@@ -408,8 +395,8 @@ class TestReducedStateClosedForm:
             up, _ = qubit.conditional_unitaries(g, t)
             elem = np.vdot(up @ KET_EXCITED, rho @ (up @ KET_GROUND))
             assert abs(rho10) == pytest.approx(abs(elem), abs=1e-10)
-            pm = qubit.pm_components(theta, p_p)
-            expect = 0.5 * abs(pm.pp_minus) * abs(np.sin(2 * ang.alpha)) \
+            _, w_minus = probe_pm_weights(theta, p_p)
+            expect = 0.5 * abs(w_minus) * abs(np.sin(2 * ang.alpha)) \
                 * abs(2 * p_s - 1)
             assert abs(rho10) == pytest.approx(expect, abs=1e-12)
 
@@ -421,7 +408,7 @@ class TestDecompositionAgainstOracle:
             g = rand_couplings(rng, scale=2.0)
             t = rng.uniform(0, 10)
             rho_s, rho_p = rand_density(rng, 2), rand_density(rng, 2)
-            sc = verify.CompositeScenario(2, 2, qubit.build_interaction(g),
+            sc = verify.CompositeScenario(2, 2, oracle_interaction(g),
                                           rho_s, rho_p)
             closed = qubit.conditional_reduced_state(g, t, rho_s, rho_p)
             assert opkit.trace_distance(closed, verify.evolve_full(sc, t)) \
@@ -434,7 +421,7 @@ class TestDecompositionAgainstOracle:
             t = rng.uniform(0, 10)
             p_s, p_p = rng.uniform(), rng.uniform()
             sc = verify.CompositeScenario(
-                2, 2, qubit.build_interaction(g),
+                2, 2, oracle_interaction(g),
                 np.diag([1 - p_s, p_s]).astype(complex),
                 np.diag([1 - p_p, p_p]).astype(complex))
             r, _, ang = qubit.closed_form_reduced_state(g, t, p_s, p_p)
@@ -561,11 +548,11 @@ class TestFInvariance:
             rho_s, rho_p = rand_density(rng, 2), rand_density(rng, 2)
             f = qubit.local_rotation_matrix(r)
             plain = verify.evolve_full(
-                verify.CompositeScenario(2, 2, qubit.build_interaction(g),
+                verify.CompositeScenario(2, 2, oracle_interaction(g),
                                          rho_s, rho_p), t)
             gp = qubit.transform_couplings(r, g)
             rotated = verify.evolve_full(
-                verify.CompositeScenario(2, 2, qubit.build_interaction(gp),
+                verify.CompositeScenario(2, 2, oracle_interaction(gp),
                                          f @ rho_s @ f.conj().T, rho_p), t)
             np.testing.assert_allclose(np.linalg.eigvalsh(plain),
                                        np.linalg.eigvalsh(rotated), atol=1e-10)
@@ -621,6 +608,16 @@ class TestSpectralForm:
                                        sf.e_minus * sf.psi_minus, atol=1e-10)
             assert abs(np.vdot(sf.psi_plus, sf.psi_minus)) <= 1e-10
             assert sf.e_plus + sf.e_minus == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("excess", [5e-11, 5e-10])
+    def test_trace_check_edge(self, excess):
+        # rho00 + rho11 may miss 1 by at most 1e-10
+        if excess < 1e-10:
+            assert qubit.spectral_form(0.5 + excess, 0.5, 0.0).e_plus \
+                == 0.5 + excess
+        else:
+            with pytest.raises(StateError, match="rho00 \\+ rho11"):
+                qubit.spectral_form(0.5 + excess, 0.5, 0.0)
 
     @pytest.mark.parametrize("d, mixing", [(-0.5e-10, 0.0), (-2e-10, np.pi)])
     def test_root_floor_edge(self, d, mixing):
@@ -759,8 +756,9 @@ def frame_solve(p_s, target, tol=1e-8):
 class TestSolver:
     @staticmethod
     def bloch_state(r):
-        return 0.5 * (np.eye(2) + r[0] * qubit.SIGMA_X
-                      + r[1] * SIGMA_Y + r[2] * qubit.SIGMA_Z)
+        x, y, z = r
+        return 0.5 * np.array([[1.0 + z, complex(x, -y)],
+                               [complex(x, y), 1.0 - z]])
 
     @pytest.mark.parametrize("p_s", [-1e-12, 1.0 + 1e-12, 1.5, np.nan,
                                      np.inf])
@@ -838,6 +836,42 @@ class TestSolver:
         assert sol.feasible and sol.residual <= 1e-12
         sol = qubit.solve_controls_numeric(0.5, np.diag([0.8, 0.2]))
         assert not sol.feasible
+
+    @pytest.mark.parametrize("k, t, g2", [(90, 0.0, 1.0),
+                                          (91, np.pi / 4.0, -1.0j)])
+    def test_mixed_initial_floor(self, k, t, g2):
+        # |1 - 2p_s| = k 2^-53 lies on either side of the 1e-14 floor: below
+        # it the fixed point is returned (t = 0, g2 = 1), above it the
+        # closed form, which turns a maximally mixed target a quarter turn
+        sol = qubit.solve_controls_numeric(0.5 - k * 2.0 ** -54,
+                                           np.eye(2) / 2.0)
+        assert (sol.t, sol.couplings.g2, sol.p_p) == (t, g2, 0.5)
+        assert sol.feasible
+
+    @pytest.mark.parametrize("r_y, g2", [(1e-13, -1.0j), (2e-13, -1.0)])
+    def test_xy_direction_floor(self, r_y, g2):
+        # a target's xy-part of length at most 1e-13 is read as the x
+        # direction (axis -y, g2 = -i); above it its own direction y sets
+        # the axis x, g2 = -1
+        sol = qubit.solve_controls_numeric(0.1,
+                                           self.bloch_state([0.0, r_y, 0.5]))
+        assert sol.couplings.g2 == g2
+        assert sol.feasible
+
+    @pytest.mark.parametrize("r00, r11, r_x, p_p", [
+        (0.75, 0.25 + 2.0 ** -54, 2.0 ** -28, 0.25),
+        (0.25 + 2.0 ** -54, 0.75, 2.0 ** -28, 0.25),
+        (0.75, 0.25, 1e-17, 0.5), (0.25, 0.75, 1e-17, 0.5)],
+        ids=["below_1", "above_-1", "at_1", "at_-1"])
+    def test_rotation_angle_ends(self, r00, r11, r_x, p_p):
+        # from p_s = 1/4 (z0 = 1/2), cos(phi) = r_z / z0 is the double next
+        # to 1 or -1, where sin(phi) = 2^-26 still sets the imbalance u
+        # (p_p = 1/4 for u = 1/2), or exactly +/-1, where u = 0 even though
+        # sin(acos(-1)) = 1.2e-16 (a divide would give p_p = 0.42)
+        sol = qubit.solve_controls_numeric(
+            0.25, np.array([[r00, r_x / 2.0], [r_x / 2.0, r11]]))
+        assert sol.feasible and sol.residual <= 1e-16
+        assert sol.p_p == pytest.approx(p_p, rel=0, abs=1e-8)
 
     @staticmethod
     def adversarial_targets(rng, count):

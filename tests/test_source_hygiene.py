@@ -126,8 +126,7 @@ def test_every_constant_is_read():
 UNREACHED_PUBLIC = {
     "qubit.conditional_unitaries", "qubit.overlap_angles",
     "qubit.spectral_form", "qubit.zero_coherence_condition",
-    "nlevel.pure_state_transporter", "nlevel.expansion_coefficients",
-    "nlevel.reachability_residual",
+    "nlevel.pure_state_transporter",
 }
 
 

@@ -1,5 +1,6 @@
 """The developer tools' pure helpers: the mutation sampler's line filter and
-the parity check's difference magnitudes.  Neither runs a suite or a tree."""
+the parity check's difference magnitudes and malformed configs.  Neither
+runs a suite or a tree."""
 
 import importlib.util
 import json
@@ -88,3 +89,13 @@ class TestParityMagnitudes:
     ])
     def test_structure_change_has_no_magnitudes(self, tmp_path, name, a, b):
         assert parity.magnitudes(*self.write(tmp_path, name, a, b)) is None
+
+
+class TestParityMalformedConfigs:
+    def test_cases_are_the_cli_tests_own(self):
+        # one home for the list: the parity run reads it from test_cli.py
+        from test_cli import TestMalformedConfigs
+        cases = parity.malformed_configs()
+        assert cases.keys() == TestMalformedConfigs.CASES.keys()
+        assert all(json.dumps(cases[k]) == json.dumps(v)
+                   for k, v in TestMalformedConfigs.CASES.items())

@@ -56,14 +56,6 @@ class TestEvolveFull:
 
 
 class TestInteractionFromCouplings:
-    def test_agrees_with_library_construction(self):
-        rng = np.random.default_rng(53)
-        for _ in range(20):
-            g = rand_couplings(rng)
-            np.testing.assert_allclose(
-                verify.interaction_from_couplings(g.g1, g.g2, g.g3, g.g4),
-                qubit.build_interaction(g), atol=1e-14)
-
     def test_hermitian(self):
         h = verify.interaction_from_couplings(0.3, 0.2 - 0.7j, 1.1, -0.4)
         assert opkit.herm_defect(h) <= 1e-14

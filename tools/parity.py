@@ -8,7 +8,10 @@ directory and makes one list of iqctl invocations:
 * every config of the four benchmark workloads at seeds 0-2, generated by
   ``iqbench/workloads.py`` of the working tree, under its own command;
 * each ``configs/*.json`` of the working tree under ``run``, ``sweep`` and
-  ``check``.
+  ``check``;
+* each malformed config of ``TestMalformedConfigs.CASES`` in
+  ``tests/test_cli.py`` of the working tree under ``check`` and ``run``,
+  so error lines and exit codes are compared too.
 
 Each tree then runs the whole list in one fresh process that imports that
 tree's ``src/`` and calls ``iqcontrol.cli.main`` in process, with the same
@@ -49,15 +52,30 @@ WORKLOADS = ("simulate_rows", "sweep_grid", "small_configs", "reach_ladder")
 SEEDS = (0, 1, 2)
 
 
+def load(name: str, path: Path):
+    """Import the file at ``path`` as module ``name``."""
+    sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # a dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def malformed_configs() -> dict:
+    """``TestMalformedConfigs.CASES`` of tests/test_cli.py: name -> doc."""
+    for extra in (ROOT / "tests", ROOT / "src"):  # for its own imports
+        if str(extra) not in sys.path:
+            sys.path.insert(0, str(extra))
+    # not "test_cli": under pytest that name is the suite's own module
+    test_cli = load("parity_test_cli", ROOT / "tests" / "test_cli.py")
+    return test_cli.TestMalformedConfigs.CASES
+
+
 def invocations(cfg_dir: Path) -> list:
     """Write every config into ``cfg_dir`` and return the argv lists, with
     paths relative to a sibling directory of it."""
-    sys.dont_write_bytecode = True
-    spec = importlib.util.spec_from_file_location(
-        "workloads", ROOT / "iqbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules["workloads"] = workloads  # its dataclass looks itself up
-    spec.loader.exec_module(workloads)
+    workloads = load("workloads", ROOT / "iqbench" / "workloads.py")
     cfg_dir.mkdir()
     runs = []
     for name in WORKLOADS:
@@ -70,6 +88,10 @@ def invocations(cfg_dir: Path) -> list:
         path = cfg_dir / src.name
         path.write_bytes(src.read_bytes())
         runs += [(command, path) for command in ("run", "sweep", "check")]
+    for name, doc in sorted(malformed_configs().items()):
+        path = cfg_dir / f"malformed-{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        runs += [(command, path) for command in ("check", "run")]
     return [[command, f"../{cfg_dir.name}/{path.name}", "--out",
              f"out/{command}"] for command, path in runs]
 
