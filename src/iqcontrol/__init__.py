@@ -1,6 +1,6 @@
 """Indirect quantum control: steering a system through a coupled probe.
 
-Subpackages:
+Modules:
     opkit    dense complex-matrix kernel (kron, partial trace, eig, expm)
     qubit    two-level system + two-level probe closed forms and solver
     nlevel   N-level conditional decomposition, Kraus channels, reachability
@@ -19,7 +19,6 @@ from .errors import (
     HermiticityError,
     InfeasibleError,
     IQControlError,
-    NormalizationError,
     ProbabilityError,
     StateError,
 )
@@ -28,7 +27,7 @@ __all__ = [
     "cli", "nlevel", "opkit", "qubit", "thermal", "verify",
     "IQControlError", "DimensionError", "HermiticityError", "StateError",
     "DegenerateProbeError", "DegenerateConditionError", "InfeasibleError",
-    "NormalizationError", "ProbabilityError", "DomainError",
+    "ProbabilityError", "DomainError",
 ]
 
 __version__ = "0.1.0"

@@ -29,10 +29,6 @@ class InfeasibleError(IQControlError):
     """The requested value lies outside the physically attainable range."""
 
 
-class NormalizationError(IQControlError):
-    """A state vector required to be unit norm is not."""
-
-
 class ProbabilityError(IQControlError):
     """A probability vector is negative or does not sum to one."""
 

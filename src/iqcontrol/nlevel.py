@@ -16,11 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opkit
-from .errors import (
-    DimensionError,
-    NormalizationError,
-    ProbabilityError,
-)
+from .errors import DimensionError, ProbabilityError
 
 
 @dataclass(frozen=True)
@@ -132,27 +128,6 @@ def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
     v, phases = ch.decomposition.vectors, ch.decomposition.phases
     phi = phases.T @ (ch.weights[:, None] * phases.conj())
     return v @ (phi * (opkit.dag(v) @ rho @ v)) @ opkit.dag(v)
-
-
-def pure_state_transporter(src, dst) -> np.ndarray:
-    """A unitary U with U src = dst (up to roundoff).
-
-    One batched Householder QR of [v | I] completes src and dst to unitary
-    bases whose first columns, rescaled by r_00/|r_00|, are src and dst.
-    """
-    src = np.asarray(src, dtype=complex).ravel()
-    dst = np.asarray(dst, dtype=complex).ravel()
-    if src.shape != dst.shape:
-        raise DimensionError("source and destination dimensions differ")
-    for name, v in (("source", src), ("destination", dst)):
-        n = np.linalg.norm(v)
-        if not abs(n - 1.0) <= 1e-10:
-            raise NormalizationError(f"{name} vector norm {n} != 1")
-    eye = np.broadcast_to(np.eye(src.size), (2, src.size, src.size))
-    q, r = np.linalg.qr(
-        np.concatenate([np.stack([src, dst])[:, :, None], eye], axis=2))
-    q[:, :, 0] *= (r[:, 0, 0] / np.abs(r[:, 0, 0]))[:, None]
-    return q[1] @ opkit.dag(q[0])
 
 
 def expansion_coefficients(h_s, energies, t: float, ref_time: float

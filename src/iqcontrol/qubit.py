@@ -314,17 +314,6 @@ def analytic_conditions(p_s: float, q: float, theta: float, alpha: float) -> flo
     return float(min(max(p_p, 0.0), 1.0))
 
 
-def zero_coherence_condition(theta: float, p_p: float, alpha: float) -> bool:
-    """Whether (theta, p_p, alpha) satisfies cos(theta) = 1/(1-2p_p) and
-    alpha = n pi, both to 1e-10."""
-    if abs(1.0 - 2.0 * p_p) <= 1e-10:
-        return False
-    cos_ok = abs(np.cos(theta) - 1.0 / (1.0 - 2.0 * p_p)) <= 1e-10
-    n = np.round(alpha / np.pi)
-    alpha_ok = abs(alpha - n * np.pi) <= 1e-10
-    return bool(cos_ok and alpha_ok)
-
-
 def bloch_vector(rho) -> np.ndarray:
     """Bloch vector r = Re tr(rho sigma) of a 2x2 state in the {|1>, |0>}
     ordering, or an array (..., 3) of them for a stack (..., 2, 2).
@@ -365,7 +354,7 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
     else:
         ax, ay, az = r_tau.tolist()
         rad = math.hypot(ax, ay, az)
-        if rad > m0 + 1e-9:
+        if rad > m0:
             k = m0 / rad
             ax, ay, az = ax * k, ay * k, az * k
         pn = math.hypot(ax, ay)

@@ -7,14 +7,12 @@ from conftest import (
     forward_reachability_instance,
     rand_density,
     rand_hermitian,
-    rand_pure,
     rand_unitary,
 )
 from iqcontrol import nlevel, opkit
 from iqcontrol.errors import (
     DimensionError,
     HermiticityError,
-    NormalizationError,
     ProbabilityError,
 )
 
@@ -341,6 +339,15 @@ class TestKrausChannel:
             nlevel.KrausChannel(weights=np.array(weights),
                                 decomposition=decomp)
 
+    def test_sum_tolerance_edge(self):
+        # the weights may miss a unit sum by 1e-12
+        decomp = random_decomposition(np.random.default_rng(33), 2)
+        nlevel.KrausChannel(weights=np.array([0.5, 0.5 + 5e-13]),
+                            decomposition=decomp)
+        with pytest.raises(ProbabilityError, match="are not a distribution"):
+            nlevel.KrausChannel(weights=np.array([0.5, 0.5 + 5e-11]),
+                                decomposition=decomp)
+
     @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan, 1.0],
                                          [np.inf, -np.inf]])
     def test_nan_weights_raise(self, weights):
@@ -348,53 +355,6 @@ class TestKrausChannel:
         with pytest.raises(ProbabilityError, match="are not a distribution"):
             nlevel.KrausChannel(weights=np.array(weights),
                                 decomposition=decomp)
-
-
-class TestPureStateTransporter:
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_maps_source_to_destination(self, n):
-        rng = np.random.default_rng(30 + n)
-        for _ in range(10):
-            src, dst = rand_pure(rng, n), rand_pure(rng, n)
-            u = nlevel.pure_state_transporter(src, dst)
-            np.testing.assert_allclose(opkit.dag(u) @ u, np.eye(n),
-                                       atol=1e-12)
-            np.testing.assert_allclose(u @ src, dst, atol=1e-12)
-
-    def test_basis_aligned_source(self):
-        u = nlevel.pure_state_transporter(np.array([1.0, 0.0, 0.0]),
-                                          rand_pure(np.random.default_rng(31), 3))
-        np.testing.assert_allclose(opkit.dag(u) @ u, np.eye(3), atol=1e-12)
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_special_pairs(self, n):
-        rng = np.random.default_rng(740 + n)
-        eye = np.eye(n, dtype=complex)
-        v = rand_pure(rng, n)
-        near = v + 1e-9 * rand_pure(rng, n)
-        pairs = [(eye[0], eye[-1]), (eye[-1], eye[0]), (eye[0], v), (v, eye[0]),
-                 (v, v), (eye[0], eye[0]), (v, -v), (-eye[0], eye[0]),
-                 (v, 1j * v), (1j * eye[-1], eye[-1]),
-                 (v, near / np.linalg.norm(near))]
-        for src, dst in pairs:
-            u = nlevel.pure_state_transporter(src, dst)
-            assert np.max(np.abs(u @ src - dst)) <= 1e-12
-            assert np.max(np.abs(opkit.dag(u) @ u - eye)) <= 1e-12
-
-    @pytest.mark.parametrize("src", [[np.nan, 0.0], [1.0, np.inf]])
-    def test_non_finite_raises(self, src):
-        with pytest.raises(NormalizationError, match="^source vector norm"):
-            nlevel.pure_state_transporter(np.array(src), np.array([1.0, 0.0]))
-
-    def test_unnormalized_raises(self):
-        with pytest.raises(NormalizationError):
-            nlevel.pure_state_transporter(np.array([1.0, 1.0]),
-                                          np.array([1.0, 0.0]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            nlevel.pure_state_transporter(np.array([1.0, 0.0]),
-                                          np.array([1.0, 0.0, 0.0]))
 
 
 class TestExpansionCoefficients:
@@ -546,6 +506,14 @@ class TestReachability:
         with pytest.raises(ProbabilityError, match="initial weights"):
             nlevel.ReachabilityProblem(np.array([0.5, 0.5 + 2e-10]), q, c)
 
+    def test_column_norm_tolerance_edge(self):
+        # a squared column norm may miss 1 by 1e-10
+        q = np.array([0.5, 0.5])
+        c = np.stack([np.eye(2, dtype=complex)] * 2, axis=2)
+        nlevel.ReachabilityProblem(q, q, np.sqrt(1.0 + 5e-11) * c)
+        with pytest.raises(ProbabilityError, match="not unit norm"):
+            nlevel.ReachabilityProblem(q, q, np.sqrt(1.0 + 5e-10) * c)
+
     @pytest.mark.parametrize("q", [[1.0], [0.5, 0.25, 0.25]])
     def test_target_weights_length_mismatch_raises(self, q):
         c = np.stack([np.eye(2, dtype=complex)] * 2, axis=2)
@@ -599,6 +567,21 @@ class TestReachability:
         prob, _ = forward_reachability_instance(rng, 2)
         with pytest.raises(ProbabilityError, match="not a probability vector"):
             nlevel.reachability_residual(prob, np.array(w))
+
+    @pytest.mark.parametrize("w, ok", [
+        ([-1e-12, 1.0 + 1e-12], True), ([-2e-12, 1.0 + 2e-12], False),
+        ([0.5, 0.5 + 5e-11], True), ([0.5, 0.5 + 5e-10], False)],
+        ids=["entry_at_floor", "entry_below_floor", "sum_inside",
+             "sum_outside"])
+    def test_candidate_tolerance_edges(self, w, ok):
+        # a candidate entry may reach -1e-12 and its sum may miss 1 by 1e-10
+        prob, _ = forward_reachability_instance(np.random.default_rng(39), 2)
+        if ok:
+            nlevel.reachability_residual(prob, np.array(w))
+        else:
+            with pytest.raises(ProbabilityError,
+                               match="not a probability vector"):
+                nlevel.reachability_residual(prob, np.array(w))
 
     def test_candidate_outside_simplex_raises(self):
         rng = np.random.default_rng(39)

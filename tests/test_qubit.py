@@ -354,12 +354,15 @@ class TestReducedStateClosedForm:
         assert rho10 == 0.0
 
     def test_pure_plus_probe(self):
-        # pp_minus = 0 leaves the diagonal untouched
+        # cos(theta) = 1/(1 - 2p_p) puts the probe wholly on the + vector:
+        # pp_minus = 0 leaves the diagonal untouched and no coherence
         ang = OverlapAngles(alpha=0.9, beta=0.4)
-        rho00, rho11, rho10 = qubit.reduced_state_closed_form(0.3, 0.0, 0.0, ang)
-        assert rho00 == pytest.approx(0.3)
-        assert rho11 == pytest.approx(0.7)
-        assert rho10 == 0.0
+        for theta, p_p in ((0.0, 0.0), (np.pi, 1.0)):
+            rho00, rho11, rho10 = qubit.reduced_state_closed_form(
+                0.3, theta, p_p, ang)
+            assert rho00 == pytest.approx(0.3)
+            assert rho11 == pytest.approx(0.7)
+            assert rho10 == 0.0
 
     def test_orthogonal_overlap(self):
         ang = OverlapAngles(alpha=np.pi / 2.0, beta=0.0)
@@ -696,29 +699,6 @@ class TestAnalyticConditions:
             checked += 1
 
 
-class TestZeroCoherenceCondition:
-    def test_satisfied_cases(self):
-        assert qubit.zero_coherence_condition(0.0, 0.0, 0.0)
-        assert qubit.zero_coherence_condition(np.pi, 1.0, np.pi)
-
-    def test_violations(self):
-        assert not qubit.zero_coherence_condition(0.1, 0.0, 0.0)
-        assert not qubit.zero_coherence_condition(0.0, 0.3, 0.0)
-        assert not qubit.zero_coherence_condition(0.0, 0.0, 0.3)
-        assert not qubit.zero_coherence_condition(0.0, 0.5, 0.0)
-
-    def test_alpha_tolerance_edge(self):
-        # alpha must lie within 1e-10 of a multiple of pi
-        assert qubit.zero_coherence_condition(0.0, 0.0, np.pi + 0.5e-10)
-        assert not qubit.zero_coherence_condition(0.0, 0.0, np.pi + 2e-10)
-
-    def test_cos_tolerance_edge(self):
-        # at p_p = 0, cos(theta) must lie within 1e-10 of 1:
-        # 1 - cos(1e-5) = 0.5e-10 and 1 - cos(2e-5) = 2e-10
-        assert qubit.zero_coherence_condition(1e-5, 0.0, 0.0)
-        assert not qubit.zero_coherence_condition(2e-5, 0.0, 0.0)
-
-
 def frame_solve(p_s, target, tol=1e-8):
     """The solver in a general 3-D frame: the axis e_hat x m_hat from
     np.cross, the angle and the branch imbalance from dot products with
@@ -731,7 +711,7 @@ def frame_solve(p_s, target, tol=1e-8):
     if m0 < 1e-14:
         n_hat, t, p_p = np.array([1.0, 0.0, 0.0]), 0.0, 0.5
     else:
-        r_aim = r_tau if rad <= m0 + 1e-9 else r_tau * (m0 / rad)
+        r_aim = r_tau if rad <= m0 else r_tau * (m0 / rad)
         perp = r_aim - np.dot(r_aim, e_hat) * e_hat
         pn = float(np.linalg.norm(perp))
         m_hat = perp / pn if pn > 1e-13 else np.array([1.0, 0.0, 0.0])
@@ -830,6 +810,19 @@ class TestSolver:
         sol = qubit.solve_controls_numeric(0.1, self.bloch_state(r))
         assert sol.residual == pytest.approx(excess / 2.0, rel=1e-6)
         assert sol.feasible is feasible
+
+    @pytest.mark.parametrize("r", [(3.79e-5, 0.0, 0.8),
+                                   (1e-6, 0.0, 0.8000000000004)])
+    def test_near_pole_target_projected(self, r):
+        # radius 9.0e-10 and 1.0e-12 above |z0| = 0.8: shrunk onto the ball
+        # like any target outside it, not met with cos(phi) clipped to 1
+        # (t = 0 and a residual of half the xy-part)
+        target = self.bloch_state(r)
+        sol = qubit.solve_controls_numeric(0.1, target)
+        assert sol.feasible and sol.residual <= 1e-9
+        assert sol.t > 0.0
+        oracle = verify.check_solution(sol, 0.1, target)
+        assert abs(oracle - sol.residual) <= 1e-15
 
     def test_maximally_mixed_initial(self):
         sol = qubit.solve_controls_numeric(0.5, np.eye(2) / 2.0)
