@@ -431,6 +431,8 @@ def _csv_result(header: list, columns: list):
             raise ConfigError("result has a non-finite value")
     rows = len((plain or indexed)[0][-1])
     at = [j for j, _ in plain]
+    if at and at[-1] - at[0] == len(at) - 1:  # one run: copy a basic slice
+        at = slice(at[0], at[-1] + 1)
     indexed = [(j, _csv_cells(values), index) for j, values, index in indexed]
 
     def chunks():
@@ -516,9 +518,10 @@ def _run_sweep(p_s, beta, axes, fixed):
                              for c in (rho00, np.abs(rho10))])
 
 
+_COMMANDS = ("run", "sweep", "check")
 _PARSER = argparse.ArgumentParser(
     prog="iqctl", description="Indirect quantum control experiment runner")
-_PARSER.add_argument("command", choices=("run", "sweep", "check"),
+_PARSER.add_argument("command", choices=_COMMANDS,
                      help="run: execute a config; sweep: run a parameter "
                           "sweep config; check: validate a config without "
                           "executing")
@@ -528,11 +531,36 @@ _PARSER.add_argument("--out", type=Path, default=Path("out"),
 _PARSER.add_argument("--quiet", action="store_true")
 
 
+def _documented_args(argv):
+    """``_PARSER.parse_args(argv)`` for the documented form
+    ``COMMAND CONFIG`` followed by any of ``--quiet`` and ``--out DIR``,
+    with neither CONFIG nor DIR starting with "-"; None for any other argv,
+    which ``_PARSER`` then parses and reports."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if (len(argv) < 2 or argv[0] not in _COMMANDS
+            or argv[1].startswith("-")):
+        return None
+    args = argparse.Namespace(command=argv[0], config=Path(argv[1]),
+                              out=_PARSER.get_default("out"), quiet=False)
+    options = iter(argv[2:])
+    for option in options:
+        if option == "--quiet":
+            args.quiet = True
+        elif option == "--out":
+            out = next(options, "-")
+            if out.startswith("-"):
+                return None
+            args.out = Path(out)
+        else:
+            return None
+    return args
+
+
 # An overflow reaches the user as the one error line of a finiteness check
 # (on the config, a matrix or the result), not as numpy warnings.
 @np.errstate(all="ignore")
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _documented_args(argv) or _PARSER.parse_args(argv)
 
     try:
         cfg = load_config(args.config)

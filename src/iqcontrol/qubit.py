@@ -341,8 +341,10 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
     from r.m = |z0| u sin(phi).  Targets with Bloch radius above |z0| are
     unreachable (the channel is unital on the spectrum); for those the
     closest reachable state is returned and the solution is flagged
-    infeasible.  A residual above ``tol`` is flagged infeasible too; it is
-    not searched further.
+    infeasible.  A target on the ball, or shrunk onto it, with
+    |r_xy| > 1e-13 is met by one branch, u = 1, at
+    phi = atan2(|r_xy|, sign(z0) r_z).  A residual above ``tol`` is
+    flagged infeasible too; it is not searched further.
     """
     r_tau = bloch_vector(opkit.validate_density_matrix(target))
     z0 = 1.0 - 2.0 * p_s
@@ -359,12 +361,17 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
             ax, ay, az = ax * k, ay * k, az * k
         pn = math.hypot(ax, ay)
         mx, my = (ax / pn, ay / pn) if pn > 1e-13 else (1.0, 0.0)
-        # sin(acos(c)) is 0 or 1.2e-16 at c = +/-1, else at least 1.49e-8
-        c = min(max(az / z0, -1.0), 1.0)
-        phi = math.acos(c)
-        u = (min(max((ax * mx + ay * my) / (m0 * math.sin(phi)), -1.0), 1.0)
-             if abs(c) < 1.0 else 0.0)
         e = 1.0 if z0 > 0.0 else -1.0
+        if rad >= m0 and pn > 1e-13:
+            # on the ball one branch meets the target (u = 1); atan2 keeps
+            # the digits that acos loses where cos(phi) is near +/-1
+            phi, u = math.atan2(pn, e * az), 1.0
+        else:
+            # sin(acos(c)) is 0 or 1.2e-16 at c = +/-1, else at least 1.49e-8
+            c = min(max(az / z0, -1.0), 1.0)
+            phi = math.acos(c)
+            u = (min(max((ax * mx + ay * my) / (m0 * math.sin(phi)), -1.0),
+                     1.0) if abs(c) < 1.0 else 0.0)
         # g2 = n_x - i n_y for the axis n = e z x m = (-e m_y, e m_x, 0);
         # "0.0 -" writes a zero part as 0.0, not -0.0
         g2 = complex(0.0 - e * my, 0.0 - e * mx)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -917,6 +918,20 @@ class TestCsvWriter:
         assert csv_bytes(header, [(values, index)] + list(plain.T)) \
             == (tmp_path / "ref.csv").read_bytes()
 
+    def test_plain_columns_around_an_indexed_one(self, tmp_path):
+        # plain columns 0, 2 and 3 are not one run of positions, as in a
+        # sweep whose second axis has one value
+        rows = cli._CSV_CHUNK + 1
+        index = np.random.default_rng(24).integers(len(self.SPECIAL),
+                                                    size=rows)
+        plain = self.table(rows, cols=3)
+        header = ["p", "x", "q", "r"]
+        reference_csv(tmp_path / "ref.csv", header, np.column_stack(
+            [plain[:, 0], self.SPECIAL[index], plain[:, 1:]]))
+        assert csv_bytes(header, [plain[:, 0], (self.SPECIAL, index),
+                                  plain[:, 1], plain[:, 2]]) \
+            == (tmp_path / "ref.csv").read_bytes()
+
     @pytest.mark.parametrize("order", ["identity", "reversed", "more_values"])
     def test_indexed_column_without_repeats(self, order, tmp_path):
         # as many values as rows, or more: written as values[index]
@@ -1058,6 +1073,33 @@ class TestArgv:
             cli.main(argv)
         assert exc.value.code == 2
         assert "usage: iqctl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "c.json"], ["check", "c.json", "--quiet"],
+        ["sweep", "c.json", "--out", "d"],
+        ["run", "c.json", "--out", "d", "--quiet"],  # the benchmark's form
+        ["run", "c.json", "--quiet", "--out", "a", "--out", ""]])
+    def test_documented_forms_read_directly(self, argv):
+        assert cli._documented_args(argv) == cli._PARSER.parse_args(argv)
+
+    TOKENS = ["run", "sweep", "check", "transmute", "c.json", "d", "", "-",
+              "--", "-5", "-h", "--out", "--out=d", "--o", "--quiet", "--qu"]
+    # any 0-6 tokens, or a command, a config and two option groups near
+    # the documented ones, so that both outcomes are drawn often
+    ARGV = st.lists(st.sampled_from(TOKENS), max_size=6) | st.builds(
+        lambda command, config, groups: [command, config, *chain(*groups)],
+        st.sampled_from(TOKENS[:3]), st.sampled_from(["c.json", ""]),
+        st.lists(st.sampled_from([["--quiet"], ["--out", "d"], ["--out", ""],
+                                  ["--out", "-"], ["--out"], ["--qu"],
+                                  ["--out=d"], ["--"]]), max_size=2))
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(argv=ARGV)
+    @example(argv=["run", "c.json", "--out=d", "d"])
+    def test_direct_read_is_argparse_or_none(self, argv):
+        # argparse parses, and reports, every form the direct read leaves
+        args = cli._documented_args(argv)
+        assert args is None or args == cli._PARSER.parse_args(argv)
 
     def test_no_parser_built_per_call(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, "c.json", simulate_config())

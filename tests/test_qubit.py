@@ -824,6 +824,33 @@ class TestSolver:
         oracle = verify.check_solution(sol, 0.1, target)
         assert abs(oracle - sol.residual) <= 1e-15
 
+    @staticmethod
+    def near_pole_targets():
+        """(p_s, Bloch vector) on the ball |r| = |1 - 2p_s| (pushed 2^-50
+        outward, so rounding cannot put it inside) at either pole, with an
+        xy-part from 1e-2 down to 1e-12 of the radius."""
+        for p_s in (0.1, 0.3, 0.7):
+            m0 = abs(1.0 - 2.0 * p_s) * (1.0 + 2.0 ** -50)
+            for k in range(2, 13, 2):
+                s = 10.0 ** -k
+                for pole in (1.0, -1.0):
+                    yield p_s, m0 * np.array([0.6 * s, -0.8 * s,
+                                              pole * np.sqrt(1.0 - s * s)])
+
+    @pytest.mark.parametrize("p_s, r", [(0.1, (1e-6, 0.0, 0.8000000000004)),
+                                        *near_pole_targets()])
+    def test_on_ball_target_met_to_rounding(self, p_s, r):
+        # met within 1e-12 of the target's own distance to the ball; an
+        # angle from acos(r_z / z0) misses by up to 5e-9 near the poles
+        target = self.bloch_state(r)
+        m0 = abs(1.0 - 2.0 * p_s)
+        rad = float(np.linalg.norm(qubit.bloch_vector(target)))
+        assert rad >= m0
+        sol = qubit.solve_controls_numeric(p_s, target)
+        assert sol.residual <= (rad - m0) / 2.0 + 1e-12
+        assert verify.check_solution(sol, p_s, target) \
+            <= (rad - m0) / 2.0 + 1e-12
+
     def test_maximally_mixed_initial(self):
         sol = qubit.solve_controls_numeric(0.5, np.eye(2) / 2.0)
         assert sol.feasible and sol.residual <= 1e-12

@@ -99,3 +99,18 @@ class TestParityMalformedConfigs:
         assert cases.keys() == TestMalformedConfigs.CASES.keys()
         assert all(json.dumps(cases[k]) == json.dumps(v)
                    for k, v in TestMalformedConfigs.CASES.items())
+
+
+class TestParityArgvVariants:
+    def test_variants_are_in_the_plan(self, tmp_path):
+        # every non-canonical form the docstring lists, on one config
+        plan = parity.invocations(tmp_path / "cfg")
+        config = "../cfg/solve_example.json"
+        out = "out/variants"
+        for argv in (["--quiet", "--out", out, "run", config],
+                     ["run", config, f"--out={out}"],
+                     ["run", config, "--qu", "--out", out],
+                     ["run", config, "--out", "out/first", "--out", out],
+                     ["run", "--out", out, "--", config],
+                     ["-h"], ["run"], ["transmute", config]):
+            assert argv in plan

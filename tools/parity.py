@@ -11,7 +11,12 @@ directory and makes one list of iqctl invocations:
   ``check``;
 * each malformed config of ``TestMalformedConfigs.CASES`` in
   ``tests/test_cli.py`` of the working tree under ``check`` and ``run``,
-  so error lines and exit codes are compared too.
+  so error lines and exit codes are compared too;
+* command lines outside the documented ``COMMAND CONFIG`` form with
+  ``--quiet`` and ``--out DIR``, which argparse parses and reports (see
+  ``argv_variants``): options before the positionals, ``--out=DIR``, the
+  abbreviation ``--qu``, a repeated ``--out``, ``--``, ``-h``, a missing
+  config and an unknown command, on ``configs/solve_example.json``.
 
 Each tree then runs the whole list in one fresh process that imports that
 tree's ``src/`` and calls ``iqcontrol.cli.main`` in process, with the same
@@ -72,6 +77,19 @@ def malformed_configs() -> dict:
     return test_cli.TestMalformedConfigs.CASES
 
 
+def argv_variants(config: str) -> list:
+    """The command lines outside iqctl's documented form, on ``config``."""
+    out = "out/variants"
+    return [["--quiet", "--out", out, "run", config],
+            ["run", config, f"--out={out}"],
+            ["run", config, "--qu", "--out", out],
+            ["run", config, "--out", "out/first", "--out", out],
+            ["run", "--out", out, "--", config],
+            ["-h"],
+            ["run"],
+            ["transmute", config]]
+
+
 def invocations(cfg_dir: Path) -> list:
     """Write every config into ``cfg_dir`` and return the argv lists, with
     paths relative to a sibling directory of it."""
@@ -93,7 +111,8 @@ def invocations(cfg_dir: Path) -> list:
         path.write_text(json.dumps(doc), encoding="utf-8")
         runs += [(command, path) for command in ("check", "run")]
     return [[command, f"../{cfg_dir.name}/{path.name}", "--out",
-             f"out/{command}"] for command, path in runs]
+             f"out/{command}"] for command, path in runs] + argv_variants(
+        f"../{cfg_dir.name}/solve_example.json")
 
 
 def worker(plan: Path) -> int:
@@ -135,7 +154,7 @@ def files(out: Path) -> dict:
 
 def lines_differ(what: str, argv: list, a: str, b: str) -> list:
     pairs = zip_longest(a.splitlines(), b.splitlines())
-    return [f"{what} {' '.join(argv[:2])} line {i}: {x!r} != {y!r}"
+    return [f"{what} {' '.join(argv)} line {i}: {x!r} != {y!r}"
             for i, (x, y) in enumerate(pairs) if x != y]
 
 
@@ -226,7 +245,7 @@ def main(argv=None) -> int:
         diffs = []
         for argv, a, b in zip(plan, results["base"], results["tree"]):
             if a[0] != b[0]:
-                diffs.append(f"exit {' '.join(argv[:2])}: {a[0]} != {b[0]}")
+                diffs.append(f"exit {' '.join(argv)}: {a[0]} != {b[0]}")
             diffs += lines_differ("stdout", argv, a[1], b[1])
             diffs += lines_differ("stderr", argv, a[2], b[2])
         out_a, out_b = (files(tmp / f"{name}-run" / "out") for name in sides)
