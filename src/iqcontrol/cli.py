@@ -413,9 +413,9 @@ def _csv_result(header: list, columns: list):
     """``(".csv", chunks)``: float columns as CSV cells b"%.17g" % v, each
     chunk formatted only when the writer asks for it.
 
-    A column is an array, or a pair ``(values, index)`` that stands for
-    ``values[index]``; fewer values than rows are formatted once each.  A
-    result with a non-finite cell is an error, raised before any chunk.
+    Columns are arrays, at least one, or pairs ``(values, index)`` that
+    stand for ``values[index]`` and format each value once.  A result
+    with a non-finite cell is an error, raised before any chunk.
     """
     plain, indexed = [], []  # (position, column), (position, values, index)
     for j, col in enumerate(columns):
@@ -429,9 +429,9 @@ def _csv_result(header: list, columns: list):
             plain.append((j, col))
         if not np.all(finite):
             raise ConfigError("result has a non-finite value")
-    rows = len((plain or indexed)[0][-1])
+    rows = len(plain[0][-1])
     at = [j for j, _ in plain]
-    if at and at[-1] - at[0] == len(at) - 1:  # one run: copy a basic slice
+    if at[-1] - at[0] == len(at) - 1:  # one run: copy a basic slice
         at = slice(at[0], at[-1] + 1)
     indexed = [(j, _csv_cells(values), index) for j, values, index in indexed]
 
@@ -441,9 +441,8 @@ def _csv_result(header: list, columns: list):
             part = slice(start, start + _CSV_CHUNK)
             block = np.empty((min(rows - start, _CSV_CHUNK), len(columns),
                               _CELL), np.uint8)
-            if plain:  # every plain column of the chunk in one call
-                block[:, at] = _csv_cells(
-                    np.column_stack([col[part] for _, col in plain]))
+            block[:, at] = _csv_cells(  # every array column in one call
+                np.column_stack([col[part] for _, col in plain]))
             for j, cells, index in indexed:
                 block[:, j] = cells[index[part]]
             block[:, :, -1] = ord(",")

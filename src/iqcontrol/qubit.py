@@ -341,10 +341,10 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
     from r.m = |z0| u sin(phi).  Targets with Bloch radius above |z0| are
     unreachable (the channel is unital on the spectrum); for those the
     closest reachable state is returned and the solution is flagged
-    infeasible.  A target on the ball, or shrunk onto it, with
-    |r_xy| > 1e-13 is met by one branch, u = 1, at
-    phi = atan2(|r_xy|, sign(z0) r_z).  A residual above ``tol`` is
-    flagged infeasible too; it is not searched further.
+    infeasible.  A target on or outside the ball with |r_xy| > 1e-13 takes
+    one branch, u = 1, at phi = atan2(|r_xy|, sign(z0) r_z) of its own
+    coordinates, which meets its nearest point m0 r/|r|.  A residual above
+    ``tol`` is flagged infeasible too; it is not searched further.
     """
     r_tau = bloch_vector(opkit.validate_density_matrix(target))
     z0 = 1.0 - 2.0 * p_s
@@ -356,9 +356,6 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
     else:
         ax, ay, az = r_tau.tolist()
         rad = math.hypot(ax, ay, az)
-        if rad > m0:
-            k = m0 / rad
-            ax, ay, az = ax * k, ay * k, az * k
         pn = math.hypot(ax, ay)
         mx, my = (ax / pn, ay / pn) if pn > 1e-13 else (1.0, 0.0)
         e = 1.0 if z0 > 0.0 else -1.0

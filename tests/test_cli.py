@@ -83,6 +83,35 @@ class TestConfigParsing:
             cli.validate_config(cli.load_config(path))
 
 
+class TestValidationEdges:
+    """Each size cap and closed range of ``validate_config`` admits its
+    edge value.  Nothing is computed."""
+
+    @pytest.mark.parametrize("times", [
+        [0.0] * cli.MAX_ROWS, {"start": 0.0, "stop": 1.0, "count": 0},
+        {"start": 0.0, "stop": 1.0, "count": cli.MAX_ROWS}],
+        ids=["list_at_cap", "count_0", "count_at_cap"])
+    def test_times_accepted(self, times):
+        cli.validate_config(dict(simulate_config(), times=times))
+
+    def test_times_list_over_cap_rejected(self):
+        with pytest.raises(cli.ConfigError, match="more than 1000000 times"):
+            cli.validate_config(dict(simulate_config(),
+                                     times=[0.0] * (cli.MAX_ROWS + 1)))
+
+    def test_sweep_grid_at_cap_accepted(self):
+        # 100 x 100 x 100 points
+        cli.validate_config(sweep_config(
+            axes=[{"name": n, "start": 0.0, "stop": 1.0, "count": 100}
+                  for n in cli.SWEEP_PARAMS], fixed={}))
+
+    @pytest.mark.parametrize("p_p", [0.0, 1.0])
+    def test_sweep_fixed_p_p_accepted(self, p_p):
+        cli.validate_config(sweep_config(
+            axes=[{"name": "theta", "start": 0.0, "stop": 1.0, "count": 3}],
+            fixed={"alpha": 0.2, "p_p": p_p}))
+
+
 class TestCheckCommand:
     def test_valid_config(self, tmp_path, capsys):
         path = write_config(tmp_path, "sim.json", simulate_config())
@@ -228,7 +257,8 @@ class TestRunSolve:
 
 class TestDefaultTolerance:
     """Solve and reach default ``tol`` to 1e-8: a residual just above it
-    exits 2, and a config with a larger ``tol`` exits 0."""
+    exits 2, and a config with a larger ``tol``, or one equal to the
+    residual, exits 0."""
 
     def run(self, tmp_path, doc):
         path = write_config(tmp_path, "c.json", doc)
@@ -256,6 +286,23 @@ class TestDefaultTolerance:
         got, result = self.run(tmp_path, doc)
         assert 1e-8 < result["residual"] <= 1e-6
         assert (got, result["reachable"]) == (code, code == 0)
+
+    @pytest.mark.parametrize("mode", ["solve", "reach"])
+    def test_residual_equal_to_tol_passes(self, mode, tmp_path):
+        # the two configs above, rerun with tol set to their own residual
+        if mode == "solve":
+            doc = {"mode": "solve", "p_s": 0.3,
+                   "target": [[0.70000002, 0.0], [0.0, 0.29999998]]}
+            key, where = "feasible", doc.setdefault("budget", {})
+        else:
+            doc = dict(reach_config(),
+                       target_weights=[0.6 + 1e-7, 0.4 - 1e-7])
+            key, where = "reachable", doc
+        residual = self.run(tmp_path, doc)[1]["residual"]
+        where["tol"] = residual
+        got, result = self.run(tmp_path, doc)
+        assert result["residual"] == residual
+        assert (got, result[key]) == (0, True)
 
 
 class TestSolveTargetTolerance:
@@ -577,6 +624,9 @@ def exact_message_cases():
     cases["reach_columns_not_unit_norm"] = (
         json.dumps(dict(doc, coefficients=pairs(doubled))),
         "config: coefficient columns are not unit norm")
+    cases["thermal_p_p_1"] = (
+        json.dumps({"mode": "thermal", "temperature": 1, "p_p": 1.0}),
+        "config: 'p_p' must lie in (0, 1)")
     cases["simulate_times_string"] = (
         json.dumps(dict(simulate_config(), times=[0.0, "1.0"])),
         "config.times: expected a list of finite numbers")

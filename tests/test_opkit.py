@@ -121,6 +121,14 @@ class TestPartialTrace:
         with pytest.raises(DimensionError):
             opkit.partial_trace_probe(np.eye(4), 2, 3)
 
+    @pytest.mark.parametrize("dim_s, dim_p", [(1, 3), (3, 1)])
+    def test_dimension_one_traced(self, dim_s, dim_p):
+        # 1 is the smallest factor allowed: a trivial system or probe
+        rho = rand_density(np.random.default_rng(11), 3)
+        np.testing.assert_allclose(
+            opkit.partial_trace_probe(rho, dim_s, dim_p),
+            contraction_oracle(rho, dim_s, dim_p), atol=1e-15)
+
     @pytest.mark.parametrize("dims", [(-2, -2), (-1, -4), (0, 0), (4, 0)])
     def test_dimensions_below_one_rejected(self, dims):
         # (-2, -2) multiplies to 4, which used to reach numpy's reshape

@@ -311,6 +311,13 @@ class TestOverlapAngles:
         g = QubitCouplings(g1=0.0, g2=1.0, g3=0.0, g4=1.0)
         assert qubit.overlap_angles(g, t).beta == beta
 
+    def test_beta_wraps_minus_pi_to_pi(self):
+        # with the coupling axis along y the phase difference lands on
+        # exactly -pi, which the convention beta in (-pi, pi] reads as pi
+        g = QubitCouplings(g1=0.0, g2=1j, g3=0.0, g4=1.0)
+        assert qubit.closed_form_reduced_state(g, 0.3, 0.2, 0.4)[2].beta \
+            == np.pi
+
     def test_alpha_reproducible_from_unitaries(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -827,15 +834,18 @@ class TestSolver:
     @staticmethod
     def near_pole_targets():
         """(p_s, Bloch vector) on the ball |r| = |1 - 2p_s| (pushed 2^-50
-        outward, so rounding cannot put it inside) at either pole, with an
-        xy-part from 1e-2 down to 1e-12 of the radius."""
-        for p_s in (0.1, 0.3, 0.7):
-            m0 = abs(1.0 - 2.0 * p_s) * (1.0 + 2.0 ** -50)
-            for k in range(2, 13, 2):
-                s = 10.0 ** -k
-                for pole in (1.0, -1.0):
-                    yield p_s, m0 * np.array([0.6 * s, -0.8 * s,
-                                              pole * np.sqrt(1.0 - s * s)])
+        outward, so rounding cannot put it inside), then outside it by the
+        factor 1 + 1e-6 and by 1.2 (capped at radius 1), at either pole,
+        with an xy-part from 1e-2 down to 1e-12 of the radius."""
+        for out in (1.0 + 2.0 ** -50, 1.0 + 1e-6, 1.2):
+            for p_s in (0.1, 0.3, 0.7):
+                m0 = abs(1.0 - 2.0 * p_s)
+                m0 *= min(out, 1.0 / m0)
+                for k in range(2, 13, 2):
+                    s = 10.0 ** -k
+                    for pole in (1.0, -1.0):
+                        yield p_s, m0 * np.array(
+                            [0.6 * s, -0.8 * s, pole * np.sqrt(1.0 - s * s)])
 
     @pytest.mark.parametrize("p_s, r", [(0.1, (1e-6, 0.0, 0.8000000000004)),
                                         *near_pole_targets()])
@@ -877,6 +887,16 @@ class TestSolver:
                                            self.bloch_state([0.0, r_y, 0.5]))
         assert sol.couplings.g2 == g2
         assert sol.feasible
+
+    @pytest.mark.parametrize("r_x, t, p_p", [(1e-13, 0.0, 0.5),
+                                             (1e-12, 5e-13, 0.0)])
+    def test_on_ball_xy_floor(self, r_x, t, p_p):
+        # from p_s = 0 the target (r_x, 0, 1) is on the ball: an xy-part at
+        # the 1e-13 floor takes the acos branch, which leaves the pole
+        # untouched (u = 0); above it atan2 turns by phi = r_x with u = 1
+        sol = qubit.solve_controls_numeric(
+            0.0, self.bloch_state([r_x, 0.0, 1.0]))
+        assert (sol.t, sol.p_p) == (t, p_p)
 
     @pytest.mark.parametrize("r00, r11, r_x, p_p", [
         (0.75, 0.25 + 2.0 ** -54, 2.0 ** -28, 0.25),

@@ -1,10 +1,12 @@
-"""The developer tools' pure helpers: the mutation sampler's line filter and
-the parity check's difference magnitudes and malformed configs.  Neither
-runs a suite or a tree."""
+"""The developer tools' pure helpers: the mutation sampler's line filter
+and equivalence keys, and the parity check's difference magnitudes and
+malformed configs.  Neither runs a suite or a tree."""
 
 import importlib.util
 import json
 import math
+import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,29 @@ class TestMutantSites:
     def test_bad_or_empty_line_raises(self, spec):
         with pytest.raises(ValueError):
             mutants.on_lines(mutants.sites(mutants.ROOT), [spec])
+
+
+class TestEquivalentSurvivors:
+    def test_each_listed_key_names_one_site(self):
+        found = Counter(mutants.keys(mutants.ROOT,
+                                     mutants.sites(mutants.ROOT)))
+        assert {key: found[key] for key in mutants.EQUIVALENT} \
+            == dict.fromkeys(mutants.EQUIVALENT, 1)
+
+    def test_keys_ignore_a_blank_line_above_a_site(self, tmp_path):
+        shutil.copytree(mutants.ROOT / "src", tmp_path / "src")
+        all_sites = mutants.sites(mutants.ROOT)
+        # one blank line above every site, bottom up so rows stay put
+        for rel, row, *_ in sorted(set(s[:2] for s in all_sites),
+                                   reverse=True):
+            path = tmp_path / rel
+            lines = path.read_text(encoding="utf-8").splitlines(True)
+            path.write_text("".join(lines[:row - 1] + ["\n"]
+                                    + lines[row - 1:]), encoding="utf-8")
+        moved = mutants.sites(tmp_path)
+        assert [s[1] for s in moved] != [s[1] for s in all_sites]
+        assert mutants.keys(tmp_path, moved) \
+            == mutants.keys(mutants.ROOT, all_sites)
 
 
 class TestParityMagnitudes:
