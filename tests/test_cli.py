@@ -1053,6 +1053,44 @@ class TestCsvWriter:
         assert len({(b"%.18g" % v)[-1:] for v in x.tolist()}) == 1  # all 5
         self.assert_cells_match_percent(np.concatenate([x, -x]))
 
+    @staticmethod
+    def exponent_and_digits(v):
+        """(e, s) of b"%.17g" % v in fixed notation: the decimal exponent
+        and the count of significant digits."""
+        text = b"%.17g" % abs(v)
+        digits = text.replace(b".", b"").lstrip(b"0")
+        e = (len(digits) - len(text) + 1 if text.startswith(b"0.")
+             else len(text.split(b".")[0]) - 1)
+        return e, len(digits.rstrip(b"0"))
+
+    def test_every_sign_exponent_and_digit_count(self):
+        # all 2 x 20 x 17 (sign, e, s) a fixed-notation cell can have;
+        # candidates are D 10^(e - s + 1), D of s digits with a nonzero
+        # last one, and dyadic m / 2^j, each kept when its %.17g shows the
+        # e and s it was made for
+        rng = np.random.default_rng(27)
+        candidates = []
+        for e in range(cli._E_LO, cli._E_HI + 1):
+            for s in range(1, 18):
+                d = (rng.integers(10**(s - 1), 10**s, 100) // 10 * 10
+                     + rng.integers(1, 10, 100))
+                candidates += [(float(f"{D}e{e - s + 1}"), e, s)
+                               for D in d.tolist()]
+        for j in range(24):
+            for m in (2 * rng.integers(0, 2**11, 50) + 1).tolist():
+                s = len(str(m * 5**j))
+                if s - 1 - j >= cli._E_LO:
+                    candidates.append((m / 2.0**j, s - 1 - j, s))
+        x = np.array([v for v, e, s in candidates
+                      if self.exponent_and_digits(v) == (e, s)])
+        x = np.concatenate([x, -x])
+        rows = {(v < 0, *self.exponent_and_digits(v)) for v in x.tolist()}
+        assert rows == {(sign, e, s) for sign in (False, True)
+                        for e in range(cli._E_LO, cli._E_HI + 1)
+                        for s in range(1, 18)}
+        assert len(rows) == 680
+        self.assert_cells_match_percent(x)
+
     def test_special_values(self):
         # zeros, subnormals, +-1e300 and the normal range's ends
         self.assert_cells_match_percent(np.concatenate([self.SPECIAL, [
