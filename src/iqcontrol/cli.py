@@ -313,12 +313,14 @@ def _json_result(doc: dict):
 # The CSV cell kernel (``_csv_cells``) gives the bytes of b"%.17g" % v.  A
 # cell is _CELL bytes, NUL where it has no character:
 #   [sign] ["0." and -e - 1 zeros] [d0 p0 d1 p1 ... p15 d16] [separator]
-# with the 17 significant digits d_i and point slots p_i.  Which bytes stay
-# depends only on the decimal exponent e and the count s of significant
-# digits left after cutting trailing zeros: _cell_rows()[(e - _E_LO) * 18 + s]
-# holds the kept zone and point characters, and 0xFF on the digit slots that
-# keep the ASCII digit ANDed into them.  Both tables are built on the first
-# CSV result, so a JSON run never builds them.
+# with the 17 significant digits d_i and point slots p_i.  Read as five
+# 64-bit words, a cell is gathered from one table: word 0 is "-0.000" d0 "."
+# and words 1-4 hold four digits each, "." after every one.  One AND with
+# the keep row of (sign, e, s), e the decimal exponent and s the count of
+# significant digits left after cutting trailing zeros, clears each byte
+# the cell has no character in.  The tables are built as bytes, so the AND
+# does not depend on byte order, and on the first CSV result, so a JSON
+# run never builds them.
 _CELL = 40
 _E_LO, _E_HI = -4, 15  # fixed notation for 1e-4 <= |v| < 1e16
 _SPLIT = 2.0**27 + 1.0
@@ -338,25 +340,30 @@ _POW_HI, _POW_LO = _halves(_POW)
 
 
 @cache
-def _digit_groups():
-    """The ASCII groups "0000" to "9999", four bytes as one uint32 each."""
+def _cell_tables():
+    """(words, keep, sig).  Word v < 10^4 is "%04d" % v on its even bytes
+    and "." on its odd ones, word 10^4 + d is "-0.000" d "."; keep[k] is
+    word k of the keep row of (sign, e, s), s in [0, 17]; sig[k][v] counts
+    the digits of word k + 1 up to the last nonzero one in v, 0 for 0."""
     digits = np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10
-    return (digits + ord("0")).astype(np.uint8).view("<u4").ravel()
-
-
-@cache
-def _cell_rows():
-    """One row per (e, s), e in [_E_LO, _E_HI], s in [0, 17]."""
-    rows = np.zeros((_E_HI - _E_LO + 1, 18, _CELL), np.uint8)
+    words = np.full((10**4 + 10, 8), ord("."), np.uint8)
+    words[:10**4, ::2] = digits + ord("0")
+    words[10**4:, :6] = list(b"-0.000")
+    words[10**4:, 6] = np.arange(ord("0"), ord("9") + 1)
+    last = np.max((digits != 0) * np.arange(1, 5), axis=1)
+    sig = np.where(last, np.arange(1, 14, 4)[:, None] + last, 0)
+    keep = np.zeros((2, _E_HI - _E_LO + 1, 18, _CELL), np.uint8)
+    keep[1, ..., 0] = 0xFF
     for e in range(_E_LO, _E_HI + 1):
         for s in range(18):
-            row = rows[e - _E_LO, s]
+            row = keep[:, e - _E_LO, s]
             if e < 0:
-                row[1:2 - e] = list(b"0.000"[:1 - e])
-            row[6:6 + 2 * max(s, e + 1):2] = 0xFF
+                row[:, 1:2 - e] = 0xFF
+            row[:, 6:6 + 2 * max(s, e + 1):2] = 0xFF
             if 0 <= e < s - 1:
-                row[7 + 2 * e] = ord(".")
-    return rows.reshape(-1, _CELL)
+                row[:, 7 + 2 * e] = 0xFF
+    keep = keep.reshape(-1, _CELL).view(np.uint64).T.copy()
+    return words.view(np.uint64).ravel(), keep, sig.astype(np.int8)
 
 
 def _scaled_digits(a, e):
@@ -389,18 +396,19 @@ def _csv_cells(x) -> np.ndarray:
             e[off] += step
             d[off] = _scaled_digits(a[off], e[off])
     d[zero] = 0
-    q, r = np.divmod(d, 10**8)
-    g = np.empty((x.size, 5), np.intp)
-    g[:, 0], q = np.divmod(q, 10**8)
-    g[:, 1], g[:, 2] = np.divmod(q, 10**4)
-    g[:, 3], g[:, 4] = np.divmod(r, 10**4)
-    # 17 ASCII digits per value; group 0 is "000" and d0
-    digits = _digit_groups().take(g).view(np.uint8)[:, 3:]
-    s = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
-    s[zero] = 1
-    cells = _cell_rows().take((e - _E_LO) * 18 + s, axis=0)
-    cells[:, 6:-1:2] &= digits
-    cells[:, 0] = np.signbit(x) * ord("-")
+    words, keep, sig = _cell_tables()
+    groups, s = [], np.ones(x.size, np.int8)  # words 4 to 1, then word 0
+    for k in range(3, -1, -1):
+        q = d // 10**4
+        groups.append(d - q * 10**4)
+        np.maximum(s, sig[k].take(groups[-1]), out=s)
+        d = q
+    groups.append(d + 10**4)
+    row = (np.signbit(x) * (_E_HI - _E_LO + 1) + e - _E_LO) * 18 + s
+    cells = np.empty((x.size, 5), np.uint64)
+    for k, g in enumerate(reversed(groups)):
+        np.bitwise_and(words.take(g), keep[k].take(row), out=cells[:, k])
+    cells = cells.view(np.uint8)
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = b"".join((b"%.17g" % v).ljust(_CELL, b"\0")

@@ -1117,16 +1117,16 @@ class TestCsvWriter:
             == (tmp_path / "ref.csv").read_bytes()
 
     def test_tables_built_on_first_csv_result(self, tmp_path):
-        tables = (cli._digit_groups, cli._cell_rows)
+        tables = (cli._cell_tables,)
         for table in tables:
             table.cache_clear()
         out = str(tmp_path / "out")
         json_run = write_config(tmp_path, "s.json", solve_config())
         assert cli.main(["run", str(json_run), "--out", out, "--quiet"]) == 0
-        assert [t.cache_info().currsize for t in tables] == [0, 0]
+        assert [t.cache_info().currsize for t in tables] == [0]
         csv_run = write_config(tmp_path, "w.json", sweep_config())
         assert cli.main(["sweep", str(csv_run), "--out", out, "--quiet"]) == 0
-        assert [t.cache_info().currsize for t in tables] == [1, 1]
+        assert [t.cache_info().currsize for t in tables] == [1]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_cell_writes_nothing(self, bad):

@@ -1,6 +1,7 @@
 """The developer tools' pure helpers: the mutation sampler's line filter
-and equivalence keys, and the parity check's difference magnitudes and
-malformed configs.  Neither runs a suite or a tree."""
+and equivalence keys, the parity check's difference magnitudes and
+malformed configs, and the paired-run driver's summary.  None runs a
+suite, a tree or the benchmark."""
 
 import importlib.util
 import json
@@ -21,7 +22,7 @@ def load(name):
     return module
 
 
-mutants, parity = load("mutants"), load("parity")
+mutants, parity, pairs = load("mutants"), load("parity"), load("pairs")
 
 
 class TestMutantSites:
@@ -139,3 +140,55 @@ class TestParityArgvVariants:
                      ["run", "--out", out, "--", config],
                      ["-h"], ["run"], ["transmute", config]):
             assert argv in plan
+
+
+class TestPairsSummary:
+    END_TO_END = [{"name": "items_per_s", "better": "higher"},
+                  {"name": "config_ms_p50", "better": "lower"}]
+
+    @staticmethod
+    def line(items, p50, correct=True):
+        return {"correct": correct, "attempted": 20, "failed": 0,
+                "metrics": {"items_per_s": {"value": items, "unit": "1/s"},
+                            "config_ms_p50": {"value": p50, "unit": "ms"}}}
+
+    def test_seed_ranges(self):
+        assert pairs.parse_seeds("41-44,51,53-54") == [41, 42, 43, 44, 51,
+                                                       53, 54]
+
+    def test_wins_follow_each_metric_direction(self):
+        # (parent, change) per seed: the change has more items in three
+        # pairs and ties one; it is faster per config in two
+        runs = [(self.line(100.0, 2.0), self.line(110.0, 1.5)),
+                (self.line(120.0, 1.0), self.line(120.0, 1.0)),
+                (self.line(90.0, 3.0), self.line(95.0, 3.5)),
+                (self.line(105.0, 2.5), self.line(101.0, 2.0)),
+                (self.line(80.0, 2.0), self.line(130.0, 2.5))]
+        section = pairs.summarize([1, 2, 3, 4, 5], runs, self.END_TO_END,
+                                  10.0)
+        assert section["pairs"] == 5 and section["all_correct"]
+        items = section["metrics"]["items_per_s"]
+        assert items["better"] == "higher"
+        assert (items["change_wins"], items["ties"]) == (3, 1)
+        assert items["parent"] == {"median": 100.0, "q1_q3": [90.0, 105.0],
+                                   "runs": [100.0, 120.0, 90.0, 105.0, 80.0]}
+        assert items["change"]["median"] == 110.0
+        assert items["change"]["q1_q3"] == [101.0, 120.0]
+        p50 = section["metrics"]["config_ms_p50"]
+        assert (p50["change_wins"], p50["ties"]) == (2, 1)
+
+    def test_an_incorrect_run_marks_the_workload(self):
+        runs = [(self.line(1.0, 1.0), self.line(1.0, 1.0, correct=False)),
+                (self.line(1.0, 1.0), self.line(1.0, 1.0))]
+        assert not pairs.summarize([1, 2], runs, self.END_TO_END,
+                                   1.0)["all_correct"]
+
+    def test_merge_keeps_earlier_workloads(self, tmp_path):
+        out = tmp_path / "bench.json"
+        pairs.merge(out, {"parent": "abc", "workloads": {"a": {"pairs": 1}}})
+        pairs.merge(out, {"parent": "abc", "workloads": {"b": {"pairs": 2}},
+                          "null_pairs": {"a": {"pairs": 3}}})
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc == {"parent": "abc",
+                       "workloads": {"a": {"pairs": 1}, "b": {"pairs": 2}},
+                       "null_pairs": {"a": {"pairs": 3}}}

@@ -115,6 +115,18 @@ def invocations(cfg_dir: Path) -> list:
         f"../{cfg_dir.name}/solve_example.json")
 
 
+def extract(rev: str, dest: Path) -> str:
+    """Extract ``rev`` of this repository into ``dest`` with ``git archive``;
+    return git's error text, empty on success."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             capture_output=True)
+    if archive.returncode:
+        return archive.stderr.decode(errors="replace")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return ""
+
+
 def worker(plan: Path) -> int:
     """Run every argv list of ``plan`` through ``cli.main`` in this process
     and write (exit code, stdout, stderr) of each to ``plan``'s results."""
@@ -230,14 +242,10 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="iq-parity-") as tmp:
         tmp = Path(tmp)
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev],
-                                 capture_output=True)
-        if archive.returncode:
-            print(archive.stderr.decode(errors="replace"), end="",
-                  file=sys.stderr)
+        error = extract(args.rev, tmp / "base")
+        if error:
+            print(error, end="", file=sys.stderr)
             return 2
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp / "base", filter="data")
         plan = invocations(tmp / "cfg")
         sides = {"base": tmp / "base", "tree": ROOT}
         results = {name: run_tree(tree, tmp / f"{name}-run", plan)
