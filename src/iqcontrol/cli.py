@@ -343,8 +343,8 @@ _POW_HI, _POW_LO = _halves(_POW)
 def _cell_tables():
     """(words, keep, sig).  Word v < 10^4 is "%04d" % v on its even bytes
     and "." on its odd ones, word 10^4 + d is "-0.000" d "."; keep[k] is
-    word k of the keep row of (sign, e, s), s in [0, 17]; sig[k][v] counts
-    the digits of word k + 1 up to the last nonzero one in v, 0 for 0."""
+    word k of the keep row of (sign, e, s), s in [0, 17]; sig[k][v] is s
+    up to the last nonzero digit of v as word k + 1's group, 0 for 0."""
     digits = np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10
     words = np.full((10**4 + 10, 8), ord("."), np.uint8)
     words[:10**4, ::2] = digits + ord("0")

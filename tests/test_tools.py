@@ -1,7 +1,7 @@
 """The developer tools' pure helpers: the mutation sampler's line filter
 and equivalence keys, the parity check's difference magnitudes and
-malformed configs, and the paired-run driver's summary.  None runs a
-suite, a tree or the benchmark."""
+malformed configs, and the paired-run summary.  None runs a suite, a
+tree or the benchmark."""
 
 import importlib.util
 import json

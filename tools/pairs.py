@@ -145,6 +145,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path,
                         help="JSON file to merge the record into")
     args = parser.parse_args(argv)
+    if len(args.seeds) < 2:
+        parser.error("quartiles need at least two seeds")
 
     end_to_end = json.loads(
         (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
