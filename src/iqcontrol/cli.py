@@ -136,8 +136,8 @@ def _parse_matrix(val, where: str) -> np.ndarray:
 
 
 def _parse_target(val) -> np.ndarray:
-    """A 2x2 density matrix, Hermitian to 1e-10; its Hermitian part is
-    returned, so the library's stricter check downstream holds too."""
+    """A 2x2 density matrix with a Hermiticity defect of at most 1e-10; its
+    Hermitian part is returned, so the library's stricter check holds too."""
     where = "config.target"
     try:
         m = opkit.validate_density_matrix(_parse_matrix(val, where),

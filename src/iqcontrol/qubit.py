@@ -335,16 +335,17 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
 
     The initial Bloch vector is (0, 0, z0), z0 = 1 - 2p_s, so the solve is
     a closed form in the plane of z and m, the unit xy-direction of the
-    target's Bloch vector r (x when r has no xy-part).  The conditional
-    rotation axis is sign(z0) z x m; the rotation angle phi = 2t follows
-    from cos(phi) = r_z / z0, and the +/- branch imbalance u = 1 - 2p_p
-    from r.m = |z0| u sin(phi).  Targets with Bloch radius above |z0| are
-    unreachable (the channel is unital on the spectrum); for those the
-    closest reachable state is returned and the solution is flagged
-    infeasible.  A target on or outside the ball with |r_xy| > 1e-13 takes
-    one branch, u = 1, at phi = atan2(|r_xy|, sign(z0) r_z) of its own
-    coordinates, which meets its nearest point m0 r/|r|.  A residual above
-    ``tol`` is flagged infeasible too; it is not searched further.
+    target's Bloch vector r; the conditional rotation axis is sign(z0) z x m.
+    With m0 = |z0|, h = sqrt(m0^2 - r_z^2) (0 beyond the poles) the ball's
+    xy-radius at the target's height and xy = max(|r_xy|, h), the rotation
+    angle is phi = 2t = atan2(xy, sign(z0) r_z) and the +/- branch
+    imbalance u = 1 - 2p_p = |r_xy| / xy (0 when xy = 0).  That meets a
+    target inside the ball exactly.  One with Bloch radius above m0 is
+    unreachable (the channel is unital on the spectrum): it gets u = 1 and
+    its nearest reachable state m0 r/|r|, flagged infeasible, as is any
+    residual above ``tol``; nothing is searched further.  An xy-part at or
+    below 1e-13 counts as zero, along x: a subnormal one would give m a
+    length other than 1.
     """
     r_tau = bloch_vector(opkit.validate_density_matrix(target))
     z0 = 1.0 - 2.0 * p_s
@@ -355,20 +356,15 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
         g2, t, p_p = complex(1.0), 0.0, 0.5
     else:
         ax, ay, az = r_tau.tolist()
-        rad = math.hypot(ax, ay, az)
         pn = math.hypot(ax, ay)
-        mx, my = (ax / pn, ay / pn) if pn > 1e-13 else (1.0, 0.0)
+        # the floor keeps a subnormal xy-part from giving |m| other than 1
+        mx, my, pn = (ax / pn, ay / pn, pn) if pn > 1e-13 else (1.0, 0.0, 0.0)
         e = 1.0 if z0 > 0.0 else -1.0
-        if rad >= m0 and pn > 1e-13:
-            # on the ball one branch meets the target (u = 1); atan2 keeps
-            # the digits that acos loses where cos(phi) is near +/-1
-            phi, u = math.atan2(pn, e * az), 1.0
-        else:
-            # sin(acos(c)) is 0 or 1.2e-16 at c = +/-1, else at least 1.49e-8
-            c = min(max(az / z0, -1.0), 1.0)
-            phi = math.acos(c)
-            u = (min(max((ax * mx + ay * my) / (m0 * math.sin(phi)), -1.0),
-                     1.0) if abs(c) < 1.0 else 0.0)
+        # inside the ball xy = h; outside it xy = pn, so u = 1
+        h = math.sqrt(max((m0 - abs(az)) * (m0 + abs(az)), 0.0))
+        xy = max(pn, h)
+        phi = math.atan2(xy, e * az)
+        u = pn / xy if xy else 0.0
         # g2 = n_x - i n_y for the axis n = e z x m = (-e m_y, e m_x, 0);
         # "0.0 -" writes a zero part as 0.0, not -0.0
         g2 = complex(0.0 - e * my, 0.0 - e * mx)

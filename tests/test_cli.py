@@ -321,6 +321,16 @@ class TestSolveTargetTolerance:
         assert json.loads((out / "s.json").read_text())["oracle_distance"] \
             <= 1e-8
 
+    def test_defect_at_tolerance_accepted_by_both(self, tmp_path):
+        # a Hermiticity defect of exactly 1e-10 is still accepted
+        doc = {"mode": "solve", "p_s": 0.0,
+               "target": [[0.5, 1e-10], [0.0, 0.5]]}
+        path = write_config(tmp_path, "s.json", doc)
+        out = tmp_path / "out"
+        assert cli.main(["check", str(path), "--quiet"]) == 0
+        assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+        assert (out / "s.json").exists()
+
     def test_large_defect_rejected_by_both(self, tmp_path):
         path = write_config(tmp_path, "s.json", self.target_config(1e-9))
         out = tmp_path / "out"

@@ -861,6 +861,49 @@ class TestSolver:
         assert verify.check_solution(sol, p_s, target) \
             <= (rad - m0) / 2.0 + 1e-12
 
+    @staticmethod
+    def surface_targets():
+        """(p_s, Bloch vector) on either side of the ball surface: at one
+        height r_z, an xy-part h (1 -/+ 2^-40) for the ball's xy-radius
+        h = sqrt(m0^2 - r_z^2) there; then an xy-part of 1e-12 to 1e-6
+        (above the 1e-13 floor) at r_z = +/-m0 (1 -/+ 2^-40), either side
+        of the slab edge |r_z| = m0."""
+        sides = (1.0 - 2.0 ** -40, 1.0 + 2.0 ** -40)
+        for p_s in (0.0, 0.1, 0.3, 0.45, 0.7, 1.0):
+            m0 = abs(1.0 - 2.0 * p_s)
+            for f in (0.0, 0.5, -0.5, 0.99, -0.99, 1.0 - 1e-6, 1e-6 - 1.0):
+                r_z = f * m0
+                h = np.sqrt((m0 - abs(r_z)) * (m0 + abs(r_z)))
+                for k in sides:
+                    yield p_s, (0.6 * h * k, -0.8 * h * k, r_z)
+            for s in (1e-12, 1e-9, 1e-6):
+                for pole in (1.0, -1.0):
+                    for k in sides:
+                        yield p_s, (0.6 * s, -0.8 * s, pole * m0 * k)
+
+    @pytest.mark.parametrize("p_s, r", surface_targets())
+    def test_ball_surface_met_to_rounding(self, p_s, r):
+        # inside the ball the target itself is met, outside it the nearest
+        # point m0 r/|r|, both to rounding and with 0 <= p_p <= 1
+        target = self.bloch_state(r)
+        m0 = abs(1.0 - 2.0 * p_s)
+        rad = float(np.linalg.norm(qubit.bloch_vector(target)))
+        sol = qubit.solve_controls_numeric(p_s, target)
+        assert sol.residual <= max(rad - m0, 0.0) / 2.0 + 1e-15
+        assert verify.check_solution(sol, p_s, target) \
+            <= max(rad - m0, 0.0) / 2.0 + 1e-12
+        assert 0.0 <= sol.p_p <= 1.0
+
+    def test_subnormal_xy_part_read_as_zero(self):
+        # the subnormal xy-part (1e-323, 1e-323) is below the 1e-13 floor,
+        # so it counts as zero along x; divided by its length 1.5e-323 it
+        # would give a "unit" direction of length 0.94 and miss by 2.5e-2
+        c = 5e-324 - 5e-324j
+        sol = qubit.solve_controls_numeric(
+            0.1, np.array([[0.65, c], [c.conjugate(), 0.35]]))
+        assert sol.feasible and sol.residual <= 1e-16
+        assert sol.couplings.g2 == -1.0j
+
     def test_maximally_mixed_initial(self):
         sol = qubit.solve_controls_numeric(0.5, np.eye(2) / 2.0)
         assert sol.feasible and sol.residual <= 1e-12
@@ -892,8 +935,8 @@ class TestSolver:
                                              (1e-12, 5e-13, 0.0)])
     def test_on_ball_xy_floor(self, r_x, t, p_p):
         # from p_s = 0 the target (r_x, 0, 1) is on the ball: an xy-part at
-        # the 1e-13 floor takes the acos branch, which leaves the pole
-        # untouched (u = 0); above it atan2 turns by phi = r_x with u = 1
+        # the 1e-13 floor counts as zero, so xy = 0 leaves the pole
+        # untouched (u = 0); above it xy = r_x turns by phi = r_x, u = 1
         sol = qubit.solve_controls_numeric(
             0.0, self.bloch_state([r_x, 0.0, 1.0]))
         assert (sol.t, sol.p_p) == (t, p_p)
@@ -904,10 +947,10 @@ class TestSolver:
         (0.75, 0.25, 1e-17, 0.5), (0.25, 0.75, 1e-17, 0.5)],
         ids=["below_1", "above_-1", "at_1", "at_-1"])
     def test_rotation_angle_ends(self, r00, r11, r_x, p_p):
-        # from p_s = 1/4 (z0 = 1/2), cos(phi) = r_z / z0 is the double next
-        # to 1 or -1, where sin(phi) = 2^-26 still sets the imbalance u
-        # (p_p = 1/4 for u = 1/2), or exactly +/-1, where u = 0 even though
-        # sin(acos(-1)) = 1.2e-16 (a divide would give p_p = 0.42)
+        # from p_s = 1/4 (z0 = 1/2), r_z / z0 is the double next to 1 or
+        # -1, where the ball's xy-radius h = 2^-27 still sets the imbalance
+        # u = r_x / h (p_p = 1/4 for u = 1/2), or exactly +/-1, where h = 0
+        # and the xy-part below the floor give xy = 0 and u = 0
         sol = qubit.solve_controls_numeric(
             0.25, np.array([[r00, r_x / 2.0], [r_x / 2.0, r11]]))
         assert sol.feasible and sol.residual <= 1e-16

@@ -76,8 +76,6 @@ EQUIVALENT = {
         "tie: an affine weight of exactly 0 on a minor cycle",
     ("src/iqcontrol/opkit.py", "require_hermitian", ">", ">=", 0):
         "tie: a Hermiticity defect of exactly HERM_TOL",
-    ("src/iqcontrol/opkit.py", "validate_density_matrix", ">", ">=", 0):
-        "tie: a Hermiticity defect of exactly herm_tol",
     ("src/iqcontrol/opkit.py", "validate_density_matrix", ">", ">=", 1):
         "tie: a trace defect of exactly TRACE_TOL",
     ("src/iqcontrol/opkit.py", "validate_density_matrix", "<", "<=", 0):
