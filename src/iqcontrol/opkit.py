@@ -45,6 +45,7 @@ def herm_defect(a: np.ndarray) -> float:
 
 
 def require_hermitian(a) -> np.ndarray:
+    """``as_matrix(a)`` if its Hermiticity defect is at most HERM_TOL."""
     m = as_matrix(a)
     d = herm_defect(m)
     if d > HERM_TOL:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opkit
-from .errors import DimensionError
+from .errors import DimensionError, StateError
 
 # Local Pauli literals ({|1>, |0>} ordering), kept separate from the qubit
 # module on purpose.
@@ -48,13 +48,17 @@ class CompositeScenario:
         object.__setattr__(self, "rho_p0", rp)
 
 
+def _evolve_reduced(h, rho, t: float, dim_s: int, dim_p: int) -> np.ndarray:
+    """Tr_p[ exp(-i H t) rho exp(+i H t) ], checked as a state."""
+    u = opkit.expm_i_hermitian(h, t)
+    reduced = opkit.partial_trace_probe(u @ rho @ opkit.dag(u), dim_s, dim_p)
+    return opkit.validate_density_matrix(reduced, herm_tol=1e-10)
+
+
 def evolve_full(sc: CompositeScenario, t: float) -> np.ndarray:
     """Tr_p[ exp(-i H t) (rho_s0 (x) rho_p0) exp(+i H t) ]."""
-    u = opkit.expm_i_hermitian(sc.h_full, t)
-    rho = opkit.kron(sc.rho_s0, sc.rho_p0)
-    reduced = opkit.partial_trace_probe(u @ rho @ opkit.dag(u),
-                                        sc.dim_s, sc.dim_p)
-    return opkit.validate_density_matrix(reduced, herm_tol=1e-10)
+    return _evolve_reduced(sc.h_full, opkit.kron(sc.rho_s0, sc.rho_p0), t,
+                           sc.dim_s, sc.dim_p)
 
 
 def interaction_from_couplings(g1: float, g2: complex, g3: float, g4: float
@@ -68,14 +72,19 @@ def interaction_from_couplings(g1: float, g2: complex, g3: float, g4: float
 def check_solution(sol, p_s: float, target) -> float:
     """End-to-end distance of a solved control protocol to its target.
 
-    Builds the full Hamiltonian from the solution's couplings, prepares
-    the diagonal probe diag(1-p_p, p_p), evolves the composite, and
-    returns the trace distance of the reduced state to the target.
+    Checks p_s and p_p as scalars, raising what ``validate_density_matrix``
+    raises on diag(1-p, p); evolves diag(1-p_s, p_s) (x) diag(1-p_p, p_p)
+    under the couplings' Hamiltonian (checked in ``eig_hermitian``); checks
+    the reduced state and returns its trace distance to the target.
     """
+    for p in (p_s, sol.p_p):
+        if not np.isfinite(p):
+            raise StateError("matrix contains NaN or Inf entries")
+        lowest = min(p, 1.0 - p)
+        if lowest < opkit.PSD_FLOOR:
+            raise StateError(f"density matrix has eigenvalue {lowest:.3e} "
+                             f"< {opkit.PSD_FLOOR:.0e}")
     g = sol.couplings
     h = interaction_from_couplings(g.g1, g.g2, g.g3, g.g4)
-    rho_s0 = np.diag([1.0 - p_s, p_s]).astype(complex)
-    rho_p0 = np.diag([1.0 - sol.p_p, sol.p_p]).astype(complex)
-    sc = CompositeScenario(dim_s=2, dim_p=2, h_full=h,
-                           rho_s0=rho_s0, rho_p0=rho_p0)
-    return opkit.trace_distance(evolve_full(sc, sol.t), target)
+    rho = np.diag(np.outer([1 - p_s, p_s], [1 - sol.p_p, sol.p_p]).ravel())
+    return opkit.trace_distance(_evolve_reduced(h, rho, sol.t, 2, 2), target)

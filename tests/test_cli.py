@@ -254,6 +254,18 @@ class TestRunSolve:
         doc_out = json.loads((out / "s.json").read_text())
         assert doc_out["feasible"] is False
 
+    def test_eigensolves_per_run(self, tmp_path, eig_calls, count_calls):
+        # one eigendecomposition, of the oracle's 4x4 propagator; four
+        # spectra: the target's, checked by _parse_target and again by the
+        # solver, the oracle's reduced state and the trace distance
+        eigvalsh = count_calls(np.linalg, "eigvalsh")
+        path = Path(__file__).resolve().parents[1] / "configs" / \
+            "solve_example.json"
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 0
+        assert [np.shape(a) for a, *_ in eig_calls] == [(4, 4)]
+        assert [np.shape(a) for a, *_ in eigvalsh] == [(2, 2)] * 4
+
 
 class TestDefaultTolerance:
     """Solve and reach default ``tol`` to 1e-8: a residual just above it

@@ -169,6 +169,9 @@ class TestRequireHermitian:
         # HERM_TOL = 1e-10 on the largest entry of a - a^dag
         near = np.array([[0.0, 0.5e-10], [0.0, 0.0]], dtype=complex)
         np.testing.assert_array_equal(opkit.require_hermitian(near), near)
+        # a defect of exactly HERM_TOL passes
+        tie = np.array([[0.5, 1e-10], [0.0, 0.5]], dtype=complex)
+        np.testing.assert_array_equal(opkit.require_hermitian(tie), tie)
         with pytest.raises(HermiticityError, match="defect 2.000e-10"):
             opkit.require_hermitian(np.array([[0.0, 2e-10], [0.0, 0.0]]))
 

@@ -77,9 +77,9 @@ class TestCheckSolution:
         assert verify.check_solution(sol, 0.2, target) > 0.5
 
     def test_oracle_cost_by_counts(self, count_calls):
-        # one eigendecomposition, of the 4x4 propagator; four spectra:
-        # the two initial states, the reduced state and the trace
-        # distance; the tensor products never go through np.kron
+        # one eigendecomposition, of the 4x4 propagator; two spectra: the
+        # reduced state and the trace distance (p_s and p_p are checked as
+        # scalars); the tensor products never go through np.kron
         rng = np.random.default_rng(55)
         sol = qubit.ControlSolution(
             couplings=rand_couplings(rng), theta=0.3, alpha=0.4, p_p=0.3,
@@ -89,5 +89,59 @@ class TestCheckSolution:
         krons = count_calls(np, "kron")
         verify.check_solution(sol, 0.2, rand_density(rng, 2))
         assert [np.shape(a) for a, *_ in eigh] == [(4, 4)]
-        assert [np.shape(a) for a, *_ in eigvalsh] == [(2, 2)] * 4
+        assert [np.shape(a) for a, *_ in eigvalsh] == [(2, 2)] * 2
         assert krons == []
+
+    def test_matches_composite_route(self):
+        # the product state built in place evolves to the same bits as
+        # CompositeScenario + evolve_full, the general-state reference
+        rng = np.random.default_rng(56)
+        for k in range(200):
+            p_s, p_p = rng.uniform(size=2) if k % 4 else rng.choice(
+                [0.0, 0.5, 1.0], size=2)
+            sol = qubit.ControlSolution(
+                couplings=rand_couplings(rng), theta=0.0, alpha=0.0,
+                p_p=float(p_p), t=5.0 * rng.uniform(), residual=0.0,
+                feasible=True)
+            g, target = sol.couplings, rand_density(rng, 2)
+            sc = verify.CompositeScenario(
+                dim_s=2, dim_p=2,
+                h_full=verify.interaction_from_couplings(g.g1, g.g2, g.g3,
+                                                         g.g4),
+                rho_s0=np.diag([1.0 - p_s, p_s]).astype(complex),
+                rho_p0=np.diag([1.0 - p_p, p_p]).astype(complex))
+            assert verify.check_solution(sol, float(p_s), target) \
+                == opkit.trace_distance(verify.evolve_full(sc, sol.t), target)
+
+    @staticmethod
+    def probe_solution(p_p):
+        return qubit.ControlSolution(
+            couplings=qubit.QubitCouplings(g1=0.0, g2=1.0, g3=0.0, g4=1.0),
+            theta=0.0, alpha=0.0, p_p=p_p, t=0.3, residual=0.0,
+            feasible=True)
+
+    @pytest.mark.parametrize("p_s, p_p, message", [
+        (0.2, 1.5, "density matrix has eigenvalue -5.000e-01 < -1e-10"),
+        (0.2, -1e-9, "density matrix has eigenvalue -1.000e-09 < -1e-10"),
+        (0.2, np.nan, "matrix contains NaN or Inf entries"),
+        (0.2, np.inf, "matrix contains NaN or Inf entries"),
+        (0.2, -np.inf, "matrix contains NaN or Inf entries"),
+        (1.5, 0.3, "density matrix has eigenvalue -5.000e-01 < -1e-10"),
+        (np.nan, 0.3, "matrix contains NaN or Inf entries"),
+    ])
+    def test_probabilities_checked_as_states(self, p_s, p_p, message):
+        # the messages validate_density_matrix gives diag(1 - p, p)
+        target = np.diag([0.6, 0.4]).astype(complex)
+        with pytest.raises(StateError) as err:
+            verify.check_solution(self.probe_solution(p_p), p_s, target)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("p_p, distance", [
+        (-1e-10, 0.2246772420982971),
+        (1.0 + 5e-11, 0.22467724208552597),
+    ])
+    def test_probabilities_within_floor_accepted(self, p_p, distance):
+        # min(p, 1 - p) at or above PSD_FLOOR passes
+        target = np.diag([0.6, 0.4]).astype(complex)
+        assert verify.check_solution(self.probe_solution(p_p), 0.2,
+                                     target) == distance

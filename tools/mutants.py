@@ -74,8 +74,6 @@ EQUIVALENT = {
         "an index with u_k = css_k / k exactly leaves tau the same",
     ("src/iqcontrol/nlevel.py", "_min_norm_point", "<", "<=", 0):
         "tie: an affine weight of exactly 0 on a minor cycle",
-    ("src/iqcontrol/opkit.py", "require_hermitian", ">", ">=", 0):
-        "tie: a Hermiticity defect of exactly HERM_TOL",
     ("src/iqcontrol/opkit.py", "validate_density_matrix", ">", ">=", 1):
         "tie: a trace defect of exactly TRACE_TOL",
     ("src/iqcontrol/opkit.py", "validate_density_matrix", "<", "<=", 0):
@@ -102,7 +100,8 @@ EQUIVALENT = {
         "z0 = 0 takes the fixed-point branch before the sign is read",
     ("src/iqcontrol/thermal.py", "thermal_occupancy", ">=", ">", 0):
         "both forms give exactly 0.5 at x = 0",
-    ("src/iqcontrol/verify.py", "evolve_full", "1e-10", "(1e-10 * 100)", 0):
+    ("src/iqcontrol/verify.py", "_evolve_reduced", "1e-10", "(1e-10 * 100)",
+     0):
         "the oracle's reduced state is Hermitian to rounding, far inside "
         "either bound",
 }
