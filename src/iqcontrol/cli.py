@@ -41,9 +41,9 @@ from .nlevel import ReachabilityProblem, solve_probe_spectrum
 MODES = ("simulate", "solve", "reach", "thermal", "sweep")
 SWEEP_PARAMS = ("theta", "alpha", "p_p")
 # Rows of a simulate result and grid points of a sweep.  A run computes its
-# whole result in memory and writes it in chunks: 10^6 simulate rows peak
-# at ~0.21 GB, 10^6 sweep points at ~0.11 GB (one axis; ~0.094 GB as
-# 100 x 100 x 100).
+# whole result in memory, stacks its plain columns once and writes it in
+# chunks: 10^6 simulate rows peak at ~230 MB, 10^6 sweep points at ~125 MB
+# (one axis; ~109 MB as 100 x 100 x 100), as the process's own ru_maxrss.
 MAX_ROWS = 10**6
 # CSV rows formatted per kernel call.
 _CSV_CHUNK = 4096
@@ -379,11 +379,14 @@ def _scaled_digits(a, e):
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-def _csv_cells(x) -> np.ndarray:
-    """The cells of float64 ``x``, shape ``x.shape + (_CELL,)``, separator
-    byte NUL.  Stripped of NULs each is b"%.17g" % v: zero and
+def _csv_cells(x, out=None) -> np.ndarray:
+    """The cells of float64 ``x`` as five 64-bit words each, separator byte
+    NUL, written into ``out`` (shape ``x.shape + (5,)``; a new array when
+    None) and returned.  Stripped of NULs each is b"%.17g" % v: zero and
     1e-4 <= |v| < 1e16 are built here, every other value by "%"."""
     shape, x = x.shape, x.reshape(-1)
+    if out is None:
+        out = np.empty(shape + (5,), np.uint64)
     a = np.abs(x)
     zero = a == 0.0
     fast = zero | ((a >= 1e-4) & (a < 1e16))
@@ -404,17 +407,18 @@ def _csv_cells(x) -> np.ndarray:
         np.maximum(s, sig[k].take(groups[-1]), out=s)
         d = q
     groups.append(d + 10**4)
-    row = (np.signbit(x) * (_E_HI - _E_LO + 1) + e - _E_LO) * 18 + s
-    cells = np.empty((x.size, 5), np.uint64)
+    row = ((np.signbit(x) * (_E_HI - _E_LO + 1) + e - _E_LO) * 18
+           + s).reshape(shape)
     for k, g in enumerate(reversed(groups)):
-        np.bitwise_and(words.take(g), keep[k].take(row), out=cells[:, k])
-    cells = cells.view(np.uint8)
+        np.bitwise_and(words.take(g.reshape(shape)), keep[k].take(row),
+                       out=out[..., k])
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = b"".join((b"%.17g" % v).ljust(_CELL, b"\0")
                         for v in x[slow].tolist())
-        cells[slow] = np.frombuffer(text, np.uint8).reshape(-1, _CELL)
-    return cells.reshape(shape + (_CELL,))
+        out[np.unravel_index(slow, shape)] = np.frombuffer(
+            text, np.uint64).reshape(-1, 5)
+    return out
 
 
 def _csv_result(header: list, columns: list):
@@ -430,29 +434,39 @@ def _csv_result(header: list, columns: list):
         if isinstance(col, tuple) and len(col[0]) >= len(col[1]):
             col = col[0][col[1]]
         if isinstance(col, tuple):
-            finite = np.isfinite(col[0])[col[1]]
             indexed.append((j, *col))
         else:
-            finite = np.isfinite(col)
             plain.append((j, col))
-        if not np.all(finite):
-            raise ConfigError("result has a non-finite value")
-    rows = len(plain[0][-1])
-    at = [j for j, _ in plain]
-    if at[-1] - at[0] == len(at) - 1:  # one run: copy a basic slice
+    at, plain = zip(*plain)
+    stack = np.column_stack(plain)
+    if not (np.all(np.isfinite(stack))
+            and all(np.all(np.isfinite(values)[index])
+                    for _, values, index in indexed)):
+        raise ConfigError("result has a non-finite value")
+    # the chunks refer to the stack, not to the input columns, so those
+    # can be freed before the write
+    rows, width = len(stack), len(columns)
+    if at[-1] - at[0] == len(at) - 1:  # one run: the kernel writes in place
         at = slice(at[0], at[-1] + 1)
-    indexed = [(j, _csv_cells(values), index) for j, values, index in indexed]
+    if indexed:  # every value of every indexed column in one call
+        at_indexed, values, index = zip(*indexed)
+        cells = np.split(_csv_cells(np.concatenate(values)),
+                         np.cumsum([len(v) for v in values[:-1]]))
+        indexed = list(zip(at_indexed, cells, index))
 
     def chunks():
         yield ",".join(header).encode() + b"\n"
         for start in range(0, rows, _CSV_CHUNK):
             part = slice(start, start + _CSV_CHUNK)
-            block = np.empty((min(rows - start, _CSV_CHUNK), len(columns),
-                              _CELL), np.uint8)
-            block[:, at] = _csv_cells(  # every array column in one call
-                np.column_stack([col[part] for _, col in plain]))
+            words = np.empty((min(rows - start, _CSV_CHUNK), width, 5),
+                             np.uint64)
+            if isinstance(at, slice):
+                _csv_cells(stack[part], words[:, at])
+            else:
+                words[:, at] = _csv_cells(stack[part])
             for j, cells, index in indexed:
-                block[:, j] = cells[index[part]]
+                words[:, j] = cells.take(index[part], axis=0)
+            block = words.view(np.uint8)
             block[:, :, -1] = ord(",")
             block[:, -1, -1] = ord("\n")
             yield block.tobytes().translate(None, b"\0")

@@ -1138,6 +1138,36 @@ class TestCsvWriter:
         assert csv_bytes(header, list(table.T) + [(values, index)]) \
             == (tmp_path / "ref.csv").read_bytes()
 
+    @pytest.mark.parametrize("layout", ["axes_first", "plain_around"])
+    def test_three_indexed_columns_over_two_chunk_ends(self, layout,
+                                                       tmp_path, count_calls):
+        # indexed columns of 13, 6 and 7 values: the first holds a NaN no
+        # row references, the second "%" fallback cells and zeros of both
+        # signs; plain columns after them (one run, as in a sweep) or on
+        # both sides of them
+        rows = 2 * cli._CSV_CHUNK + 1
+        rng = np.random.default_rng(30)
+        axes = [(np.concatenate([self.SPECIAL, [np.nan]]),
+                 rng.integers(len(self.SPECIAL), size=rows)),
+                (np.array([3e-5, -7e17, 0.0, -0.0, 0.25, -1.5]),
+                 rng.integers(6, size=rows)),
+                (rng.uniform(-1.0, 1.0, 7), rng.integers(7, size=rows))]
+        plain = self.table(rows, cols=3)
+        columns = [(values, index) for values, index in axes] + list(plain.T)
+        expanded = [values[index] for values, index in axes] + list(plain.T)
+        if layout == "plain_around":
+            columns = columns[3:4] + columns[:3] + columns[4:]
+            expanded = expanded[3:4] + expanded[:3] + expanded[4:]
+        header = [f"c{j}" for j in range(6)]
+        reference_csv(tmp_path / "ref.csv", header,
+                      np.column_stack(expanded))
+        kernel = count_calls(cli, "_csv_cells")
+        assert csv_bytes(header, columns) \
+            == (tmp_path / "ref.csv").read_bytes()
+        # every axis value in the first call, then one call per chunk
+        assert [args[0].shape for args in kernel] \
+            == [(26,), (cli._CSV_CHUNK, 3), (cli._CSV_CHUNK, 3), (1, 3)]
+
     def test_tables_built_on_first_csv_result(self, tmp_path):
         tables = (cli._cell_tables,)
         for table in tables:
@@ -1159,6 +1189,41 @@ class TestCsvWriter:
                         [plain, np.array([1.0, bad, 2.0])]):
             with pytest.raises(cli.ConfigError, match="non-finite"):
                 cli._csv_result(["x", "y"], columns)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_a_later_chunk_raises_on_call(self, bad):
+        # the single finiteness pass covers rows past the first chunk
+        rows = 2 * cli._CSV_CHUNK
+        plain = self.table(rows, cols=3)
+        plain[cli._CSV_CHUNK + 1, -1] = bad
+        for columns in ([(self.SPECIAL[:3], np.arange(rows) % 3)]
+                        + list(plain.T), list(plain.T)):
+            with pytest.raises(cli.ConfigError, match="non-finite"):
+                cli._csv_result(["x"] * len(columns), columns)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("command, doc", [
+        ("run", dict(simulate_config(),
+                     times={"start": 0.0, "stop": 5.0,
+                            "count": cli._CSV_CHUNK + 2})),
+        ("sweep", sweep_config(axes=[
+            {"name": "p_p", "start": 0.0, "stop": 1.0, "count": 65},
+            {"name": "alpha", "start": 0.0, "stop": 3.0, "count": 64}]))])
+    def test_non_finite_in_a_later_chunk_writes_nothing(
+            self, bad, command, doc, tmp_path, monkeypatch, capsys):
+        csv_result = cli._csv_result
+
+        def poisoned(header, columns):
+            columns[-1] = columns[-1].copy()
+            columns[-1][cli._CSV_CHUNK + 1] = bad
+            return csv_result(header, columns)
+        monkeypatch.setattr(cli, "_csv_result", poisoned)
+        cfg = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "out"
+        assert cli.main([command, str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr() \
+            == ("", "error: result has a non-finite value\n")
 
 
 class TestArgv:

@@ -192,3 +192,57 @@ class TestPairsSummary:
         assert doc == {"parent": "abc",
                        "workloads": {"a": {"pairs": 1}, "b": {"pairs": 2}},
                        "null_pairs": {"a": {"pairs": 3}}}
+
+    def runs(self, *items):
+        # (parent, change) items_per_s per seed; config_ms_p50 mirrors them
+        return [(self.line(p, 1000.0 / p), self.line(c, 1000.0 / c))
+                for p, c in items]
+
+    def test_later_seeds_are_pooled(self, tmp_path):
+        # two calls on one workload give the section one call on all its
+        # seeds gives: medians, quartiles, wins and ties over every pair
+        first = self.runs((100.0, 110.0), (120.0, 120.0), (90.0, 80.0))
+        second = self.runs((105.0, 130.0), (95.0, 99.0))
+        out = tmp_path / "bench.json"
+        for seeds, runs in (([1, 2, 3], first), ([7, 8], second)):
+            pairs.merge(out, {"parent": "HEAD", "parent_commit": "abc",
+                              "workloads": {"w": pairs.summarize(
+                                  seeds, runs, self.END_TO_END, 5.0)}})
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["workloads"]["w"] == pairs.summarize(
+            [1, 2, 3, 7, 8], first + second, self.END_TO_END, 5.0)
+        items = doc["workloads"]["w"]["metrics"]["items_per_s"]
+        assert (items["change_wins"], items["ties"]) == (3, 1)
+        assert items["parent"]["median"] == 100.0
+        assert items["change"]["median"] == 110.0
+        assert (doc["parent"], doc["parent_commit"]) == ("HEAD", "abc")
+
+    @pytest.mark.parametrize("seeds, seconds, commit, message", [
+        ([3, 4], 5.0, "abc", "workloads.w already holds seeds [3]"),
+        ([4, 5], 10.0, "abc", "workloads.w was run at --seconds 5.0"),
+        ([4, 5], 5.0, "def", "the record's parent is abc, not def"),
+        ([4, 5], 5.0, "abc", None)])
+    def test_clash_with_the_record(self, seeds, seconds, commit, message):
+        old = {"parent_commit": "abc", "workloads": {"w": pairs.summarize(
+            [2, 3], self.runs((1.0, 2.0), (3.0, 4.0)), self.END_TO_END, 5.0)}}
+        assert pairs.clash(old, "workloads", "w", seeds, seconds,
+                           commit) == message
+        # another workload, or the other kind, pools nothing
+        assert pairs.clash(old, "null_pairs", "w", seeds, seconds,
+                           "abc") is None
+
+    def test_seed_already_recorded_exits_two(self, tmp_path, monkeypatch,
+                                             capsys):
+        # refused before any tree is extracted or run
+        out = tmp_path / "bench.json"
+        pairs.merge(out, {"parent_commit": "abc", "workloads": {
+            "w": pairs.summarize([1, 2], self.runs((1.0, 2.0), (3.0, 4.0)),
+                                 self.END_TO_END, 15.0)}})
+        before = out.read_bytes()
+        monkeypatch.setattr(pairs, "resolve", lambda rev: "abc")
+        monkeypatch.setattr(pairs, "extract", None)
+        assert pairs.main(["HEAD", "--workload", "w", "--seeds", "2-3",
+                           "--out", str(out)]) == 2
+        assert capsys.readouterr().err \
+            == "error: workloads.w already holds seeds [2]\n"
+        assert out.read_bytes() == before

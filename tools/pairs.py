@@ -23,8 +23,15 @@ pair count, the seeds, the seconds, whether every run was correct and,
 per end-to-end metric of ``BENCHMARK.json``, each side's runs, median and
 quartiles (``statistics.quantiles(n=4, method='inclusive')``), the
 change's wins and the ties; a win is read in the metric's ``better``
-direction.  With ``--out FILE`` the document is also merged into FILE, so
-successive calls build one record.  The working tree is only read.
+direction, on the runs as recorded (rounded to 6 decimals).  The record
+keeps the revision as typed and the commit it resolved to.
+
+With ``--out FILE`` the document is also merged into FILE, so successive
+calls build one record.  A workload already in FILE gets the new seeds
+pooled into its section: medians, quartiles, wins and ties are computed
+again from the stored runs of every pair.  A seed already there, another
+``--seconds`` or another parent commit exits 2 with one message, before
+anything runs.  The working tree is only read.
 
 Standard library only.
 """
@@ -73,6 +80,13 @@ def copy_working_tree(dest: Path) -> None:
             shutil.copy2(src, dest / rel)
 
 
+def resolve(rev: str) -> str:
+    """The commit ``rev`` names, in full, or "" if it names none."""
+    return subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
+         f"{rev}^{{commit}}"], capture_output=True, text=True).stdout.strip()
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The last stdout line of one benchmark run in ``tree``, parsed."""
     argv = COMMAND.format(workload=workload, seed=seed,
@@ -89,8 +103,16 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 def side(values: list) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": round(statistics.median(values), 6),
-            "q1_q3": [round(q1, 6), round(q3, 6)],
-            "runs": [round(v, 6) for v in values]}
+            "q1_q3": [round(q1, 6), round(q3, 6)], "runs": list(values)}
+
+
+def compare(better: str, parent: list, change: list) -> dict:
+    """One metric's record from its runs, paired by position."""
+    sign = 1 if better == "higher" else -1
+    pairs = list(zip(parent, change))
+    return {"better": better, "parent": side(parent), "change": side(change),
+            "change_wins": sum(sign * (c - p) > 0 for p, c in pairs),
+            "ties": sum(c == p for p, c in pairs)}
 
 
 def summarize(seeds: list, runs: list, end_to_end: list,
@@ -102,16 +124,42 @@ def summarize(seeds: list, runs: list, end_to_end: list,
                                   for pair in runs for r in pair),
                "metrics": {}}
     for spec in end_to_end:
-        name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
-        values = [[r["metrics"][name]["value"] for r in pair]
-                  for pair in runs]
-        parent, change = zip(*values)
-        section["metrics"][name] = {
-            "better": spec["better"],
-            "parent": side(parent), "change": side(change),
-            "change_wins": sum(sign * (c - p) > 0 for p, c in values),
-            "ties": sum(c == p for p, c in values)}
+        parent, change = ([round(r["metrics"][spec["name"]]["value"], 6)
+                           for r in side_runs] for side_runs in zip(*runs))
+        section["metrics"][spec["name"]] = compare(spec["better"], parent,
+                                                   change)
     return section
+
+
+def pool(old: dict, new: dict) -> dict:
+    """The section of ``old``'s pairs followed by ``new``'s."""
+    metrics = {}
+    for name, m in old["metrics"].items():
+        n = new["metrics"][name]
+        metrics[name] = compare(m["better"],
+                                m["parent"]["runs"] + n["parent"]["runs"],
+                                m["change"]["runs"] + n["change"]["runs"])
+    return {"pairs": old["pairs"] + new["pairs"],
+            "seeds": old["seeds"] + new["seeds"], "seconds": old["seconds"],
+            "all_correct": old["all_correct"] and new["all_correct"],
+            "metrics": metrics}
+
+
+def clash(old: dict, kind: str, workload: str, seeds: list, seconds: float,
+          commit: str):
+    """Why the runs asked for cannot be pooled into the record ``old``
+    (``kind`` "workloads" or "null_pairs"), or None."""
+    if old.get("parent_commit", commit) != commit:
+        return f"the record's parent is {old['parent_commit']}, not {commit}"
+    section = old.get(kind, {}).get(workload)
+    if section is None:
+        return None
+    again = sorted(set(section["seeds"]) & set(seeds))
+    if again:
+        return f"{kind}.{workload} already holds seeds {again}"
+    if section["seconds"] != seconds:
+        return f"{kind}.{workload} was run at --seconds {section['seconds']}"
+    return None
 
 
 def machine() -> dict:
@@ -120,14 +168,22 @@ def machine() -> dict:
             "machine": platform.machine()}
 
 
+def read(path: Path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() \
+        else {}
+
+
 def merge(path: Path, doc: dict) -> None:
     """Merge ``doc`` into the JSON file at ``path``: its workload sections
-    replace those of the same name, its other keys are kept if present."""
-    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() \
-        else {}
+    are pooled into those of the same name, its other keys are kept if
+    present."""
+    old = read(path)
     for key, value in doc.items():
         if key in ("workloads", "null_pairs"):
-            old.setdefault(key, {}).update(value)
+            sections = old.setdefault(key, {})
+            for workload, section in value.items():
+                sections[workload] = (pool(sections[workload], section)
+                                      if workload in sections else section)
         else:
             old.setdefault(key, value)
     path.write_text(json.dumps(old, indent=2) + "\n", encoding="utf-8")
@@ -147,6 +203,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
+
+    kind = "null_pairs" if args.null else "workloads"
+    commit = resolve(args.rev)
+    old = read(args.out) if args.out else {}
+    error = (clash(old, kind, args.workload, args.seeds, args.seconds, commit)
+             if commit else f"{args.rev} names no commit")
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     end_to_end = json.loads(
         (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
@@ -170,11 +235,10 @@ def main(argv=None) -> int:
             print(f"# seed {seed}: items_per_s parent {items[0]:.1f}, "
                   f"change {items[1]:.1f}", file=sys.stderr, flush=True)
     section = summarize(args.seeds, runs, end_to_end, args.seconds)
-    doc = {"parent": args.rev, "machine": machine(),
+    doc = {"parent": args.rev, "parent_commit": commit, "machine": machine(),
            "command": COMMAND.format(workload="W", seed="S", seconds="SEC"),
            "pairing": PAIRING, "quartiles": QUARTILES,
-           "null_pairs" if args.null else "workloads":
-               {args.workload: section}}
+           kind: {args.workload: section}}
     print(json.dumps(doc, indent=2))
     if args.out:
         merge(args.out, doc)
