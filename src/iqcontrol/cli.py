@@ -10,8 +10,10 @@ number is a finite real number or an [re, im] pair, and a matrix a nested
 row-major list of them.
 Results are CSV (time series, grids) or JSON (solve/reach/thermal), both
 fully deterministic with "\n" line endings: a CSV number is the bytes of
-Python's "%.17g" (17 significant digits, ties to even), a JSON number the
-shortest repr that reads back to the same float, and JSON keys are sorted.
+Python's "%.17g" (17 significant digits, ties to even).  A JSON result is
+the text of ``json.dumps(doc, sort_keys=True, indent=2)``, built directly:
+a number is the shortest repr that reads back to the same float, and keys
+are sorted.
 Exit codes: 0 success, 1 error, 2 infeasible-but-completed.
 A result with a non-finite number is an error, and no file or directory
 is written.  An unreadable config, an unwritable output path and a failed
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from functools import cache, partial
 from itertools import chain
@@ -47,8 +50,8 @@ SWEEP_PARAMS = ("theta", "alpha", "p_p")
 MAX_ROWS = 10**6
 # CSV rows formatted per kernel call.
 _CSV_CHUNK = 4096
-# JSON results: what json.dumps gives with these options, built once.
-_JSON = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+# Opening a result file makes it, or empties the one already there.
+_WRITE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 
 
 class ConfigError(IQControlError):
@@ -211,8 +214,22 @@ def _reject_constant(name: str):
 
 def load_config(path: Path) -> dict:
     try:
-        text = path.read_bytes().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            # A regular file comes whole in the first read; a pipe has no
+            # size and a file may grow, so read on until EOF, each read
+            # asking for one byte more than the last one gave.
+            parts = [os.read(fd, os.fstat(fd).st_size + 1)]
+            while parts[-1]:
+                parts.append(os.read(fd, len(parts[-1]) + 1))
+        finally:
+            os.close(fd)
+        text = b"".join(parts[:-1]).decode("utf-8")
+    except OSError as exc:
+        # a directory opens, and only its read fails, naming no file
+        exc.filename = os.fspath(path)
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(text, parse_constant=_reject_constant)
@@ -293,21 +310,45 @@ def _write_result(path: Path, chunks):
     is one error, and may leave a partial file."""
     try:
         try:
-            fh = path.open("wb")
+            fd = os.open(path, _WRITE, 0o666)
         except FileNotFoundError:
             path.parent.mkdir(parents=True, exist_ok=True)
-            fh = path.open("wb")
-        with fh:
-            fh.writelines(chunks)
+            fd = os.open(path, _WRITE, 0o666)
+        try:
+            for chunk in chunks:
+                view = memoryview(chunk)
+                while view:  # a write may take only part of it
+                    view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ConfigError(f"cannot write result: {exc}") from exc
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for dicts with plain
+    ASCII keys, lists, bools, ints and finite floats (any other type raises
+    TypeError); ``indent`` is the line break and indent ``value`` is on."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConfigError("result has a non-finite value: Out of range "
+                              f"float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)  # np.float64's repr names its type
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f'{inner}"{key}": {_json_text(value[key], inner)}'
+                 for key in sorted(value)]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if isinstance(value, list):
+        items = [inner + _json_text(item, inner) for item in value]
+        return "[" + ",".join(items) + indent + "]" if items else "[]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return int.__repr__(value)
+
+
 def _json_result(doc: dict):
-    try:
-        return ".json", [_JSON.encode(doc).encode() + b"\n"]
-    except ValueError as exc:
-        raise ConfigError(f"result has a non-finite value: {exc}") from exc
+    return ".json", [(_json_text(doc) + "\n").encode()]
 
 
 # The CSV cell kernel (``_csv_cells``) gives the bytes of b"%.17g" % v.  A

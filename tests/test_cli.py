@@ -1,12 +1,14 @@
 import argparse
 import contextlib
 import copy
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import threading
 from itertools import chain
 from pathlib import Path
 
@@ -1473,3 +1475,152 @@ class TestRunReturnsResult:
         assert [args[0] for args in write] == ([] if name is None
                                                else [out / name])
         assert capsys.readouterr().err.startswith("error: ") == (code == 1)
+
+
+# Result documents: finite floats (np.float64, -0.0 and subnormals among
+# them), bools and ints in nested dicts and lists; keys are plain names.
+JSON_KEYS = st.text("abcdefghijklmnopqrstuvwxyzAZ_019", max_size=6)
+JSON_TREES = st.recursive(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+              st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+              st.sampled_from([-0.0, 5e-324, 2.5e-310, -1e-320, 1e16, 1e-5,
+                               np.float64(1e16), np.float64(-0.0)]),
+              st.booleans(), st.integers()),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(JSON_KEYS, children, max_size=4)),
+    max_leaves=20)
+
+
+class TestJsonResult:
+    """A JSON result is the text of ``json.dumps(doc, sort_keys=True,
+    indent=2)`` and a line break, built without the json encoder."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(JSON_KEYS, JSON_TREES, max_size=5))
+    @example({})
+    @example({"empty": {}, "none": [], "nested": [[], {}, [{}], {"a": []}]})
+    @example({"b": True, "f": False, "i": -7, "big": 10**30, "z": 0})
+    def test_text_is_json_dumps(self, doc):
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert cli._json_result(doc) == (".json", [text.encode()])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["scalar", "nested"])
+    def test_non_finite_value_exits_one(self, bad, where, tmp_path,
+                                        monkeypatch, capsys):
+        # the error line is the one the json encoder's ValueError gave
+        if where == "scalar":
+            monkeypatch.setattr(cli.thermal, "required_gap",
+                                lambda p_p, temperature: bad)
+            name, value = "thermal_example.json", bad
+        else:
+            monkeypatch.setattr(cli, "solve_probe_spectrum",
+                                lambda problem: (np.array([0.5, bad]), 0.0))
+            name, value = "reach_example.json", [0.5, np.float64(bad)]
+        with pytest.raises(ValueError) as old:
+            json.dumps({"x": value}, indent=2, allow_nan=False)
+        cfg = write_config(tmp_path, name, EXAMPLES[name])
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: result has a non-finite value: {old.value}\n")
+        assert not out.exists()
+
+
+class TestReadConfig:
+    """A config is read to EOF with os.read, and a failed read is one
+    ``cannot read config`` line that names the path as open() did."""
+
+    def test_directory_names_its_path(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for command in ("check", "run"):
+            assert cli.main([command, str(tmp_path), "--out", str(out),
+                             "--quiet"]) == 1
+            assert capsys.readouterr().err == (
+                "error: cannot read config: [Errno 21] Is a directory: "
+                f"{str(tmp_path)!r}\n")
+        assert not out.exists()
+
+    def test_regular_file_reads_its_size_plus_one(self, tmp_path,
+                                                  count_calls):
+        # the second read only sees EOF; no read asks for more than the
+        # file's size and one byte
+        path = write_config(tmp_path, "c.json", simulate_config())
+        reads = count_calls(os, "read")
+        assert cli.load_config(path) == simulate_config()
+        size = path.stat().st_size
+        assert [n for _, n in reads] == [size + 1, size + 1]
+
+    def test_short_reads_load_the_whole_config(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, "c.json", simulate_config())
+        read = os.read
+        monkeypatch.setattr(os, "read", lambda fd, n: read(fd, min(n, 7)))
+        assert cli.load_config(path) == simulate_config()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs mkfifo")
+    def test_fifo_reads_to_eof(self, tmp_path):
+        # a pipe has no size, and this text is more than one pipe buffer
+        fifo = tmp_path / "c.json"
+        os.mkfifo(fifo)
+        text = json.dumps(simulate_config()) + " " * 200_000
+        writer = threading.Thread(target=fifo.write_text, args=(text,),
+                                  daemon=True)
+        writer.start()
+        try:
+            assert cli.load_config(fifo) == simulate_config()
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+class TestWriteLoop:
+    """``_write_result`` writes each chunk with os.write until all of it is
+    taken, and closes the file whatever happens."""
+
+    @pytest.mark.parametrize("doc, name", [
+        (dict(simulate_config(), times={"start": 0.0, "stop": 5.0,
+                                        "count": cli._CSV_CHUNK + 3}),
+         "c.csv"),
+        (EXAMPLES["solve_example.json"], "c.json")], ids=["csv", "json"])
+    def test_short_writes_give_the_same_bytes(self, doc, name, tmp_path,
+                                              monkeypatch):
+        cfg = write_config(tmp_path, "c.json", doc)
+        argv = ["run", str(cfg), "--quiet", "--out"]
+        assert cli.main(argv + [str(tmp_path / "whole")]) == 0
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+        assert cli.main(argv + [str(tmp_path / "short")]) == 0
+        assert (tmp_path / "short" / name).read_bytes() \
+            == (tmp_path / "whole" / name).read_bytes()
+
+    def test_failing_chunks_close_the_file(self, tmp_path, count_calls):
+        def chunks():
+            yield b"first\n"
+            raise RuntimeError("formatter failed")
+        closed = count_calls(os, "close")
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            cli._write_result(tmp_path / "c.csv", chunks())
+        assert len(closed) == 1
+        with pytest.raises(OSError):
+            os.fstat(closed[0][0])
+        assert (tmp_path / "c.csv").read_bytes() == b"first\n"
+
+
+def test_json_runs_leave_no_reference_cycles(tmp_path):
+    # with the collector off, garbage in cycles would stay for gc.collect
+    argvs = []
+    for name in ("solve_example.json", "reach_example.json",
+                 "thermal_example.json"):
+        cfg = write_config(tmp_path, name, EXAMPLES[name])
+        argvs.append(["run", str(cfg), "--out", str(tmp_path / "out"),
+                      "--quiet"])
+    for argv in argvs:  # first-call set-up, and the output files
+        cli.main(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in argvs * 50:
+            cli.main(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

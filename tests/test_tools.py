@@ -1,11 +1,12 @@
 """The developer tools' pure helpers: the mutation sampler's line filter
 and equivalence keys, the parity check's difference magnitudes and
-malformed configs, and the paired-run summary.  None runs a suite, a
-tree or the benchmark."""
+malformed configs, the paired-run summary and the same-process A/B
+timing.  None runs a suite, a tree or the benchmark."""
 
 import importlib.util
 import json
 import math
+import random
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -23,6 +24,7 @@ def load(name):
 
 
 mutants, parity, pairs = load("mutants"), load("parity"), load("pairs")
+ab = load("ab")
 
 
 class TestMutantSites:
@@ -138,7 +140,8 @@ class TestParityArgvVariants:
                      ["run", config, "--qu", "--out", out],
                      ["run", config, "--out", "out/first", "--out", out],
                      ["run", "--out", out, "--", config],
-                     ["-h"], ["run"], ["transmute", config]):
+                     ["-h"], ["run"], ["transmute", config],
+                     ["run", "../cfg", "--out", out]):
             assert argv in plan
 
 
@@ -246,3 +249,36 @@ class TestPairsSummary:
         assert capsys.readouterr().err \
             == "error: workloads.w already holds seeds [2]\n"
         assert out.read_bytes() == before
+
+
+class TestAbTiming:
+    def test_each_side_sums_its_own_calls(self):
+        # a fake clock that each side's main advances by its own cost
+        now, calls, cost = [0.0], [], (3.0, 2.0)
+
+        def side(s):
+            def main(argv):
+                calls.append((s, argv))
+                now[0] += cost[s]
+            return main
+        argvs = [[f"p{i}" for i in range(40)], [f"c{i}" for i in range(40)]]
+        totals = ab.timed_pass([side(0), side(1)], argvs, random.Random(0),
+                               clock=lambda: now[0])
+        assert totals == [120.0, 80.0]
+        assert sorted(calls) == sorted([(0, f"p{i}") for i in range(40)]
+                                       + [(1, f"c{i}") for i in range(40)])
+        # each config runs on both sides before the next, in a drawn order
+        firsts = [s for s, _ in calls[::2]]
+        assert [int(a[1:]) for _, a in calls[::2]] == list(range(40))
+        assert 0 < sum(firsts) < 40
+
+    def test_summary_of_canned_timings(self):
+        change = [1.0, 2.0, 1.0, 4.0, 2.0]
+        ratios = [1.0, 1.1, 1.2, 1.3, 1.4]
+        parent = [c * r for c, r in zip(change, ratios)]
+        result = ab.summary(parent, change)
+        assert result["ratios"] == ratios
+        assert result["median"] == 1.2
+        low, high = result["ci95"]
+        assert 1.0 <= low < 1.2 < high <= 1.4
+        assert ab.summary([2.2, 3.3], [2.0, 3.0])["ci95"] == [1.1, 1.1]

@@ -1,0 +1,154 @@
+"""Same-process A/B timing of iqctl: a git revision against the working tree.
+
+    python tools/ab.py cc8c035 --workload small_configs
+    python tools/ab.py cc8c035 --workload reach_ladder --passes 20 --seed 3
+    python tools/ab.py cc8c035 --workload small_configs --null
+
+The script extracts the revision with ``git archive`` (``parity.extract``)
+and loads its ``src/iqcontrol`` and the working tree's into this process
+under the package names ``iq_parent`` and ``iq_change``; the package
+imports itself relatively, so the two copies share only numpy.  With
+``--null`` both names load the revision, so the run measures the bias
+between the two load slots.
+
+The workload's configs for ``--seed`` (``iqbench/workloads.py`` of the
+working tree) are written to a temporary directory, and one untimed pass
+runs every config through both sides' ``cli.main``, each side with its own
+``--out``, so that lazy set-up is done and every timed pass writes over
+existing outputs.  In each timed pass every config runs through both sides,
+the side that goes first drawn at random per config, and the
+``time.thread_time`` of each call is summed per side.
+
+It prints one JSON document: each side's seconds per pass, the per-pass
+ratios (parent time over change time, so above 1 means the change is
+faster), their median and a 95% bootstrap interval of that median
+(percentile method, 10,000 resamples of the passes).  CPU time only: it
+does not replace the benchmark's ``items_per_s``, ``setup_s`` or
+``peak_rss_mb``.  The working tree is only read.
+
+Standard library and numpy only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import random
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from pairs import resolve  # noqa: E402
+from parity import ROOT, WORKLOADS, extract, load  # noqa: E402
+
+SIDES = ("parent", "change")
+
+
+def load_cli(name: str, src: Path):
+    """``src/iqcontrol/cli.py`` of one tree, its package imported as
+    ``name``."""
+    sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location(
+        name, src / "iqcontrol" / "__init__.py",
+        submodule_search_locations=[str(src / "iqcontrol")])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.cli")
+
+
+def write_configs(workload: str, seed: int, cfg_dir: Path) -> list:
+    """Write the workload's configs into ``cfg_dir``; (command, path) each."""
+    workloads = load("workloads", ROOT / "iqbench" / "workloads.py")
+    cfg_dir.mkdir()
+    runs = []
+    for i, cfg in enumerate(workloads.generate(workload, seed)):
+        path = cfg_dir / f"c{i:04d}.json"
+        path.write_text(json.dumps(cfg.doc), encoding="utf-8")
+        runs.append((cfg.command, str(path)))
+    return runs
+
+
+def timed_pass(mains: list, argvs: list, rng: random.Random,
+               clock=time.thread_time) -> list:
+    """Seconds per side of one pass: config i runs as ``mains[s](argvs[s][i])``
+    on both sides s, in an order drawn from ``rng``."""
+    totals = [0.0] * len(mains)
+    order = list(range(len(mains)))
+    for i in range(len(argvs[0])):
+        rng.shuffle(order)
+        for s in order:
+            t0 = clock()
+            mains[s](argvs[s][i])
+            totals[s] += clock() - t0
+    return totals
+
+
+def summary(parent: list, change: list, resamples: int = 10_000,
+            seed: int = 0) -> dict:
+    """Per-pass ratios parent / change, their median and the median's 95%
+    bootstrap interval."""
+    ratios = np.array(parent) / np.array(change)
+    picks = np.random.default_rng(seed).integers(
+        len(ratios), size=(resamples, len(ratios)))
+    low, high = np.percentile(np.median(ratios[picks], axis=1), [2.5, 97.5])
+    return {"ratios": [round(r, 6) for r in ratios.tolist()],
+            "median": round(float(np.median(ratios)), 6),
+            "ci95": [round(float(low), 6), round(float(high), 6)]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision to compare with")
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--passes", type=int, default=10)
+    parser.add_argument("--null", action="store_true",
+                        help="load the revision on both sides")
+    args = parser.parse_args(argv)
+    if args.passes < 2:
+        parser.error("an interval needs at least two passes")
+
+    commit = resolve(args.rev)
+    if not commit:
+        print(f"error: {args.rev} names no commit", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="iq-ab-") as tmp:
+        tmp = Path(tmp)
+        error = extract(commit, tmp / "parent")
+        if error:
+            print(error, end="", file=sys.stderr)
+            return 2
+        src = {"parent": tmp / "parent" / "src",
+               "change": tmp / "parent" / "src" if args.null
+               else ROOT / "src"}
+        mains = [load_cli(f"iq_{side}", src[side]).main for side in SIDES]
+        runs = write_configs(args.workload, args.seed, tmp / "cfg")
+        argvs = [[[command, path, "--out", str(tmp / side), "--quiet"]
+                  for command, path in runs] for side in SIDES]
+        rng = random.Random(args.seed)
+        timed_pass(mains, argvs, rng)  # warm up; make every output
+        seconds = []
+        for i in range(args.passes):
+            seconds.append(timed_pass(mains, argvs, rng))
+            print(f"# pass {i}: parent {seconds[-1][0]:.4f} s, change "
+                  f"{seconds[-1][1]:.4f} s", file=sys.stderr, flush=True)
+    parent, change = ([round(s, 6) for s in side] for side in zip(*seconds))
+    doc = {"parent": args.rev, "parent_commit": commit,
+           "workload": args.workload, "seed": args.seed,
+           "passes": args.passes, "null": args.null,
+           "clock": "time.thread_time, summed per side per pass",
+           "ratio": "parent seconds / change seconds per pass",
+           "parent_s": parent, "change_s": change,
+           **summary(parent, change)}
+    print(json.dumps(doc, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

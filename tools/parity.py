@@ -16,7 +16,8 @@ directory and makes one list of iqctl invocations:
   ``--quiet`` and ``--out DIR``, which argparse parses and reports (see
   ``argv_variants``): options before the positionals, ``--out=DIR``, the
   abbreviation ``--qu``, a repeated ``--out``, ``--``, ``-h``, a missing
-  config and an unknown command, on ``configs/solve_example.json``.
+  config and an unknown command, on ``configs/solve_example.json``, and
+  the directory that holds it passed as the config.
 
 Each tree then runs the whole list in one fresh process that imports that
 tree's ``src/`` and calls ``iqcontrol.cli.main`` in process, with the same
@@ -78,7 +79,8 @@ def malformed_configs() -> dict:
 
 
 def argv_variants(config: str) -> list:
-    """The command lines outside iqctl's documented form, on ``config``."""
+    """The command lines outside iqctl's documented form, on ``config``,
+    and a run of the directory that holds it."""
     out = "out/variants"
     return [["--quiet", "--out", out, "run", config],
             ["run", config, f"--out={out}"],
@@ -87,7 +89,8 @@ def argv_variants(config: str) -> list:
             ["run", "--out", out, "--", config],
             ["-h"],
             ["run"],
-            ["transmute", config]]
+            ["transmute", config],
+            ["run", os.path.dirname(config), "--out", out]]
 
 
 def invocations(cfg_dir: Path) -> list:
