@@ -44,9 +44,9 @@ from .nlevel import ReachabilityProblem, solve_probe_spectrum
 MODES = ("simulate", "solve", "reach", "thermal", "sweep")
 SWEEP_PARAMS = ("theta", "alpha", "p_p")
 # Rows of a simulate result and grid points of a sweep.  A run computes its
-# whole result in memory, stacks its plain columns once and writes it in
-# chunks: 10^6 simulate rows peak at ~230 MB, 10^6 sweep points at ~125 MB
-# (one axis; ~109 MB as 100 x 100 x 100), as the process's own ru_maxrss.
+# whole result in memory, stacks its per-row columns once and writes it in
+# chunks: 10^6 simulate rows peak at ~230 MB, 10^6 sweep points at ~110 MB
+# (one axis; ~87 MB as 100 x 100 x 100), as the process's own ru_maxrss.
 MAX_ROWS = 10**6
 # CSV rows formatted per kernel call.
 _CSV_CHUNK = 4096
@@ -330,10 +330,11 @@ def _json_text(value, indent: str = "\n") -> str:
     ASCII keys, lists, bools, ints and finite floats (any other type raises
     TypeError); ``indent`` is the line break and indent ``value`` is on."""
     if isinstance(value, float):
+        text = float.__repr__(value)  # np.float64's repr names its type
         if not math.isfinite(value):
             raise ConfigError("result has a non-finite value: Out of range "
-                              f"float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)  # np.float64's repr names its type
+                              f"float values are not JSON compliant: {text}")
+        return text
     inner = indent + "  "
     if isinstance(value, dict):
         items = [f'{inner}"{key}": {_json_text(value[key], inner)}'
@@ -462,51 +463,37 @@ def _csv_cells(x, out=None) -> np.ndarray:
     return out
 
 
-def _csv_result(header: list, columns: list):
+def _csv_result(header: list, axes: list, columns: list):
     """``(".csv", chunks)``: float columns as CSV cells b"%.17g" % v, each
     chunk formatted only when the writer asks for it.
 
-    Columns are arrays, at least one, or pairs ``(values, index)`` that
-    stand for ``values[index]`` and format each value once.  A result
-    with a non-finite cell is an error, raised before any chunk.
+    ``axes`` are the value arrays of an "ij" grid, the last fastest; they
+    are the first columns, and each value is formatted once.  ``columns``,
+    at least one, hold a value per row.  A result with a non-finite cell
+    is an error, raised before any chunk; a grid with no rows has no axis
+    cells, so it writes only its header, whatever its axis values.
     """
-    plain, indexed = [], []  # (position, column), (position, values, index)
-    for j, col in enumerate(columns):
-        if isinstance(col, tuple) and len(col[0]) >= len(col[1]):
-            col = col[0][col[1]]
-        if isinstance(col, tuple):
-            indexed.append((j, *col))
-        else:
-            plain.append((j, col))
-    at, plain = zip(*plain)
-    stack = np.column_stack(plain)
+    stack = np.column_stack(columns)
+    rows, sizes = len(stack), [len(values) for values in axes]
     if not (np.all(np.isfinite(stack))
-            and all(np.all(np.isfinite(values)[index])
-                    for _, values, index in indexed)):
+            and (rows == 0 or all(np.all(np.isfinite(v)) for v in axes))):
         raise ConfigError("result has a non-finite value")
-    # the chunks refer to the stack, not to the input columns, so those
-    # can be freed before the write
-    rows, width = len(stack), len(columns)
-    if at[-1] - at[0] == len(at) - 1:  # one run: the kernel writes in place
-        at = slice(at[0], at[-1] + 1)
-    if indexed:  # every value of every indexed column in one call
-        at_indexed, values, index = zip(*indexed)
-        cells = np.split(_csv_cells(np.concatenate(values)),
-                         np.cumsum([len(v) for v in values[:-1]]))
-        indexed = list(zip(at_indexed, cells, index))
+    # the chunks refer to the stack and to the axis cells, not to the
+    # inputs, so those can be freed before the write
+    cells = (np.split(_csv_cells(np.concatenate(axes)),
+                      np.cumsum(sizes[:-1])) if axes else [])
+    strides = [math.prod(sizes[k + 1:]) for k in range(len(axes))]
 
     def chunks():
         yield ",".join(header).encode() + b"\n"
         for start in range(0, rows, _CSV_CHUNK):
-            part = slice(start, start + _CSV_CHUNK)
-            words = np.empty((min(rows - start, _CSV_CHUNK), width, 5),
+            row = np.arange(start, min(rows, start + _CSV_CHUNK))
+            words = np.empty((len(row), len(axes) + len(columns), 5),
                              np.uint64)
-            if isinstance(at, slice):
-                _csv_cells(stack[part], words[:, at])
-            else:
-                words[:, at] = _csv_cells(stack[part])
-            for j, cells, index in indexed:
-                words[:, j] = cells.take(index[part], axis=0)
+            _csv_cells(stack[start:start + len(row)], words[:, len(axes):])
+            for j, (axis_cells, stride) in enumerate(zip(cells, strides)):
+                words[:, j] = axis_cells.take(row // stride % len(axis_cells),
+                                              axis=0)
             block = words.view(np.uint8)
             block[:, :, -1] = ord(",")
             block[:, -1, -1] = ord("\n")
@@ -526,7 +513,7 @@ def _run_simulate(g, p_s, p_p, times, target):
     distance = 0.5 * np.linalg.norm(r - qubit.bloch_vector(target), axis=-1)
     return 0, _csv_result(["t", "rho00", "rho11", "re_rho10", "im_rho10",
                            "e_plus", "e_minus", "trace_distance_to_target"],
-                          [times, rho00, rho11, rho10.real, rho10.imag,
+                          [], [times, rho00, rho11, rho10.real, rho10.imag,
                            e_plus, e_minus, distance])
 
 
@@ -572,12 +559,15 @@ def _run_sweep(p_s, beta, axes, fixed):
     rho00, _, rho10 = qubit.reduced_state_closed_form(
         p_s, params["theta"], params["p_p"], ang)
     shape = tuple(len(vals) for vals in axis_values)
-    # Rows in "ij" order: the last axis fastest, as nested loops would.
-    index = [i.ravel() for i in np.indices(shape)]
-    return 0, _csv_result(names + ["rho00", "abs_rho10"],
-                          list(zip(axis_values, index))
-                          + [np.broadcast_to(c, shape).ravel()
-                             for c in (rho00, np.abs(rho10))])
+    columns = [np.broadcast_to(c, shape).ravel()
+               for c in (rho00, np.abs(rho10))]
+    # One axis is passed as a plain column: formatted with the state
+    # columns in one kernel call per chunk, it takes ~9% less format time
+    # than gathered from its own cells.
+    if len(axis_values) == 1:
+        axis_values, columns = [], axis_values + columns
+    return 0, _csv_result(names + ["rho00", "abs_rho10"], axis_values,
+                          columns)
 
 
 _COMMANDS = ("run", "sweep", "check")

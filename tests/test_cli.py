@@ -4,6 +4,7 @@ import copy
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -594,6 +595,63 @@ class TestSweep:
                                        params["p_p"])
             np.testing.assert_allclose(vals[-2:], expected, rtol=0, atol=1e-10)
 
+    # Grids the benchmark never draws: an axis of one value after, before
+    # and between longer ones, over a chunk end in two of them.
+    EDGE_AXES = {
+        "a_1": [("alpha", -1.0, 4.0, cli._CSV_CHUNK + 1), ("p_p", 0.3, 0.3, 1)],
+        "1_b": [("theta", 0.7, 0.7, 1), ("alpha", 0.0, 3.0, 7)],
+        "a_1_c": [("theta", -4.0, 4.0, 9), ("p_p", 0.6, 0.6, 1),
+                  ("alpha", 0.0, 3.5, 500)],
+    }
+
+    @pytest.mark.parametrize("name", sorted(EDGE_AXES))
+    def test_edge_shapes_match_expanded(self, name, tmp_path):
+        axes = [dict(zip(("name", "start", "stop", "count"), ax))
+                for ax in self.EDGE_AXES[name]]
+        names = [ax["name"] for ax in axes]
+        fixed = {k: v for k, v in zip(cli.SWEEP_PARAMS, (0.5, 2.2, 0.25))
+                 if k not in names}
+        path = write_config(tmp_path, "sw.json", {
+            "mode": "sweep", "p_s": 0.3, "beta": -2.5, "axes": axes,
+            "fixed": fixed})
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(path), "--out", str(out), "--quiet"]) == 0
+        # the axis columns from the expanded grid, the state columns as the
+        # closed form gives them on its sparse grid
+        values = [np.linspace(ax["start"], ax["stop"], ax["count"])
+                  for ax in axes]
+        params = dict(fixed, **dict(zip(names, np.meshgrid(
+            *values, indexing="ij", sparse=True))))
+        rho00, _, rho10 = qubit.reduced_state_closed_form(
+            0.3, params["theta"], params["p_p"],
+            qubit.OverlapAngles(alpha=params["alpha"], beta=-2.5))
+        shape = [ax["count"] for ax in axes]
+        reference_csv(tmp_path / "ref.csv", names + ["rho00", "abs_rho10"],
+                      np.column_stack(expanded(values) + [
+                          np.broadcast_to(c, shape).ravel()
+                          for c in (rho00, np.abs(rho10))]))
+        assert (out / "sw.csv").read_bytes() \
+            == (tmp_path / "ref.csv").read_bytes()
+
+    def test_one_axis_is_a_plain_column(self, tmp_path, count_calls):
+        # formatted with the state columns, in one kernel call per chunk
+        kernel = count_calls(cli, "_csv_cells")
+        path = write_config(tmp_path, "sw.json", sweep_config())
+        assert cli.main(["sweep", str(path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 0
+        assert [args[0].shape for args in kernel] == [(3, 3)]
+
+    def test_zero_count_axis_writes_the_header(self, tmp_path, capsys):
+        # the other axis's values overflow, but no row shows them
+        path = write_config(tmp_path, "sw.json", sweep_config(axes=[
+            {"name": "theta", "start": -1e308, "stop": 1e308, "count": 3},
+            {"name": "alpha", "start": 0.0, "stop": 1.0, "count": 0}],
+            fixed={"p_p": 0.3}))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(path), "--out", str(out), "--quiet"]) == 0
+        assert (out / "sw.csv").read_bytes() == b"theta,alpha,rho00,abs_rho10\n"
+        assert capsys.readouterr() == ("", "")
+
 
 def reach_config():
     return {"mode": "reach", "initial_weights": [0.6, 0.4],
@@ -736,6 +794,11 @@ class TestMalformedConfigs:
             axes=[{"name": "theta", "start": -1e308, "stop": 1e308,
                    "count": 3}],
             fixed={"alpha": 0.2, "p_p": 0.3})),
+        "sweep_two_axes_span_overflow": json.dumps(sweep_config(
+            axes=[{"name": "theta", "start": -1e308, "stop": 1e308,
+                   "count": 3},
+                  {"name": "alpha", "start": 0, "stop": 1, "count": 2}],
+            fixed={"p_p": 0.3})),
         "sweep_points_over_cap": json.dumps(sweep_config(
             axes=[{"name": n, "start": 0, "stop": 1, "count": 1001}
                   for n in ("alpha", "p_p")], fixed={"theta": 0.5})),
@@ -948,11 +1011,17 @@ def reference_csv(path, header, table):
         fh.writelines(row % tuple(r) for r in table.tolist())
 
 
-def csv_bytes(header, columns):
+def csv_bytes(header, axes, columns):
     """The bytes of ``cli._csv_result``'s chunks, checking its suffix."""
-    suffix, chunks = cli._csv_result(header, columns)
+    suffix, chunks = cli._csv_result(header, axes, columns)
     assert suffix == ".csv"
     return b"".join(chunks)
+
+
+def expanded(axes):
+    """One column per axis: the rows of their "ij" grid, the last axis
+    fastest."""
+    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
 
 
 class TestCsvWriter:
@@ -960,6 +1029,8 @@ class TestCsvWriter:
 
     SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 2.0,
                         -3.0, 1e16, 0.1, 1.0 / 3.0, np.pi])
+    # the special values and values of the kernel's "%" fallback
+    AXIS = np.concatenate([SPECIAL, [3e-5, -7e17, 1e20, -2.5e-9]])
 
     @staticmethod
     def table(rows, cols=4):
@@ -976,54 +1047,44 @@ class TestCsvWriter:
         header = ["a", "b", "c", "d"]
         table = self.table(rows)
         reference_csv(tmp_path / "ref.csv", header, table)
-        assert csv_bytes(header, list(table.T)) \
+        assert csv_bytes(header, [], list(table.T)) \
             == (tmp_path / "ref.csv").read_bytes()
 
-    @pytest.mark.parametrize("rows", [0, 1, cli._CSV_CHUNK + 1])
+    def axis(self, n, rng):
+        """``n`` axis values: the special and fallback ones, then random
+        ones from 1e-8 to 1e20 in magnitude, shuffled."""
+        pool = np.concatenate([self.AXIS, rng.uniform(-1.0, 1.0, n)
+                               * 10.0 ** rng.integers(-8, 20, n)])
+        return rng.permutation(pool[:max(n, len(self.AXIS))])[:n]
+
+    # Grids of one, two and three axes per row count; an axis of one value
+    # sits after, before and between longer ones.
+    GRIDS = {0: [(0,), (3, 0), (2, 0, 3)],
+             1: [(1,), (1, 1), (1, 1, 1)],
+             cli._CSV_CHUNK + 1: [(4097,), (17, 241), (1, 4097), (17, 1, 241),
+                                  (4097, 1)]}
+
+    @pytest.mark.parametrize("rows", sorted(GRIDS))
     def test_indexed_column_matches_expanded(self, rows, tmp_path):
-        rng = np.random.default_rng(rows)
-        values = np.concatenate([self.SPECIAL, [np.nan]])
-        # the NaN is never referenced, so no cell is non-finite
-        index = rng.integers(len(self.SPECIAL), size=rows)
-        plain = self.table(rows, cols=2)
-        header = ["x", "p", "q"]
-        reference_csv(tmp_path / "ref.csv", header,
-                      np.column_stack([values[index], plain]))
-        assert csv_bytes(header, [(values, index)] + list(plain.T)) \
-            == (tmp_path / "ref.csv").read_bytes()
-
-    def test_plain_columns_around_an_indexed_one(self, tmp_path):
-        # plain columns 0, 2 and 3 are not one run of positions, as in a
-        # sweep whose second axis has one value
-        rows = cli._CSV_CHUNK + 1
-        index = np.random.default_rng(24).integers(len(self.SPECIAL),
-                                                    size=rows)
-        plain = self.table(rows, cols=3)
-        header = ["p", "x", "q", "r"]
-        reference_csv(tmp_path / "ref.csv", header, np.column_stack(
-            [plain[:, 0], self.SPECIAL[index], plain[:, 1:]]))
-        assert csv_bytes(header, [plain[:, 0], (self.SPECIAL, index),
-                                  plain[:, 1], plain[:, 2]]) \
-            == (tmp_path / "ref.csv").read_bytes()
-
-    @pytest.mark.parametrize("order", ["identity", "reversed", "more_values"])
-    def test_indexed_column_without_repeats(self, order, tmp_path):
-        # as many values as rows, or more: written as values[index]
-        rows = cli._CSV_CHUNK + 1
-        values = self.table(rows + (order == "more_values"), cols=1)[:, 0]
-        index = np.arange(rows)
-        if order == "reversed":
-            index = index[::-1]
-        plain = self.table(rows, cols=1)
-        reference_csv(tmp_path / "ref.csv", ["x", "p"],
-                      np.column_stack([values[index], plain]))
-        assert csv_bytes(["x", "p"], [(values, index)] + list(plain.T)) \
-            == (tmp_path / "ref.csv").read_bytes()
+        # an axis column is indexed by the row: row r holds the value at
+        # r // stride % len(values)
+        for shape in self.GRIDS[rows]:
+            assert math.prod(shape) == rows
+            rng = np.random.default_rng([rows, *shape])
+            axes = [self.axis(n, rng) for n in shape]
+            if rows == 0:  # a grid with no rows shows none of its values
+                axes[0][:1] = np.nan
+            plain = self.table(rows, cols=2)
+            header = [f"x{k}" for k in range(len(shape))] + ["p", "q"]
+            reference_csv(tmp_path / "ref.csv", header,
+                          np.column_stack(expanded(axes) + list(plain.T)))
+            assert csv_bytes(header, axes, list(plain.T)) \
+                == (tmp_path / "ref.csv").read_bytes()
 
     @staticmethod
     def assert_cells_match_percent(x):
         # one cell per line, each b"%.17g" % v
-        assert csv_bytes(["x"], [x]) \
+        assert csv_bytes(["x"], [], [x]) \
             == b"x\n" + b"".join(b"%.17g\n" % v for v in x.tolist())
 
     def test_random_doubles_in_every_binade(self):
@@ -1123,52 +1184,44 @@ class TestCsvWriter:
 
     def test_fast_and_fallback_cells_in_one_csv(self, tmp_path):
         # cells of the kernel's fixed notation and of its "%" fallback
-        # (|v| from 1e-8 to 1e20), zeros of both signs, and an indexed
-        # column holding both kinds, over more than one chunk
-        rows = cli._CSV_CHUNK + 3
+        # (|v| from 1e-8 to 1e20), zeros of both signs, and two axes
+        # holding both kinds, over more than one chunk
         rng = np.random.default_rng(22)
+        axes = [np.array([3e-5, 0.25, -7e17, 0.0]),
+                rng.uniform(-1.0, 1.0, 1025) * 10.0 ** rng.integers(-8, 20,
+                                                                    1025)]
+        rows = 4 * 1025
         scale = 10.0 ** rng.integers(-8, 20, size=(rows, 3))
         table = np.column_stack([
             rng.uniform(-1.0, 1.0, (rows, 3)) * scale,
             np.where(rng.integers(2, size=rows), 0.0, -0.0),
             rng.uniform(1e-4, 1.0, rows)])
-        values = np.array([3e-5, 0.25, -7e17, 0.0])
-        index = rng.integers(len(values), size=rows)
-        header = ["a", "b", "c", "z", "u", "x"]
+        header = ["x", "y", "a", "b", "c", "z", "u"]
         reference_csv(tmp_path / "ref.csv", header,
-                      np.column_stack([table, values[index]]))
-        assert csv_bytes(header, list(table.T) + [(values, index)]) \
+                      np.column_stack(expanded(axes) + list(table.T)))
+        assert csv_bytes(header, axes, list(table.T)) \
             == (tmp_path / "ref.csv").read_bytes()
 
-    @pytest.mark.parametrize("layout", ["axes_first", "plain_around"])
-    def test_three_indexed_columns_over_two_chunk_ends(self, layout,
-                                                       tmp_path, count_calls):
-        # indexed columns of 13, 6 and 7 values: the first holds a NaN no
-        # row references, the second "%" fallback cells and zeros of both
-        # signs; plain columns after them (one run, as in a sweep) or on
-        # both sides of them
-        rows = 2 * cli._CSV_CHUNK + 1
+    def test_three_axes_over_two_chunk_ends(self, tmp_path, count_calls):
+        # axes of 13, 6 and 107 values: the first holds the special ones,
+        # the second "%" fallback cells and zeros of both signs; three
+        # columns after them
         rng = np.random.default_rng(30)
-        axes = [(np.concatenate([self.SPECIAL, [np.nan]]),
-                 rng.integers(len(self.SPECIAL), size=rows)),
-                (np.array([3e-5, -7e17, 0.0, -0.0, 0.25, -1.5]),
-                 rng.integers(6, size=rows)),
-                (rng.uniform(-1.0, 1.0, 7), rng.integers(7, size=rows))]
+        axes = [np.concatenate([self.SPECIAL, [2.5e-310]]),
+                np.array([3e-5, -7e17, 0.0, -0.0, 0.25, -1.5]),
+                rng.uniform(-1.0, 1.0, 107)]
+        rows = 13 * 6 * 107
         plain = self.table(rows, cols=3)
-        columns = [(values, index) for values, index in axes] + list(plain.T)
-        expanded = [values[index] for values, index in axes] + list(plain.T)
-        if layout == "plain_around":
-            columns = columns[3:4] + columns[:3] + columns[4:]
-            expanded = expanded[3:4] + expanded[:3] + expanded[4:]
         header = [f"c{j}" for j in range(6)]
         reference_csv(tmp_path / "ref.csv", header,
-                      np.column_stack(expanded))
+                      np.column_stack(expanded(axes) + list(plain.T)))
         kernel = count_calls(cli, "_csv_cells")
-        assert csv_bytes(header, columns) \
+        assert csv_bytes(header, axes, list(plain.T)) \
             == (tmp_path / "ref.csv").read_bytes()
         # every axis value in the first call, then one call per chunk
         assert [args[0].shape for args in kernel] \
-            == [(26,), (cli._CSV_CHUNK, 3), (cli._CSV_CHUNK, 3), (1, 3)]
+            == [(126,), (cli._CSV_CHUNK, 3), (cli._CSV_CHUNK, 3),
+                (rows - 2 * cli._CSV_CHUNK, 3)]
 
     def test_tables_built_on_first_csv_result(self, tmp_path):
         tables = (cli._cell_tables,)
@@ -1186,11 +1239,11 @@ class TestCsvWriter:
     def test_non_finite_cell_writes_nothing(self, bad):
         # the formatter raises when called, before any chunk is made; that
         # main then writes nothing is TestRunReturnsResult's non_finite_csv
-        values, plain = np.array([0.0, bad]), np.zeros(3)
-        for columns in ([(values, np.array([0, 1, 0])), plain],
-                        [plain, np.array([1.0, bad, 2.0])]):
+        for axes, column in (([np.array([0.0, bad]), np.zeros(3)],
+                              np.zeros(6)),
+                             ([], np.array([1.0, bad, 2.0]))):
             with pytest.raises(cli.ConfigError, match="non-finite"):
-                cli._csv_result(["x", "y"], columns)
+                cli._csv_result(["x"] * (len(axes) + 1), axes, [column])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_in_a_later_chunk_raises_on_call(self, bad):
@@ -1198,10 +1251,11 @@ class TestCsvWriter:
         rows = 2 * cli._CSV_CHUNK
         plain = self.table(rows, cols=3)
         plain[cli._CSV_CHUNK + 1, -1] = bad
-        for columns in ([(self.SPECIAL[:3], np.arange(rows) % 3)]
-                        + list(plain.T), list(plain.T)):
+        for axes in ([self.SPECIAL[:2], np.linspace(0.0, 1.0, rows // 2)],
+                     []):
             with pytest.raises(cli.ConfigError, match="non-finite"):
-                cli._csv_result(["x"] * len(columns), columns)
+                cli._csv_result(["x"] * (len(axes) + 3), axes,
+                                list(plain.T))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("command, doc", [
@@ -1215,10 +1269,10 @@ class TestCsvWriter:
             self, bad, command, doc, tmp_path, monkeypatch, capsys):
         csv_result = cli._csv_result
 
-        def poisoned(header, columns):
+        def poisoned(header, axes, columns):
             columns[-1] = columns[-1].copy()
             columns[-1][cli._CSV_CHUNK + 1] = bad
-            return csv_result(header, columns)
+            return csv_result(header, axes, columns)
         monkeypatch.setattr(cli, "_csv_result", poisoned)
         cfg = write_config(tmp_path, "c.json", doc)
         out = tmp_path / "out"
@@ -1508,7 +1562,8 @@ class TestJsonResult:
     @pytest.mark.parametrize("where", ["scalar", "nested"])
     def test_non_finite_value_exits_one(self, bad, where, tmp_path,
                                         monkeypatch, capsys):
-        # the error line is the one the json encoder's ValueError gave
+        # the error line is the one the json encoder's ValueError gives
+        # for a float; an np.float64 reads as one
         if where == "scalar":
             monkeypatch.setattr(cli.thermal, "required_gap",
                                 lambda p_p, temperature: bad)
@@ -1516,7 +1571,7 @@ class TestJsonResult:
         else:
             monkeypatch.setattr(cli, "solve_probe_spectrum",
                                 lambda problem: (np.array([0.5, bad]), 0.0))
-            name, value = "reach_example.json", [0.5, np.float64(bad)]
+            name, value = "reach_example.json", [0.5, bad]
         with pytest.raises(ValueError) as old:
             json.dumps({"x": value}, indent=2, allow_nan=False)
         cfg = write_config(tmp_path, name, EXAMPLES[name])
@@ -1524,6 +1579,18 @@ class TestJsonResult:
         assert cli.main(["run", str(cfg), "--out", str(out), "--quiet"]) == 1
         assert capsys.readouterr() == (
             "", f"error: result has a non-finite value: {old.value}\n")
+        assert not out.exists()
+
+    def test_non_finite_probe_weight_names_no_type(self, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.setattr(cli, "solve_probe_spectrum", lambda problem: (
+            [0.5, np.float64("nan")], 0.0))
+        cfg = write_config(tmp_path, "r.json", EXAMPLES["reach_example.json"])
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: result has a non-finite value: Out of range float "
+            "values are not JSON compliant: nan\n"))
         assert not out.exists()
 
 

@@ -1,7 +1,7 @@
 """The developer tools' pure helpers: the mutation sampler's line filter
-and equivalence keys, the parity check's difference magnitudes and
-malformed configs, the paired-run summary and the same-process A/B
-timing.  None runs a suite, a tree or the benchmark."""
+and equivalence keys, the parity check's difference magnitudes,
+malformed configs and edge-shape sweeps, the paired-run summary and the
+same-process A/B timing.  None runs a suite, a tree or the benchmark."""
 
 import importlib.util
 import json
@@ -143,6 +143,21 @@ class TestParityArgvVariants:
                      ["-h"], ["run"], ["transmute", config],
                      ["run", "../cfg", "--out", out]):
             assert argv in plan
+
+
+class TestParityEdgeSweeps:
+    def test_edge_sweeps_are_in_the_plan(self, tmp_path):
+        # grids the benchmark never draws: shapes (a, 1), (1, b) and
+        # (a, 1, c), and an overflowing axis next to 0 and 2 values
+        plan = parity.invocations(tmp_path / "cfg")
+        shapes = set()
+        for name, doc in parity.EDGE_SWEEPS.items():
+            path = tmp_path / "cfg" / f"edge-{name}.json"
+            assert json.loads(path.read_text(encoding="utf-8")) == doc
+            assert ["sweep", f"../cfg/{path.name}", "--out",
+                    "out/sweep"] in plan
+            shapes.add(tuple(min(axis["count"], 2) for axis in doc["axes"]))
+        assert shapes == {(2, 1), (1, 2), (2, 1, 2), (2, 0), (2, 2)}
 
 
 class TestPairsSummary:

@@ -12,12 +12,13 @@ imports itself relatively, so the two copies share only numpy.  With
 between the two load slots.
 
 The workload's configs for ``--seed`` (``iqbench/workloads.py`` of the
-working tree) are written to a temporary directory, and one untimed pass
-runs every config through both sides' ``cli.main``, each side with its own
-``--out``, so that lazy set-up is done and every timed pass writes over
-existing outputs.  In each timed pass every config runs through both sides,
-the side that goes first drawn at random per config, and the
-``time.thread_time`` of each call is summed per side.
+working tree) are written to a temporary directory by the parity check's
+``write_workload``, and one untimed pass runs every config through both
+sides' ``cli.main``, each side with its own ``--out``, so that lazy set-up
+is done and every timed pass writes over existing outputs.  In each timed
+pass every config runs through both sides, the side that goes first drawn
+at random per config, and the ``time.thread_time`` of each call is summed
+per side.
 
 It prints one JSON document: each side's seconds per pass, the per-pass
 ratios (parent time over change time, so above 1 means the change is
@@ -44,7 +45,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from pairs import resolve  # noqa: E402
-from parity import ROOT, WORKLOADS, extract, load  # noqa: E402
+from parity import ROOT, WORKLOADS, extract, write_workload  # noqa: E402
 
 SIDES = ("parent", "change")
 
@@ -60,18 +61,6 @@ def load_cli(name: str, src: Path):
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return importlib.import_module(f"{name}.cli")
-
-
-def write_configs(workload: str, seed: int, cfg_dir: Path) -> list:
-    """Write the workload's configs into ``cfg_dir``; (command, path) each."""
-    workloads = load("workloads", ROOT / "iqbench" / "workloads.py")
-    cfg_dir.mkdir()
-    runs = []
-    for i, cfg in enumerate(workloads.generate(workload, seed)):
-        path = cfg_dir / f"c{i:04d}.json"
-        path.write_text(json.dumps(cfg.doc), encoding="utf-8")
-        runs.append((cfg.command, str(path)))
-    return runs
 
 
 def timed_pass(mains: list, argvs: list, rng: random.Random,
@@ -128,8 +117,9 @@ def main(argv=None) -> int:
                "change": tmp / "parent" / "src" if args.null
                else ROOT / "src"}
         mains = [load_cli(f"iq_{side}", src[side]).main for side in SIDES]
-        runs = write_configs(args.workload, args.seed, tmp / "cfg")
-        argvs = [[[command, path, "--out", str(tmp / side), "--quiet"]
+        (tmp / "cfg").mkdir()
+        runs = write_workload(args.workload, args.seed, tmp / "cfg")
+        argvs = [[[command, str(path), "--out", str(tmp / side), "--quiet"]
                   for command, path in runs] for side in SIDES]
         rng = random.Random(args.seed)
         timed_pass(mains, argvs, rng)  # warm up; make every output

@@ -61,8 +61,6 @@ EQUIVALENT = {
         "|v| = 1e-4 prints the same bytes by the fast path and by %.17g",
     ("src/iqcontrol/cli.py", "_csv_cells", "1e-4", "(1e-4 * 100)", 0):
         "|v| in [1e-4, 1e-2) prints the same bytes by %.17g",
-    ("src/iqcontrol/cli.py", "_csv_result", ">=", ">", 0):
-        "an indexed column as long as the rows prints the same bytes plain",
     ("src/iqcontrol/cli.py", "_run_simulate", "<", "<=", 0):
         "tie: an e_minus of exactly PSD_FLOOR",
     ("src/iqcontrol/nlevel.py", "_is_distribution", "<=", "<", 0):

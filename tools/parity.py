@@ -9,6 +9,8 @@ directory and makes one list of iqctl invocations:
   ``iqbench/workloads.py`` of the working tree, under its own command;
 * each ``configs/*.json`` of the working tree under ``run``, ``sweep`` and
   ``check``;
+* the sweeps of ``EDGE_SWEEPS`` under ``sweep``: grid shapes the
+  benchmark never draws;
 * each malformed config of ``TestMalformedConfigs.CASES`` in
   ``tests/test_cli.py`` of the working tree under ``check`` and ``run``,
   so error lines and exit codes are compared too;
@@ -58,6 +60,32 @@ WORKLOADS = ("simulate_rows", "sweep_grid", "small_configs", "reach_ladder")
 SEEDS = (0, 1, 2)
 
 
+def sweep_doc(*axes) -> dict:
+    """A sweep over ``axes``, (name, start, stop, count) each; the other
+    parameters fixed."""
+    names = [name for name, *_ in axes]
+    return {"mode": "sweep", "p_s": 0.3, "beta": -2.5,
+            "axes": [dict(zip(("name", "start", "stop", "count"), axis))
+                     for axis in axes],
+            "fixed": {name: value for name, value in
+                      (("theta", 0.5), ("alpha", 2.2), ("p_p", 0.25))
+                      if name not in names}}
+
+
+# An axis of one value after, before and between longer ones; an axis
+# whose values overflow next to a zero-count axis, and next to a longer one.
+EDGE_SWEEPS = {
+    "a_1": sweep_doc(("alpha", -1.0, 4.0, 5000), ("p_p", 0.3, 0.3, 1)),
+    "1_b": sweep_doc(("theta", 0.7, 0.7, 1), ("alpha", 0.0, 3.0, 700)),
+    "a_1_c": sweep_doc(("theta", -4.0, 4.0, 90), ("p_p", 0.6, 0.6, 1),
+                       ("alpha", 0.0, 3.5, 60)),
+    "overflow_0": sweep_doc(("theta", -1e308, 1e308, 3),
+                            ("alpha", 0.0, 1.0, 0)),
+    "overflow_2": sweep_doc(("theta", -1e308, 1e308, 3),
+                            ("alpha", 0.0, 1.0, 2)),
+}
+
+
 def load(name: str, path: Path):
     """Import the file at ``path`` as module ``name``."""
     sys.dont_write_bytecode = True
@@ -93,22 +121,35 @@ def argv_variants(config: str) -> list:
             ["run", os.path.dirname(config), "--out", out]]
 
 
+def write_workload(name: str, seed: int, cfg_dir: Path) -> list:
+    """Write the configs of benchmark workload ``name`` at ``seed``
+    (``iqbench/workloads.py`` of the working tree) into ``cfg_dir`` as
+    ``NAME-SEED-IIII.json``; (command, path) each."""
+    workloads = load("workloads", ROOT / "iqbench" / "workloads.py")
+    runs = []
+    for i, cfg in enumerate(workloads.generate(name, seed)):
+        path = cfg_dir / f"{name}-{seed}-{i:04d}.json"
+        path.write_text(json.dumps(cfg.doc), encoding="utf-8")
+        runs.append((cfg.command, path))
+    return runs
+
+
 def invocations(cfg_dir: Path) -> list:
     """Write every config into ``cfg_dir`` and return the argv lists, with
     paths relative to a sibling directory of it."""
-    workloads = load("workloads", ROOT / "iqbench" / "workloads.py")
     cfg_dir.mkdir()
     runs = []
     for name in WORKLOADS:
         for seed in SEEDS:
-            for i, cfg in enumerate(workloads.generate(name, seed)):
-                path = cfg_dir / f"{name}-{seed}-{i:04d}.json"
-                path.write_text(json.dumps(cfg.doc), encoding="utf-8")
-                runs.append((cfg.command, path))
+            runs += write_workload(name, seed, cfg_dir)
     for src in sorted((ROOT / "configs").glob("*.json")):
         path = cfg_dir / src.name
         path.write_bytes(src.read_bytes())
         runs += [(command, path) for command in ("run", "sweep", "check")]
+    for name, doc in EDGE_SWEEPS.items():
+        path = cfg_dir / f"edge-{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        runs.append(("sweep", path))
     for name, doc in sorted(malformed_configs().items()):
         path = cfg_dir / f"malformed-{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
