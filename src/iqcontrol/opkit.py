@@ -3,7 +3,9 @@
 Construction helpers, tensor products, partial trace over the probe,
 Hermitian eigendecomposition, unitary matrix exponentials and the trace
 distance.  Everything operates on plain ``numpy`` arrays (``complex128``);
-density matrices are validated, not wrapped in a class.  The matrix
+density matrices are validated, not wrapped in a class.  The density-matrix
+check and the trace distance read the spectrum of a 2x2 in closed form on
+Python scalars, and call LAPACK only for larger matrices.  The matrix
 exponential takes an array of times and returns a stack (..., n, n), one
 propagator per time, from one eigendecomposition; ``dag`` works on stacks,
 and every other function takes one matrix.  All functions are pure, so
@@ -13,6 +15,8 @@ Tensor ordering is system (x) probe throughout.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -40,8 +44,14 @@ def dag(a: np.ndarray) -> np.ndarray:
 
 
 def herm_defect(a: np.ndarray) -> float:
-    """Max-entry deviation from Hermiticity."""
-    return float(np.abs(a - dag(a)).max(initial=0.0))
+    """Max-entry deviation from Hermiticity.
+
+    Each |x| is libm's hypot(re, im), as Python's ``abs(complex)`` reads it,
+    so the 2x2 closed form below gets the same bits; ``np.abs`` of a
+    complex array uses a SIMD formula that differs in the last bit.
+    """
+    d = a - dag(a)
+    return float(np.hypot(d.real, d.imag).max(initial=0.0))
 
 
 def require_hermitian(a) -> np.ndarray:
@@ -54,16 +64,34 @@ def require_hermitian(a) -> np.ndarray:
     return m
 
 
+def _hermitian_spectrum(m: np.ndarray):
+    """``(herm_defect(m), trace, ascending eigenvalues of (m + m^dag)/2)``.
+
+    A 2x2 is read in closed form from its entries as Python scalars:
+    lambda = (a + d)/2 -+ hypot((a - d)/2, |b + conj(c)|/2) on the real
+    diagonal.  Larger matrices go through ``np.linalg.eigvalsh``.
+    """
+    if m.shape != (2, 2):
+        return (herm_defect(m), complex(np.trace(m)),
+                np.linalg.eigvalsh(0.5 * (m + dag(m))))
+    (a, b), (c, d) = m.tolist()
+    defect = max(abs(a - a.conjugate()), abs(b - c.conjugate()),
+                 abs(d - d.conjugate()))
+    mean = 0.5 * (a.real + d.real)
+    radius = math.hypot(0.5 * (a.real - d.real),
+                        abs(0.5 * (b + c.conjugate())))
+    return defect, a + d, (mean - radius, mean + radius)
+
+
 def validate_density_matrix(rho, herm_tol: float = TRACE_TOL) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the array."""
     m = as_matrix(rho)
-    d = herm_defect(m)
+    d, tr, evals = _hermitian_spectrum(m)
     if d > herm_tol:
         raise StateError(f"density matrix not Hermitian (defect {d:.3e})")
-    tr = complex(np.trace(m))
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateError(f"density matrix trace {tr} differs from 1")
-    lowest = np.linalg.eigvalsh(0.5 * (m + dag(m)))[0]
+    lowest = evals[0]
     if lowest < PSD_FLOOR:
         raise StateError(f"density matrix has eigenvalue {lowest:.3e} < {PSD_FLOOR:.0e}")
     return m
@@ -115,6 +143,7 @@ def trace_distance(a, b) -> float:
     ma, mb = as_matrix(a), as_matrix(b)
     if ma.shape != mb.shape:
         raise DimensionError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    diff = ma - mb
-    evals = np.linalg.eigvalsh(0.5 * (diff + dag(diff)))
+    evals = _hermitian_spectrum(ma - mb)[2]
+    if len(evals) == 2:
+        return 0.5 * (abs(evals[0]) + abs(evals[1]))
     return float(0.5 * np.sum(np.abs(evals)))

@@ -24,6 +24,7 @@ state carries weight p_s on |0><0|.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -49,10 +50,10 @@ class QubitCouplings:
     g4: float
 
     def __post_init__(self):
-        if not np.isfinite([self.g1, self.g2, self.g3, self.g4]).all():
+        if not all(map(cmath.isfinite, (self.g1, self.g2, self.g3, self.g4))):
             raise DomainError(f"non-finite coupling in {self}")
         # hypot, not g3**2 + g4**2: squaring a float beyond ~1e154 overflows.
-        if np.hypot(self.g3, self.g4) == 0.0:
+        if math.hypot(self.g3, self.g4) == 0.0:
             raise DegenerateProbeError("probe factor vanishes: g3 = g4 = 0")
 
 

@@ -9,6 +9,7 @@ non-goal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +79,7 @@ def check_solution(sol, p_s: float, target) -> float:
     the reduced state and returns its trace distance to the target.
     """
     for p in (p_s, sol.p_p):
-        if not np.isfinite(p):
+        if not math.isfinite(p):
             raise StateError("matrix contains NaN or Inf entries")
         lowest = min(p, 1.0 - p)
         if lowest < opkit.PSD_FLOOR:

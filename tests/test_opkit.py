@@ -1,5 +1,8 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import rand_density, rand_hermitian, rand_unitary
 from iqcontrol import opkit
@@ -288,3 +291,167 @@ class TestValidateDensityMatrix:
         else:
             with pytest.raises(StateError, match="not Hermitian"):
                 opkit.validate_density_matrix(rho)
+
+
+def reference_validate(rho, herm_tol=opkit.TRACE_TOL):
+    """``validate_density_matrix`` with every spectrum from LAPACK and the
+    defect from ``np.abs``."""
+    m = opkit.as_matrix(rho)
+    d = float(np.abs(m - opkit.dag(m)).max())
+    if d > herm_tol:
+        raise StateError(f"density matrix not Hermitian (defect {d:.3e})")
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > opkit.TRACE_TOL:
+        raise StateError(f"density matrix trace {tr} differs from 1")
+    lowest = np.linalg.eigvalsh(0.5 * (m + opkit.dag(m)))[0]
+    if lowest < opkit.PSD_FLOOR:
+        raise StateError(f"density matrix has eigenvalue {lowest:.3e} "
+                         f"< {opkit.PSD_FLOOR:.0e}")
+    return m
+
+
+def outcome(validate, rho, herm_tol):
+    try:
+        return validate(rho, herm_tol=herm_tol).tobytes()
+    except StateError as exc:
+        return str(exc)
+
+
+def exact_spectrum(h):
+    """Ascending eigenvalues of a Hermitian 2x2 float matrix, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, d = Decimal(h[0, 0].real), Decimal(h[1, 1].real)
+        re, im = Decimal(h[0, 1].real), Decimal(h[0, 1].imag)
+        mean = (a + d) / 2
+        radius = (((a - d) / 2) ** 2 + re * re + im * im).sqrt()
+        return mean - radius, mean + radius
+
+
+def ulps_off(got, exact, m):
+    """|got - exact| in units of eps max|entry of m|, to 50 digits; a few
+    subnormal spacings of absolute error, from gradual underflow, are
+    forgiven."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        tiny = 4 * Decimal(np.finfo(float).smallest_subnormal)
+        unit = Decimal(np.finfo(float).eps) * Decimal(np.abs(m).max())
+        error = max(abs(Decimal(got) - exact) - tiny, 0)
+        return error / unit if unit else error
+
+
+UNIT = st.floats(-1.0, 1.0)
+FLOOR = opkit.PSD_FLOOR
+SPECTRA = {
+    "random": st.tuples(UNIT, UNIT),
+    "pure": st.just((0.0, 1.0)),
+    "degenerate": UNIT.map(lambda x: (x, x)),
+    "floor_low": st.just((FLOOR, 1.0 - FLOOR)),
+    "floor_high": st.just((-FLOOR, 1.0 + FLOOR)),
+}
+
+
+@st.composite
+def near_hermitian(draw, spectrum):
+    """U diag(spectrum) U^dag (or the diagonal itself) times 10^k, k in
+    [-150, 150], made exactly Hermitian, left as rounded, or given a
+    non-Hermitian part of up to HERM_TOL times the scale."""
+    lam = np.array(draw(spectrum))
+    if draw(st.booleans()):
+        m = np.diag(lam).astype(complex)
+    else:
+        half, phi = draw(st.floats(0.0, np.pi / 2)), draw(st.floats(0.0, 7.0))
+        c, s = np.cos(half), np.exp(1j * phi) * np.sin(half)
+        u = np.array([[c, -s.conjugate()], [s, c]])
+        m = (u * lam) @ u.conj().T
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    m = scale * m
+    kind = draw(st.sampled_from(["hermitian", "rounded", "defect"]))
+    if kind == "hermitian":
+        m = 0.5 * (m + opkit.dag(m))
+    elif kind == "defect":
+        e = np.array(draw(st.lists(UNIT, min_size=8, max_size=8)))
+        e = (e[:4] + 1j * e[4:]).reshape(2, 2)
+        m = m + (0.5 * opkit.HERM_TOL * scale) * e
+    return m
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRA))
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_closed_form_spectrum(name, data):
+    # the closed form is within 2 eps max|entry| of the exact spectrum
+    # of the Hermitian part (1.74 is the worst seen over 60k draws);
+    # LAPACK's own error reached 6.5 eps max|entry| there, so the two
+    # are held to 8
+    m = data.draw(near_hermitian(SPECTRA[name]))
+    defect, trace, evals = opkit._hermitian_spectrum(m)
+    assert defect == opkit.herm_defect(m)
+    assert trace == complex(np.trace(m))
+    h = 0.5 * (m + opkit.dag(m))
+    assert all(ulps_off(x, y, m) <= 2
+               for x, y in zip(evals, exact_spectrum(h)))
+    assert all(ulps_off(x, Decimal(y), m) <= 8
+               for x, y in zip(evals, np.linalg.eigvalsh(h)))
+    assert evals[0] <= evals[1]
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRA))
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_closed_form_trace_distance(name, data):
+    a = data.draw(near_hermitian(SPECTRA[name]))
+    b = data.draw(near_hermitian(SPECTRA[name]))
+    h = 0.5 * ((a - b) + opkit.dag(a - b))
+    got = opkit.trace_distance(a, b)
+    lo, hi = exact_spectrum(h)
+    assert ulps_off(got, (abs(lo) + abs(hi)) / 2, a - b) <= 2
+    lapack = 0.5 * np.abs(np.linalg.eigvalsh(h)).sum()
+    assert ulps_off(got, Decimal(lapack), a - b) <= 8
+
+
+class TestClosedFormSpectrum:
+    """The 2x2 closed form against the LAPACK path it replaces."""
+
+    def test_larger_matrices_use_lapack(self, count_calls):
+        eigvalsh = count_calls(np.linalg, "eigvalsh")
+        rho = rand_density(np.random.default_rng(16), 3)
+        defect, trace, evals = opkit._hermitian_spectrum(rho)
+        assert [np.shape(a) for a, *_ in eigvalsh] == [(3, 3)]
+        assert (defect, trace) == (opkit.herm_defect(rho),
+                                   complex(np.trace(rho)))
+
+    # targets a solve config can carry: malformed in each check, at and
+    # beside each tolerance, and the valid ones of the CLI's malformed
+    # configs
+    TARGETS = [
+        [[0.5, 0.1 + 2e-10], [0.1, 0.5]],
+        [[0.5, 0.1 + 5e-11], [0.1, 0.5]],
+        [[0.5, 0.1 + 2e-12], [0.1, 0.5]],
+        [[0.5 + 1e-9j, 0.0], [0.0, 0.5]],
+        [[0.5 + 2e-12, 0.0], [0.0, 0.5]],
+        [[0.5 - 0.5e-12, 0.0], [0.0, 0.5]],
+        [[1.5, 0.0], [0.0, -0.5]],
+        [[1.0 + 1e-9, 0.0], [0.0, -1e-9]],
+        [[1.0 + 5e-11, 0.0], [0.0, -5e-11]],
+        [[0.5, 0.5 + 1e-9], [0.5 + 1e-9, 0.5]],
+        [[0.5, 0.5j], [-0.5j, 0.5]],
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[0.0, 0.0], [0.0, 1.0]],
+        [[0.5, 0.0], [0.0, 0.5]],
+        [[0.25, 0.1 + 0.05j], [0.1 - 0.05j, 0.75]],
+        [[0.5, np.nan], [np.nan, 0.5]],
+        [[1e150, 0.0], [0.0, 1.0 - 1e150]],
+    ]
+
+    def test_validate_messages_unchanged(self):
+        from test_cli import TestMalformedConfigs
+        from iqcontrol import cli
+        targets = [np.array(t, dtype=complex) for t in self.TARGETS] + [
+            cli._parse_matrix(doc["target"], "config.target")
+            for doc in TestMalformedConfigs.CASES.values() if "target" in doc]
+        assert len(targets) > len(self.TARGETS)
+        for rho in targets:
+            for herm_tol in (opkit.TRACE_TOL, 1e-10):
+                assert outcome(opkit.validate_density_matrix, rho, herm_tol) \
+                    == outcome(reference_validate, rho, herm_tol)

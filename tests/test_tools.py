@@ -8,6 +8,7 @@ import json
 import math
 import random
 import shutil
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -286,6 +287,38 @@ class TestAbTiming:
         firsts = [s for s, _ in calls[::2]]
         assert [int(a[1:]) for _, a in calls[::2]] == list(range(40))
         assert 0 < sum(firsts) < 40
+
+    @pytest.mark.parametrize("swap, loads", [
+        (False, ["iq_parent", "iq_change"]),
+        (True, ["iq_change", "iq_parent"])])
+    def test_load_order_keeps_each_side_its_time(self, swap, loads):
+        # the same fake clock, the mains as the two trees' loads return them
+        now, cost, loaded = [0.0], {"p": 3.0, "c": 2.0}, []
+
+        def load(name, tree):
+            loaded.append(name)
+
+            def main(argv):
+                now[0] += cost[tree]
+            return types.SimpleNamespace(main=main)
+        mains = ab.load_mains({"parent": "p", "change": "c"}, swap, load=load)
+        assert loaded == loads
+        argvs = [["a"] * 40, ["b"] * 40]
+        assert ab.timed_pass(mains, argvs, random.Random(1),
+                             clock=lambda: now[0]) == [120.0, 80.0]
+
+    def test_slot_bias_of_canned_medians(self):
+        # true ratio 1.2, the slot loaded first 5% faster: the parent-first
+        # run reads 1.2 / 1.05, the change-first run 1.2 * 1.05
+        first = {"median": 1.2 / 1.05, "ci95": [1.1, 1.2]}
+        second = {"median": 1.2 * 1.05, "ci95": [1.2, 1.3]}
+        result = ab.both_orders(first, second)
+        assert result["ratio"] == 1.2
+        assert result["slot_bias"] == round(math.log(1.05), 6)
+        assert (result["parent_first"], result["change_first"]) \
+            == (first, second)
+        assert ab.both_orders(second, first)["slot_bias"] \
+            == -result["slot_bias"]
 
     def test_summary_of_canned_timings(self):
         change = [1.0, 2.0, 1.0, 4.0, 2.0]

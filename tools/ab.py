@@ -3,13 +3,23 @@
     python tools/ab.py cc8c035 --workload small_configs
     python tools/ab.py cc8c035 --workload reach_ladder --passes 20 --seed 3
     python tools/ab.py cc8c035 --workload small_configs --null
+    python tools/ab.py cc8c035 --workload small_configs --both-orders
 
 The script extracts the revision with ``git archive`` (``parity.extract``)
 and loads its ``src/iqcontrol`` and the working tree's into this process
 under the package names ``iq_parent`` and ``iq_change``; the package
-imports itself relatively, so the two copies share only numpy.  With
-``--null`` both names load the revision, so the run measures the bias
-between the two load slots.
+imports itself relatively, so the two copies share only numpy.  The
+parent loads first, or the change with ``--swap``.  With ``--null`` both
+names load the revision, so the run measures the bias between the two
+load slots.
+
+With ``--both-orders`` the script runs the same A/B twice, each in a
+fresh child process of its own, the parent loading first and then the
+change, and prints both documents with their combined ratio, the
+geometric mean of the two medians, and the slot bias, half the log of the
+change-first median over the parent-first one: with the slot loaded
+first a factor s faster, the medians read R/s and R s, so the combined
+ratio is R and the slot bias ln s (above 0: the first slot is faster).
 
 The workload's configs for ``--seed`` (``iqbench/workloads.py`` of the
 working tree) are written to a temporary directory by the parity check's
@@ -35,7 +45,9 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import random
+import subprocess
 import sys
 import tempfile
 import time
@@ -61,6 +73,14 @@ def load_cli(name: str, src: Path):
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return importlib.import_module(f"{name}.cli")
+
+
+def load_mains(src: dict, swap: bool, load=load_cli) -> list:
+    """Each side's ``cli.main`` in ``SIDES`` order, the packages loaded in
+    that order or, with ``swap``, the change first."""
+    order = SIDES[::-1] if swap else SIDES
+    loaded = {side: load(f"iq_{side}", src[side]).main for side in order}
+    return [loaded[side] for side in SIDES]
 
 
 def timed_pass(mains: list, argvs: list, rng: random.Random,
@@ -91,6 +111,31 @@ def summary(parent: list, change: list, resamples: int = 10_000,
             "ci95": [round(float(low), 6), round(float(high), 6)]}
 
 
+def both_orders(parent_first: dict, change_first: dict) -> dict:
+    """The two load orders' documents, the geometric mean of their medians
+    and the slot bias, half the log of change-first over parent-first."""
+    a, b = parent_first["median"], change_first["median"]
+    return {"ratio": round(math.sqrt(a * b), 6),
+            "slot_bias": round(0.5 * math.log(b / a), 6),
+            "parent_first": parent_first, "change_first": change_first}
+
+
+def run_both_orders(args) -> int:
+    """The A/B of ``args`` in two child processes, the second with
+    ``--swap``; prints ``both_orders`` of their documents."""
+    argv = [args.rev, "--workload", args.workload, "--seed", str(args.seed),
+            "--passes", str(args.passes)] + ["--null"] * args.null
+    docs = []
+    for extra in ([], ["--swap"]):
+        child = subprocess.run([sys.executable, __file__, *argv, *extra],
+                               stdout=subprocess.PIPE, text=True)
+        if child.returncode:
+            return child.returncode
+        docs.append(json.loads(child.stdout))
+    print(json.dumps(both_orders(*docs), indent=2))
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare with")
@@ -99,9 +144,17 @@ def main(argv=None) -> int:
     parser.add_argument("--passes", type=int, default=10)
     parser.add_argument("--null", action="store_true",
                         help="load the revision on both sides")
+    order = parser.add_mutually_exclusive_group()
+    order.add_argument("--swap", action="store_true",
+                       help="load the change first")
+    order.add_argument("--both-orders", action="store_true",
+                       help="run both load orders, each in its own process, "
+                       "and report the slot bias")
     args = parser.parse_args(argv)
     if args.passes < 2:
         parser.error("an interval needs at least two passes")
+    if args.both_orders:
+        return run_both_orders(args)
 
     commit = resolve(args.rev)
     if not commit:
@@ -116,7 +169,7 @@ def main(argv=None) -> int:
         src = {"parent": tmp / "parent" / "src",
                "change": tmp / "parent" / "src" if args.null
                else ROOT / "src"}
-        mains = [load_cli(f"iq_{side}", src[side]).main for side in SIDES]
+        mains = load_mains(src, args.swap)
         (tmp / "cfg").mkdir()
         runs = write_workload(args.workload, args.seed, tmp / "cfg")
         argvs = [[[command, str(path), "--out", str(tmp / side), "--quiet"]
@@ -131,7 +184,7 @@ def main(argv=None) -> int:
     parent, change = ([round(s, 6) for s in side] for side in zip(*seconds))
     doc = {"parent": args.rev, "parent_commit": commit,
            "workload": args.workload, "seed": args.seed,
-           "passes": args.passes, "null": args.null,
+           "passes": args.passes, "null": args.null, "swap": args.swap,
            "clock": "time.thread_time, summed per side per pass",
            "ratio": "parent seconds / change seconds per pass",
            "parent_s": parent, "change_s": change,
