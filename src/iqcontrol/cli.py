@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import opkit, qubit, thermal, verify
-from .errors import IQControlError, StateError
+from .errors import IQControlError
 from .nlevel import ReachabilityProblem, solve_probe_spectrum
 
 MODES = ("simulate", "solve", "reach", "thermal", "sweep")
@@ -507,9 +507,7 @@ def _run_simulate(g, p_s, p_p, times, target):
         g, times, p_s, p_p)
     radius = np.linalg.norm(r, axis=-1)
     e_plus, e_minus = 0.5 * (1.0 + radius), 0.5 * (1.0 - radius)
-    if np.any(e_minus < opkit.PSD_FLOOR):
-        raise StateError(f"density matrix has eigenvalue {e_minus.min():.3e}"
-                         f" < {opkit.PSD_FLOOR:.0e}")
+    opkit.require_psd(e_minus.min(initial=np.inf))
     distance = 0.5 * np.linalg.norm(r - qubit.bloch_vector(target), axis=-1)
     return 0, _csv_result(["t", "rho00", "rho11", "re_rho10", "im_rho10",
                            "e_plus", "e_minus", "trace_distance_to_target"],

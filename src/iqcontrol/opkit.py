@@ -91,10 +91,15 @@ def validate_density_matrix(rho, herm_tol: float = TRACE_TOL) -> np.ndarray:
         raise StateError(f"density matrix not Hermitian (defect {d:.3e})")
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateError(f"density matrix trace {tr} differs from 1")
-    lowest = evals[0]
+    require_psd(evals[0])
+    return m
+
+
+def require_psd(lowest) -> None:
+    """Raise ``StateError`` when a state's smallest eigenvalue ``lowest``
+    lies below PSD_FLOOR; NaN passes, for the caller's finiteness check."""
     if lowest < PSD_FLOOR:
         raise StateError(f"density matrix has eigenvalue {lowest:.3e} < {PSD_FLOOR:.0e}")
-    return m
 
 
 def kron(a, b) -> np.ndarray:
@@ -143,7 +148,4 @@ def trace_distance(a, b) -> float:
     ma, mb = as_matrix(a), as_matrix(b)
     if ma.shape != mb.shape:
         raise DimensionError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    evals = _hermitian_spectrum(ma - mb)[2]
-    if len(evals) == 2:
-        return 0.5 * (abs(evals[0]) + abs(evals[1]))
-    return float(0.5 * np.sum(np.abs(evals)))
+    return 0.5 * float(sum(map(abs, _hermitian_spectrum(ma - mb)[2])))

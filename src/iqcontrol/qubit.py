@@ -360,7 +360,7 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
         pn = math.hypot(ax, ay)
         # the floor keeps a subnormal xy-part from giving |m| other than 1
         mx, my, pn = (ax / pn, ay / pn, pn) if pn > 1e-13 else (1.0, 0.0, 0.0)
-        e = 1.0 if z0 > 0.0 else -1.0
+        e = math.copysign(1.0, z0)
         # inside the ball xy = h; outside it xy = pn, so u = 1
         h = math.sqrt(max((m0 - abs(az)) * (m0 + abs(az)), 0.0))
         xy = max(pn, h)

@@ -53,7 +53,7 @@ def _evolve_reduced(h, rho, t: float, dim_s: int, dim_p: int) -> np.ndarray:
     """Tr_p[ exp(-i H t) rho exp(+i H t) ], checked as a state."""
     u = opkit.expm_i_hermitian(h, t)
     reduced = opkit.partial_trace_probe(u @ rho @ opkit.dag(u), dim_s, dim_p)
-    return opkit.validate_density_matrix(reduced, herm_tol=1e-10)
+    return opkit.validate_density_matrix(reduced)
 
 
 def evolve_full(sc: CompositeScenario, t: float) -> np.ndarray:
@@ -73,18 +73,16 @@ def interaction_from_couplings(g1: float, g2: complex, g3: float, g4: float
 def check_solution(sol, p_s: float, target) -> float:
     """End-to-end distance of a solved control protocol to its target.
 
-    Checks p_s and p_p as scalars, raising what ``validate_density_matrix``
-    raises on diag(1-p, p); evolves diag(1-p_s, p_s) (x) diag(1-p_p, p_p)
-    under the couplings' Hamiltonian (checked in ``eig_hermitian``); checks
-    the reduced state and returns its trace distance to the target.
+    Checks p_s and p_p as scalars, as validating diag(1-p, p) would, the
+    floor through ``require_psd``; evolves diag(1-p_s, p_s) (x)
+    diag(1-p_p, p_p) under the couplings' Hamiltonian (checked in
+    ``eig_hermitian``); checks the reduced state (Hermitian to the default
+    bound TRACE_TOL) and returns its trace distance to the target.
     """
     for p in (p_s, sol.p_p):
         if not math.isfinite(p):
             raise StateError("matrix contains NaN or Inf entries")
-        lowest = min(p, 1.0 - p)
-        if lowest < opkit.PSD_FLOOR:
-            raise StateError(f"density matrix has eigenvalue {lowest:.3e} "
-                             f"< {opkit.PSD_FLOOR:.0e}")
+        opkit.require_psd(min(p, 1.0 - p))
     g = sol.couplings
     h = interaction_from_couplings(g.g1, g.g2, g.g3, g.g4)
     rho = np.diag(np.outer([1 - p_s, p_s], [1 - sol.p_p, sol.p_p]).ravel())

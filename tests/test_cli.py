@@ -226,6 +226,37 @@ class TestRunSimulate:
                                 "-5.000e-10 < -1e-10\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("times", [
+        {"start": 0.0, "stop": 1.0, "count": 0}, []])
+    def test_zero_rows_write_only_the_header(self, tmp_path, times):
+        # no row means no eigenvalue below the floor
+        path = write_config(tmp_path, "sim.json",
+                            dict(simulate_config(), times=times))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+        assert (out / "sim.csv").read_bytes() == (
+            b"t,rho00,rho11,re_rho10,im_rho10,e_plus,e_minus,"
+            b"trace_distance_to_target\n")
+
+    def test_nan_rows_fail_the_finiteness_check(self, tmp_path, monkeypatch,
+                                                capsys):
+        # a NaN e_minus passes the floor check and fails the CSV's own
+        closed_form = qubit.closed_form_reduced_state
+
+        def poisoned(*args):
+            r, rho, ang = closed_form(*args)
+            r = r.copy()
+            r[3] = np.nan
+            return r, rho, ang
+
+        monkeypatch.setattr(qubit, "closed_form_reduced_state", poisoned)
+        path = write_config(tmp_path, "sim.json", simulate_config())
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err \
+            == "error: result has a non-finite value\n"
+        assert not out.exists()
+
     def test_deterministic_reruns(self, tmp_path):
         path = write_config(tmp_path, "sim.json", simulate_config())
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -293,6 +293,27 @@ class TestValidateDensityMatrix:
                 opkit.validate_density_matrix(rho)
 
 
+class TestRequirePsd:
+    # the one floor check: validate_density_matrix, the simulate rows and
+    # the oracle's scalar probabilities all go through it
+    def test_accepts_exactly_the_floor(self):
+        assert opkit.require_psd(opkit.PSD_FLOOR) is None
+
+    def test_accepts_nan(self):
+        # a NaN state is left to the caller's finiteness check
+        assert opkit.require_psd(np.nan) is None
+        assert opkit.require_psd(np.float64("nan")) is None
+
+    @pytest.mark.parametrize("lowest", [
+        np.nextafter(opkit.PSD_FLOOR, -np.inf),
+        float(np.nextafter(opkit.PSD_FLOOR, -np.inf))])
+    def test_rejects_one_ulp_below_the_floor(self, lowest):
+        with pytest.raises(StateError) as err:
+            opkit.require_psd(lowest)
+        assert str(err.value) \
+            == "density matrix has eigenvalue -1.000e-10 < -1e-10"
+
+
 def reference_validate(rho, herm_tol=opkit.TRACE_TOL):
     """``validate_density_matrix`` with every spectrum from LAPACK and the
     defect from ``np.abs``."""

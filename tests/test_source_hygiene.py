@@ -4,7 +4,8 @@ Deletions tend to leave an import, a private helper or a module constant
 behind; three checks find them without a linter.  A fourth lists the public
 functions and classes that only unit tests reach, and a fifth that the
 benchmark's tracer wraps each of them.  A sixth keeps the
-brute-force oracle independent of the code it checks.  Three more keep the
+brute-force oracle independent of the code it checks, and a seventh
+keeps the positivity floor in one module.  Three more keep the
 error contract: the package raises only its own error types, and only the
 CLI prints and touches files.
 """
@@ -165,6 +166,12 @@ def test_oracle_imports_no_decomposition_code():
     # may use the kernel primitives and the error types, nothing else
     mods = package_imports(parse(SRC / "verify.py"))
     assert mods and mods <= {"opkit", "errors"}
+
+
+def test_only_opkit_reads_the_psd_floor():
+    # every other module asks opkit.require_psd for the verdict
+    readers = [p.name for p in MODULES if "PSD_FLOOR" in read_names(parse(p))]
+    assert readers == ["opkit.py"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -8,6 +8,8 @@ import json
 import math
 import random
 import shutil
+import subprocess
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -159,6 +161,19 @@ class TestParityEdgeSweeps:
                     "out/sweep"] in plan
             shapes.add(tuple(min(axis["count"], 2) for axis in doc["axes"]))
         assert shapes == {(2, 1), (1, 2), (2, 1, 2), (2, 0), (2, 2)}
+
+
+class TestParityEdgeSimulates:
+    def test_zero_row_simulates_are_in_the_plan(self, tmp_path):
+        # no time rows, as a range of count 0 and as an empty list
+        plan = parity.invocations(tmp_path / "cfg")
+        times = []
+        for name, doc in parity.EDGE_SIMULATES.items():
+            path = tmp_path / "cfg" / f"edge-{name}.json"
+            assert json.loads(path.read_text(encoding="utf-8")) == doc
+            assert ["run", f"../cfg/{path.name}", "--out", "out/run"] in plan
+            times.append(doc["times"])
+        assert times == [{"start": 0.0, "stop": 1.0, "count": 0}, []]
 
 
 class TestPairsSummary:
@@ -319,6 +334,36 @@ class TestAbTiming:
             == (first, second)
         assert ab.both_orders(second, first)["slot_bias"] \
             == -result["slot_bias"]
+
+    def test_every_call_runs_both_load_orders(self, monkeypatch, capsys):
+        # one child per load order, told its order by the hidden option;
+        # the parent-first child's document comes first
+        argvs, medians = [], {"parent": 1.1, "change": 1.3}
+
+        def run(argv, stdout, text):
+            argvs.append(argv)
+            doc = {"median": medians[argv[-1]], "loaded_first": argv[-1]}
+            return subprocess.CompletedProcess(argv, 0, json.dumps(doc))
+        monkeypatch.setattr(ab.subprocess, "run", run)
+        assert ab.main(["abc123", "--workload", "small_configs", "--seed",
+                        "3", "--passes", "4", "--null"]) == 0
+        common = [sys.executable, ab.__file__, "abc123", "--workload",
+                  "small_configs", "--seed", "3", "--passes", "4", "--null"]
+        assert argvs == [common + ["--loaded-first", "parent"],
+                         common + ["--loaded-first", "change"]]
+        assert json.loads(capsys.readouterr().out) == ab.both_orders(
+            {"median": 1.1, "loaded_first": "parent"},
+            {"median": 1.3, "loaded_first": "change"})
+
+    def test_a_failing_child_ends_the_run(self, monkeypatch, capsys):
+        argvs = []
+
+        def run(argv, stdout, text):
+            argvs.append(argv)
+            return subprocess.CompletedProcess(argv, 2, "")
+        monkeypatch.setattr(ab.subprocess, "run", run)
+        assert ab.main(["nosuchrev", "--workload", "sweep_grid"]) == 2
+        assert len(argvs) == 1 and capsys.readouterr().out == ""
 
     def test_summary_of_canned_timings(self):
         change = [1.0, 2.0, 1.0, 4.0, 2.0]

@@ -3,19 +3,17 @@
     python tools/ab.py cc8c035 --workload small_configs
     python tools/ab.py cc8c035 --workload reach_ladder --passes 20 --seed 3
     python tools/ab.py cc8c035 --workload small_configs --null
-    python tools/ab.py cc8c035 --workload small_configs --both-orders
 
-The script extracts the revision with ``git archive`` (``parity.extract``)
-and loads its ``src/iqcontrol`` and the working tree's into this process
-under the package names ``iq_parent`` and ``iq_change``; the package
-imports itself relatively, so the two copies share only numpy.  The
-parent loads first, or the change with ``--swap``.  With ``--null`` both
-names load the revision, so the run measures the bias between the two
-load slots.
+The script runs the same A/B twice, each in a fresh child process of its
+own, the parent loading first and then the change.  Each child extracts
+the revision with ``git archive`` (``parity.extract``) and loads its
+``src/iqcontrol`` and the working tree's into its process under the
+package names ``iq_parent`` and ``iq_change``, in its load order; the
+package imports itself relatively, so the two copies share only numpy.
+With ``--null`` both names load the revision, so the run measures the
+bias between the two load slots.
 
-With ``--both-orders`` the script runs the same A/B twice, each in a
-fresh child process of its own, the parent loading first and then the
-change, and prints both documents with their combined ratio, the
+It prints both children's documents with their combined ratio, the
 geometric mean of the two medians, and the slot bias, half the log of the
 change-first median over the parent-first one: with the slot loaded
 first a factor s faster, the medians read R/s and R s, so the combined
@@ -30,7 +28,7 @@ pass every config runs through both sides, the side that goes first drawn
 at random per config, and the ``time.thread_time`` of each call is summed
 per side.
 
-It prints one JSON document: each side's seconds per pass, the per-pass
+Each child's document holds each side's seconds per pass, the per-pass
 ratios (parent time over change time, so above 1 means the change is
 faster), their median and a 95% bootstrap interval of that median
 (percentile method, 10,000 resamples of the passes).  CPU time only: it
@@ -121,13 +119,14 @@ def both_orders(parent_first: dict, change_first: dict) -> dict:
 
 
 def run_both_orders(args) -> int:
-    """The A/B of ``args`` in two child processes, the second with
-    ``--swap``; prints ``both_orders`` of their documents."""
+    """The A/B of ``args`` in two child processes, the parent loading
+    first in the first; prints ``both_orders`` of their documents."""
     argv = [args.rev, "--workload", args.workload, "--seed", str(args.seed),
             "--passes", str(args.passes)] + ["--null"] * args.null
     docs = []
-    for extra in ([], ["--swap"]):
-        child = subprocess.run([sys.executable, __file__, *argv, *extra],
+    for first in SIDES:
+        child = subprocess.run([sys.executable, __file__, *argv,
+                                "--loaded-first", first],
                                stdout=subprocess.PIPE, text=True)
         if child.returncode:
             return child.returncode
@@ -144,16 +143,12 @@ def main(argv=None) -> int:
     parser.add_argument("--passes", type=int, default=10)
     parser.add_argument("--null", action="store_true",
                         help="load the revision on both sides")
-    order = parser.add_mutually_exclusive_group()
-    order.add_argument("--swap", action="store_true",
-                       help="load the change first")
-    order.add_argument("--both-orders", action="store_true",
-                       help="run both load orders, each in its own process, "
-                       "and report the slot bias")
+    # a child's load order; the top-level call starts one child per order
+    parser.add_argument("--loaded-first", choices=SIDES, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.passes < 2:
         parser.error("an interval needs at least two passes")
-    if args.both_orders:
+    if args.loaded_first is None:
         return run_both_orders(args)
 
     commit = resolve(args.rev)
@@ -169,7 +164,7 @@ def main(argv=None) -> int:
         src = {"parent": tmp / "parent" / "src",
                "change": tmp / "parent" / "src" if args.null
                else ROOT / "src"}
-        mains = load_mains(src, args.swap)
+        mains = load_mains(src, args.loaded_first == "change")
         (tmp / "cfg").mkdir()
         runs = write_workload(args.workload, args.seed, tmp / "cfg")
         argvs = [[[command, str(path), "--out", str(tmp / side), "--quiet"]
@@ -184,7 +179,8 @@ def main(argv=None) -> int:
     parent, change = ([round(s, 6) for s in side] for side in zip(*seconds))
     doc = {"parent": args.rev, "parent_commit": commit,
            "workload": args.workload, "seed": args.seed,
-           "passes": args.passes, "null": args.null, "swap": args.swap,
+           "passes": args.passes, "null": args.null,
+           "loaded_first": args.loaded_first,
            "clock": "time.thread_time, summed per side per pass",
            "ratio": "parent seconds / change seconds per pass",
            "parent_s": parent, "change_s": change,

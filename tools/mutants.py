@@ -61,8 +61,6 @@ EQUIVALENT = {
         "|v| = 1e-4 prints the same bytes by the fast path and by %.17g",
     ("src/iqcontrol/cli.py", "_csv_cells", "1e-4", "(1e-4 * 100)", 0):
         "|v| in [1e-4, 1e-2) prints the same bytes by %.17g",
-    ("src/iqcontrol/cli.py", "_run_simulate", "<", "<=", 0):
-        "tie: an e_minus of exactly PSD_FLOOR",
     ("src/iqcontrol/nlevel.py", "_is_distribution", "<=", "<", 0):
         "|sum - 1| near 1 is a multiple of 2^-53, never 1e-12 or 1e-10",
     ("src/iqcontrol/nlevel.py", "ReachabilityProblem.__post_init__", "<=",
@@ -74,8 +72,6 @@ EQUIVALENT = {
         "tie: an affine weight of exactly 0 on a minor cycle",
     ("src/iqcontrol/opkit.py", "validate_density_matrix", ">", ">=", 1):
         "tie: a trace defect of exactly TRACE_TOL",
-    ("src/iqcontrol/opkit.py", "validate_density_matrix", "<", "<=", 0):
-        "tie: a lowest eigenvalue of exactly PSD_FLOOR",
     ("src/iqcontrol/qubit.py", "_square_overlaps", "<=", "<", 1):
         "tie: an overlap magnitude of exactly 1e-12",
     ("src/iqcontrol/qubit.py", "_square_overlaps", "<=", "<", 2):
@@ -94,14 +90,8 @@ EQUIVALENT = {
         "tie: an occupancy of exactly 1 + 1e-12",
     ("src/iqcontrol/qubit.py", "solve_controls_numeric", "<", "<=", 0):
         "|1 - 2 p_s| below 0.5 is a multiple of 2^-53, never 1e-14",
-    ("src/iqcontrol/qubit.py", "solve_controls_numeric", ">", ">=", 1):
-        "z0 = 0 takes the fixed-point branch before the sign is read",
     ("src/iqcontrol/thermal.py", "thermal_occupancy", ">=", ">", 0):
         "both forms give exactly 0.5 at x = 0",
-    ("src/iqcontrol/verify.py", "_evolve_reduced", "1e-10", "(1e-10 * 100)",
-     0):
-        "the oracle's reduced state is Hermitian to rounding, far inside "
-        "either bound",
 }
 
 

@@ -11,6 +11,8 @@ directory and makes one list of iqctl invocations:
   ``check``;
 * the sweeps of ``EDGE_SWEEPS`` under ``sweep``: grid shapes the
   benchmark never draws;
+* the simulates of ``EDGE_SIMULATES`` under ``run``: zero time rows, as
+  a range of count 0 and as an empty list;
 * each malformed config of ``TestMalformedConfigs.CASES`` in
   ``tests/test_cli.py`` of the working tree under ``check`` and ``run``,
   so error lines and exit codes are compared too;
@@ -85,6 +87,15 @@ EDGE_SWEEPS = {
                             ("alpha", 0.0, 1.0, 2)),
 }
 
+# A simulate with no time rows writes only its header.
+EDGE_SIMULATES = {
+    name: {"mode": "simulate",
+           "couplings": {"g1": 0.2, "g2": [0.3, -0.1], "g3": 0.8, "g4": 0.4},
+           "p_s": 0.3, "p_p": 0.7, "times": times}
+    for name, times in (("count_0", {"start": 0.0, "stop": 1.0, "count": 0}),
+                        ("list_0", []))
+}
+
 
 def load(name: str, path: Path):
     """Import the file at ``path`` as module ``name``."""
@@ -146,10 +157,11 @@ def invocations(cfg_dir: Path) -> list:
         path = cfg_dir / src.name
         path.write_bytes(src.read_bytes())
         runs += [(command, path) for command in ("run", "sweep", "check")]
-    for name, doc in EDGE_SWEEPS.items():
-        path = cfg_dir / f"edge-{name}.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        runs.append(("sweep", path))
+    for command, edges in (("sweep", EDGE_SWEEPS), ("run", EDGE_SIMULATES)):
+        for name, doc in edges.items():
+            path = cfg_dir / f"edge-{name}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            runs.append((command, path))
     for name, doc in sorted(malformed_configs().items()):
         path = cfg_dir / f"malformed-{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
