@@ -89,7 +89,7 @@ def validate_density_matrix(rho, herm_tol: float = TRACE_TOL) -> np.ndarray:
     d, tr, evals = _hermitian_spectrum(m)
     if d > herm_tol:
         raise StateError(f"density matrix not Hermitian (defect {d:.3e})")
-    if abs(tr - 1.0) > TRACE_TOL:
+    if abs(tr.real - 1.0) > TRACE_TOL:
         raise StateError(f"density matrix trace {tr} differs from 1")
     require_psd(evals[0])
     return m

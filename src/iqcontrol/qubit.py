@@ -171,8 +171,8 @@ def overlap_angles(g: QubitCouplings, t) -> OverlapAngles:
     """Overlap angles of U_-|0> against the basis {U_+|0>, U_+|1>}.
 
     cos(alpha) = |<psi_+0|psi_-0>|; beta is the phase of <perp|psi_-0>
-    relative to <psi_+0|psi_-0>.  When either overlap vanishes beta is set
-    to 0 by convention (it then multiplies a zero coherence).
+    relative to <psi_+0|psi_-0>.  When either overlap is exactly 0 beta is
+    set to 0 by convention (it then multiplies a zero coherence).
     """
     a, n_hat = _axis_angle(g, t)
     return _square_overlaps(np.cos(2.0 * a), np.sin(2.0 * a), *n_hat)
@@ -190,7 +190,7 @@ def _square_overlaps(c, s, nx, ny, nz) -> OverlapAngles:
     alpha = np.arctan2(mag_perp, mag)
     beta = (np.angle(ip_perp) - np.angle(ip) + np.pi) % (2.0 * np.pi) - np.pi
     beta = np.where(beta <= -np.pi, beta + 2.0 * np.pi, beta)
-    beta = np.where((mag <= 1e-12) | (mag_perp <= 1e-12), 0.0, beta)
+    beta = np.where((mag == 0.0) | (mag_perp == 0.0), 0.0, beta)
     return OverlapAngles(alpha=_unbox(alpha), beta=_unbox(beta))
 
 
@@ -344,32 +344,27 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
     target inside the ball exactly.  One with Bloch radius above m0 is
     unreachable (the channel is unital on the spectrum): it gets u = 1 and
     its nearest reachable state m0 r/|r|, flagged infeasible, as is any
-    residual above ``tol``; nothing is searched further.  An xy-part at or
-    below 1e-13 counts as zero, along x: a subnormal one would give m a
-    length other than 1.
+    residual above ``tol``; nothing is searched further.  No step divides
+    by m0, so p_s = 1/2 (the ball is the point 0) needs no case.  An xy-part
+    at or below 1e-13 counts as zero, along x: a subnormal one would give
+    m a length other than 1.
     """
     r_tau = bloch_vector(opkit.validate_density_matrix(target))
     z0 = 1.0 - 2.0 * p_s
     m0 = abs(z0)
-    if m0 < 1e-14:
-        # Maximally mixed initial state: it is a fixed point of every
-        # admissible channel.
-        g2, t, p_p = complex(1.0), 0.0, 0.5
-    else:
-        ax, ay, az = r_tau.tolist()
-        pn = math.hypot(ax, ay)
-        # the floor keeps a subnormal xy-part from giving |m| other than 1
-        mx, my, pn = (ax / pn, ay / pn, pn) if pn > 1e-13 else (1.0, 0.0, 0.0)
-        e = math.copysign(1.0, z0)
-        # inside the ball xy = h; outside it xy = pn, so u = 1
-        h = math.sqrt(max((m0 - abs(az)) * (m0 + abs(az)), 0.0))
-        xy = max(pn, h)
-        phi = math.atan2(xy, e * az)
-        u = pn / xy if xy else 0.0
-        # g2 = n_x - i n_y for the axis n = e z x m = (-e m_y, e m_x, 0);
-        # "0.0 -" writes a zero part as 0.0, not -0.0
-        g2 = complex(0.0 - e * my, 0.0 - e * mx)
-        t, p_p = phi / 2.0, (1.0 - u) / 2.0
+    ax, ay, az = r_tau.tolist()
+    pn = math.hypot(ax, ay)
+    mx, my, pn = (ax / pn, ay / pn, pn) if pn > 1e-13 else (1.0, 0.0, 0.0)
+    e = math.copysign(1.0, z0)
+    # inside the ball xy = h; outside it xy = pn, so u = 1
+    h = math.sqrt(max((m0 - abs(az)) * (m0 + abs(az)), 0.0))
+    xy = max(pn, h)
+    phi = math.atan2(xy, e * az)
+    u = pn / xy if xy else 0.0
+    # g2 = n_x - i n_y for the axis n = e z x m = (-e m_y, e m_x, 0);
+    # "0.0 -" writes a zero part as 0.0, not -0.0
+    g2 = complex(0.0 - e * my, 0.0 - e * mx)
+    t, p_p = phi / 2.0, (1.0 - u) / 2.0
     g = QubitCouplings(g1=0.0, g2=g2, g3=0.0, g4=1.0)
     r, _, ang = closed_form_reduced_state(g, t, p_s, p_p)
     res = 0.5 * float(np.linalg.norm(r - r_tau))

@@ -378,6 +378,19 @@ class TestSolveTargetTolerance:
         assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 0
         assert (out / "s.json").exists()
 
+    def test_imaginary_diagonal_defect_accepted_by_both(self, tmp_path,
+                                                        capsys):
+        # a defect of 1e-11 on the diagonal puts 1e-11j into the trace;
+        # the Hermitian part, whose trace is checked, has trace 1
+        doc = {"mode": "solve", "p_s": 0.1,
+               "target": [[[0.5, 1e-11], 0.0], [0.0, 0.5]]}
+        path = write_config(tmp_path, "s.json", doc)
+        out = tmp_path / "out"
+        assert cli.main(["check", str(path), "--quiet"]) == 0
+        assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "s.json").exists()
+
     def test_large_defect_rejected_by_both(self, tmp_path):
         path = write_config(tmp_path, "s.json", self.target_config(1e-9))
         out = tmp_path / "out"

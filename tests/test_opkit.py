@@ -322,7 +322,7 @@ def reference_validate(rho, herm_tol=opkit.TRACE_TOL):
     if d > herm_tol:
         raise StateError(f"density matrix not Hermitian (defect {d:.3e})")
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > opkit.TRACE_TOL:
+    if abs(tr.real - 1.0) > opkit.TRACE_TOL:
         raise StateError(f"density matrix trace {tr} differs from 1")
     lowest = np.linalg.eigvalsh(0.5 * (m + opkit.dag(m)))[0]
     if lowest < opkit.PSD_FLOOR:

@@ -303,13 +303,25 @@ class TestOverlapAngles:
 
     @pytest.mark.parametrize("t, beta", [
         (5e-12, np.pi / 2), (np.pi / 4 - 5e-12, np.pi / 2),
-        (5e-14, 0.0), (np.pi / 4 - 5e-14, 0.0)])
+        (5e-14, np.pi / 2), (np.pi / 4 - 5e-14, np.pi / 2)])
     def test_beta_zero_only_below_overlap_floor(self, t, beta):
         # near t = 0 the overlap <perp|psi_-0> is ~2t, near t = pi/4 the
-        # overlap <psi_+0|psi_-0> is ~pi/2 - 2t: beta is set to 0 only once
-        # one of them is at most 1e-12
+        # overlap <psi_+0|psi_-0> is ~pi/2 - 2t: the floor is exactly 0, so
+        # however small a nonzero overlap is, beta is its true phase, the
+        # one U_+'s matrix square gives
         g = QubitCouplings(g1=0.0, g2=1.0, g3=0.0, g4=1.0)
-        assert qubit.overlap_angles(g, t).beta == beta
+        u_plus, _ = qubit.conditional_unitaries(g, t)
+        assert qubit.overlap_angles(g, t).beta \
+            == matrix_overlap_angles(u_plus).beta == beta
+
+    @pytest.mark.parametrize("g2, t", [(1.0, 0.0), (0.0, 0.7), (0.0, 2.9)])
+    def test_beta_zero_at_a_vanishing_overlap(self, g2, t):
+        # at t = 0 and for g2 = 0, <perp|psi_-0> is exactly 0; at t = 2.9,
+        # sin 2a < 0 makes it -0 - 0j, whose np.angle is -pi
+        g = QubitCouplings(g1=0.6, g2=g2, g3=0.0, g4=1.0)
+        u_plus, _ = qubit.conditional_unitaries(g, t)
+        assert qubit.overlap_angles(g, t).beta \
+            == matrix_overlap_angles(u_plus).beta == 0.0
 
     def test_beta_wraps_minus_pi_to_pi(self):
         # with the coupling axis along y the phase difference lands on
@@ -448,7 +460,7 @@ def matrix_overlap_angles(u_plus):
     mag_perp, mag = np.abs(ip_perp), np.abs(ip)
     beta = (np.angle(ip_perp) - np.angle(ip) + np.pi) % (2.0 * np.pi) - np.pi
     beta = np.where(beta <= -np.pi, beta + 2.0 * np.pi, beta)
-    beta = np.where((mag <= 1e-12) | (mag_perp <= 1e-12), 0.0, beta)
+    beta = np.where((mag == 0.0) | (mag_perp == 0.0), 0.0, beta)
     return OverlapAngles(alpha=np.arctan2(mag_perp, mag), beta=beta)
 
 
@@ -709,13 +721,14 @@ class TestAnalyticConditions:
 def frame_solve(p_s, target, tol=1e-8):
     """The solver in a general 3-D frame: the axis e_hat x m_hat from
     np.cross, the angle and the branch imbalance from dot products with
-    e_hat and m_hat.  Kept as the reference for the z-frame closed form."""
+    e_hat and m_hat.  Kept as the reference for the z-frame closed form.
+    It divides by m0, so m0 = 0 keeps the fixed point t = 0, p_p = 1/2."""
     r_tau = qubit.bloch_vector(opkit.validate_density_matrix(target))
     rad = float(np.linalg.norm(r_tau))
     m0 = abs(1.0 - 2.0 * p_s)
     z = np.array([0.0, 0.0, 1.0])
     e_hat = z if p_s <= 0.5 else -z
-    if m0 < 1e-14:
+    if m0 == 0.0:
         n_hat, t, p_p = np.array([1.0, 0.0, 0.0]), 0.0, 0.5
     else:
         r_aim = r_tau if rad <= m0 else r_tau * (m0 / rad)
@@ -910,16 +923,19 @@ class TestSolver:
         sol = qubit.solve_controls_numeric(0.5, np.diag([0.8, 0.2]))
         assert not sol.feasible
 
-    @pytest.mark.parametrize("k, t, g2", [(90, 0.0, 1.0),
-                                          (91, np.pi / 4.0, -1.0j)])
-    def test_mixed_initial_floor(self, k, t, g2):
-        # |1 - 2p_s| = k 2^-53 lies on either side of the 1e-14 floor: below
-        # it the fixed point is returned (t = 0, g2 = 1), above it the
-        # closed form, which turns a maximally mixed target a quarter turn
-        sol = qubit.solve_controls_numeric(0.5 - k * 2.0 ** -54,
-                                           np.eye(2) / 2.0)
-        assert (sol.t, sol.couplings.g2, sol.p_p) == (t, g2, 0.5)
-        assert sol.feasible
+    @pytest.mark.parametrize("k", [0, 1, 90, 91])
+    def test_mixed_initial_floor(self, k):
+        # m0 = |1 - 2p_s| = k 2^-53, from 0 to ~1e-14: the closed form has
+        # no floor under m0; every target but the maximally mixed one lies
+        # outside the ball, and the residual is the oracle's distance
+        p_s = 0.5 - k * 2.0 ** -54
+        for r in ([0.0, 0.0, 0.0], [0.0, 0.0, 0.6], [0.3, 0.0, 0.0],
+                  [0.1, -0.2, 0.3], [0.0, 0.0, -1.0]):
+            target = self.bloch_state(r)
+            sol = qubit.solve_controls_numeric(p_s, target)
+            oracle = verify.check_solution(sol, p_s, target)
+            assert abs(sol.residual - oracle) <= 1e-15
+            assert sol.feasible == (r == [0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("r_y, g2", [(1e-13, -1.0j), (2e-13, -1.0)])
     def test_xy_direction_floor(self, r_y, g2):
@@ -1012,10 +1028,13 @@ class TestSolver:
                          (sol.alpha, ref.alpha), (sol.residual, ref.residual),
                          (sol.couplings.g2, ref.couplings.g2)):
                 assert abs(a - b) <= 1e-14
-        # maximally mixed initial state: t = 0, p_p = 1/2, g2 = 1
+        # maximally mixed initial state: the frame's own fixed point and
+        # the closed form's controls both leave it in place
         target = self.bloch_state([0.1, -0.2, 0.3])
-        assert (qubit.solve_controls_numeric(0.5, target)
-                == frame_solve(0.5, target))
+        sol, ref = (qubit.solve_controls_numeric(0.5, target),
+                    frame_solve(0.5, target))
+        assert sol.feasible == ref.feasible
+        assert abs(sol.residual - ref.residual) <= 1e-15
 
     def test_one_eigendecomposition_per_solve(self, eig_calls):
         # the state, the residual and the reported alpha all come from one

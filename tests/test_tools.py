@@ -1,5 +1,5 @@
-"""The developer tools' pure helpers: the mutation sampler's line filter
-and equivalence keys, the parity check's difference magnitudes,
+"""The developer tools' pure helpers: the mutation sampler's line filter,
+test selection and equivalence keys, the parity check's difference magnitudes,
 malformed configs and edge-shape sweeps, the paired-run summary and the
 same-process A/B timing.  None runs a suite, a tree or the benchmark."""
 
@@ -53,6 +53,71 @@ class TestMutantSites:
     def test_bad_or_empty_line_raises(self, spec):
         with pytest.raises(ValueError):
             mutants.on_lines(mutants.sites(mutants.ROOT), [spec])
+
+
+class TestMutantSelection:
+    # a fake map: t1 and t2 run a.py:5, only t2 runs a.py:7, t3 starts an
+    # iqcontrol child, and a.py:1 runs at import
+    LINES = {"everywhere": {("src/a.py", 1)}, "spawners": {"t3"},
+             "tests": {"t1": {("src/a.py", 5)},
+                       "t2": {("src/a.py", 5), ("src/a.py", 7)},
+                       "t3": {("src/b.py", 2)}, "t4": set()}}
+
+    @pytest.mark.parametrize("row, tests", [
+        (5, ["t1", "t2", "t3"]), (7, ["t2", "t3"]), (1, None), (9, [])])
+    def test_selection_of_a_fake_map(self, row, tests):
+        # the tests that run the line, with every spawner, in suite order;
+        # None for the whole suite; [] when no test runs the line
+        site = ("src/a.py", row, 4, "<", "<=")
+        assert mutants.select(site, self.LINES) == tests
+
+    def test_code_rows_reach_nested_code(self):
+        # a cached function's rows take in those of its comprehensions,
+        # which are code objects of their own
+        def f(xs):
+            return [x + 1
+                    for x in xs
+                    if x]
+        first = f.__code__.co_firstlineno
+        assert mutants.code_rows(f.__code__) == set(range(first, first + 4))
+
+    def test_line_map_document_reads_back(self, tmp_path):
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps({
+            "everywhere": [["src/a.py", 1]], "spawners": ["t3"],
+            "tests": {"t1": [["src/a.py", 5]],
+                      "t2": [["src/a.py", 5], ["src/a.py", 7]],
+                      "t3": [["src/b.py", 2]], "t4": []}}), encoding="utf-8")
+        assert mutants.read_line_map(path) == self.LINES
+
+    @pytest.mark.parametrize("listed, code, result", [
+        (False, 1, "uncovered"), (True, 0, "equivalent")])
+    def test_uncovered_site_fails_unless_listed(self, monkeypatch, capsys,
+                                                listed, code, result):
+        # no test runs the site's line: it is not mutated, and the run
+        # fails unless EQUIVALENT lists it
+        all_sites = mutants.sites(mutants.ROOT)
+        rel, row = all_sites[0][:2]
+        trials = []
+
+        def trial(site, timeout, tests=None):
+            trials.append(site)
+            return "passed", 1.0
+        monkeypatch.setattr(mutants, "trial", trial)
+        monkeypatch.setattr(mutants, "line_map", lambda: {
+            "everywhere": set(), "spawners": set(), "tests": {"t": set()}})
+        chosen = mutants.on_lines(all_sites, [f"{rel}:{row}"])
+        if listed:
+            site_keys = mutants.keys(mutants.ROOT, all_sites)
+            monkeypatch.setattr(mutants, "EQUIVALENT", {
+                site_keys[i]: "no test runs it" for i in chosen})
+        assert mutants.main(["--site", f"{rel}:{row}"]) == code
+        assert trials == [None]
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if f" {rel}:{row} " in line]
+        assert rows == [f"| {i} | {rel}:{row} | `{all_sites[i][3]}` -> "
+                        f"`{all_sites[i][4]}` | 0 | {result} | 0.0 |"
+                        for i in chosen]
 
 
 class TestEquivalentSurvivors:
@@ -132,10 +197,18 @@ class TestParityMalformedConfigs:
                    for k, v in TestMalformedConfigs.CASES.items())
 
 
+@pytest.fixture(scope="module")
+def parity_plan(tmp_path_factory):
+    """The parity check's configs, written once: (their directory, the
+    argv lists ``parity.invocations`` returns)."""
+    cfg = tmp_path_factory.mktemp("parity") / "cfg"
+    return cfg, parity.invocations(cfg)
+
+
 class TestParityArgvVariants:
-    def test_variants_are_in_the_plan(self, tmp_path):
+    def test_variants_are_in_the_plan(self, parity_plan):
         # every non-canonical form the docstring lists, on one config
-        plan = parity.invocations(tmp_path / "cfg")
+        _, plan = parity_plan
         config = "../cfg/solve_example.json"
         out = "out/variants"
         for argv in (["--quiet", "--out", out, "run", config],
@@ -149,13 +222,13 @@ class TestParityArgvVariants:
 
 
 class TestParityEdgeSweeps:
-    def test_edge_sweeps_are_in_the_plan(self, tmp_path):
+    def test_edge_sweeps_are_in_the_plan(self, parity_plan):
         # grids the benchmark never draws: shapes (a, 1), (1, b) and
         # (a, 1, c), and an overflowing axis next to 0 and 2 values
-        plan = parity.invocations(tmp_path / "cfg")
+        cfg, plan = parity_plan
         shapes = set()
         for name, doc in parity.EDGE_SWEEPS.items():
-            path = tmp_path / "cfg" / f"edge-{name}.json"
+            path = cfg / f"edge-{name}.json"
             assert json.loads(path.read_text(encoding="utf-8")) == doc
             assert ["sweep", f"../cfg/{path.name}", "--out",
                     "out/sweep"] in plan
@@ -164,12 +237,12 @@ class TestParityEdgeSweeps:
 
 
 class TestParityEdgeSimulates:
-    def test_zero_row_simulates_are_in_the_plan(self, tmp_path):
+    def test_zero_row_simulates_are_in_the_plan(self, parity_plan):
         # no time rows, as a range of count 0 and as an empty list
-        plan = parity.invocations(tmp_path / "cfg")
+        cfg, plan = parity_plan
         times = []
         for name, doc in parity.EDGE_SIMULATES.items():
-            path = tmp_path / "cfg" / f"edge-{name}.json"
+            path = cfg / f"edge-{name}.json"
             assert json.loads(path.read_text(encoding="utf-8")) == doc
             assert ["run", f"../cfg/{path.name}", "--out", "out/run"] in plan
             times.append(doc["times"])
@@ -324,36 +397,47 @@ class TestAbTiming:
 
     def test_slot_bias_of_canned_medians(self):
         # true ratio 1.2, the slot loaded first 5% faster: the parent-first
-        # run reads 1.2 / 1.05, the change-first run 1.2 * 1.05
-        first = {"median": 1.2 / 1.05, "ci95": [1.1, 1.2]}
-        second = {"median": 1.2 * 1.05, "ci95": [1.2, 1.3]}
+        # runs read 1.2 / 1.05, the change-first runs 1.2 * 1.05, each
+        # order's second run 2% above its first
+        first = [{"median": 1.2 / 1.05 / 1.01, "ci95": [1.1, 1.2]},
+                 {"median": 1.2 / 1.05 * 1.01, "ci95": [1.1, 1.2]}]
+        second = [{"median": 1.2 * 1.05 / 1.01, "ci95": [1.2, 1.3]},
+                  {"median": 1.2 * 1.05 * 1.01, "ci95": [1.2, 1.3]}]
         result = ab.both_orders(first, second)
         assert result["ratio"] == 1.2
         assert result["slot_bias"] == round(math.log(1.05), 6)
-        assert (result["parent_first"], result["change_first"]) \
-            == (first, second)
+        assert result["parent_first"] == {"between_calls": 1.0201,
+                                          "children": first}
+        assert result["change_first"] == {"between_calls": 1.0201,
+                                          "children": second}
         assert ab.both_orders(second, first)["slot_bias"] \
             == -result["slot_bias"]
 
     def test_every_call_runs_both_load_orders(self, monkeypatch, capsys):
-        # one child per load order, told its order by the hidden option;
-        # the parent-first child's document comes first
-        argvs, medians = [], {"parent": 1.1, "change": 1.3}
+        # two children per load order, told their order by the hidden
+        # option, the orders alternating from the parent-first one
+        argvs, medians = [], [1.1, 1.3, 1.2, 1.4]
 
         def run(argv, stdout, text):
             argvs.append(argv)
-            doc = {"median": medians[argv[-1]], "loaded_first": argv[-1]}
+            doc = {"median": medians[len(argvs) - 1],
+                   "loaded_first": argv[-1]}
             return subprocess.CompletedProcess(argv, 0, json.dumps(doc))
         monkeypatch.setattr(ab.subprocess, "run", run)
         assert ab.main(["abc123", "--workload", "small_configs", "--seed",
                         "3", "--passes", "4", "--null"]) == 0
         common = [sys.executable, ab.__file__, "abc123", "--workload",
                   "small_configs", "--seed", "3", "--passes", "4", "--null"]
-        assert argvs == [common + ["--loaded-first", "parent"],
-                         common + ["--loaded-first", "change"]]
-        assert json.loads(capsys.readouterr().out) == ab.both_orders(
-            {"median": 1.1, "loaded_first": "parent"},
-            {"median": 1.3, "loaded_first": "change"})
+        assert argvs == [common + ["--loaded-first", first]
+                         for first in ("parent", "change") * 2]
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == ab.both_orders(
+            [{"median": 1.1, "loaded_first": "parent"},
+             {"median": 1.2, "loaded_first": "parent"}],
+            [{"median": 1.3, "loaded_first": "change"},
+             {"median": 1.4, "loaded_first": "change"}])
+        assert doc["ratio"] == round((1.1 * 1.2 * 1.3 * 1.4) ** 0.25, 6)
+        assert doc["parent_first"]["between_calls"] == round(1.2 / 1.1, 6)
 
     def test_a_failing_child_ends_the_run(self, monkeypatch, capsys):
         argvs = []

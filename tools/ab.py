@@ -4,20 +4,25 @@
     python tools/ab.py cc8c035 --workload reach_ladder --passes 20 --seed 3
     python tools/ab.py cc8c035 --workload small_configs --null
 
-The script runs the same A/B twice, each in a fresh child process of its
-own, the parent loading first and then the change.  Each child extracts
-the revision with ``git archive`` (``parity.extract``) and loads its
-``src/iqcontrol`` and the working tree's into its process under the
-package names ``iq_parent`` and ``iq_change``, in its load order; the
-package imports itself relatively, so the two copies share only numpy.
+The script runs the same A/B four times, each in a fresh child process of
+its own: the parent loading first, then the change, and the two again.
+Each child extracts the revision with ``git archive``
+(``parity.extract``) and loads its ``src/iqcontrol`` and the working
+tree's into its process under the package names ``iq_parent`` and
+``iq_change``, in its load order; the package imports itself relatively,
+so the two copies share only numpy.
 With ``--null`` both names load the revision, so the run measures the
 bias between the two load slots.
 
-It prints both children's documents with their combined ratio, the
-geometric mean of the two medians, and the slot bias, half the log of the
-change-first median over the parent-first one: with the slot loaded
-first a factor s faster, the medians read R/s and R s, so the combined
-ratio is R and the slot bias ln s (above 0: the first slot is faster).
+It prints every child's document, grouped by load order, with each
+order's ``between_calls``, the ratio of its second child's median to its
+first's, which shows the spread between runs that one child's interval
+does not; the combined ratio, the geometric mean of the four medians;
+and the slot bias, half the log of the change-first order's mean over the
+parent-first one's, each mean the geometric mean of that order's two
+medians.  With the slot loaded first a factor s faster, the medians read
+R/s and R s, so the combined ratio is R and the slot bias ln s (above 0:
+the first slot is faster).
 
 The workload's configs for ``--seed`` (``iqbench/workloads.py`` of the
 working tree) are written to a temporary directory by the parity check's
@@ -109,29 +114,36 @@ def summary(parent: list, change: list, resamples: int = 10_000,
             "ci95": [round(float(low), 6), round(float(high), 6)]}
 
 
-def both_orders(parent_first: dict, change_first: dict) -> dict:
-    """The two load orders' documents, the geometric mean of their medians
-    and the slot bias, half the log of change-first over parent-first."""
-    a, b = parent_first["median"], change_first["median"]
-    return {"ratio": round(math.sqrt(a * b), 6),
-            "slot_bias": round(0.5 * math.log(b / a), 6),
-            "parent_first": parent_first, "change_first": change_first}
+def both_orders(parent_first: list, change_first: list) -> dict:
+    """Each load order's two child documents with their ``between_calls``,
+    the geometric mean of the four medians and the slot bias, half the log
+    of the change-first mean over the parent-first one."""
+    means, orders = [], {}
+    for name, docs in (("parent_first", parent_first),
+                       ("change_first", change_first)):
+        a, b = (doc["median"] for doc in docs)
+        means.append(math.sqrt(a * b))
+        orders[name] = {"between_calls": round(b / a, 6), "children": docs}
+    return {"ratio": round(math.sqrt(means[0] * means[1]), 6),
+            "slot_bias": round(0.5 * math.log(means[1] / means[0]), 6),
+            **orders}
 
 
 def run_both_orders(args) -> int:
-    """The A/B of ``args`` in two child processes, the parent loading
-    first in the first; prints ``both_orders`` of their documents."""
+    """The A/B of ``args`` in four child processes, the load orders
+    alternating, the parent first; prints ``both_orders`` of their
+    documents."""
     argv = [args.rev, "--workload", args.workload, "--seed", str(args.seed),
             "--passes", str(args.passes)] + ["--null"] * args.null
-    docs = []
-    for first in SIDES:
+    docs = {side: [] for side in SIDES}
+    for first in SIDES * 2:
         child = subprocess.run([sys.executable, __file__, *argv,
                                 "--loaded-first", first],
                                stdout=subprocess.PIPE, text=True)
         if child.returncode:
             return child.returncode
-        docs.append(json.loads(child.stdout))
-    print(json.dumps(both_orders(*docs), indent=2))
+        docs[first].append(json.loads(child.stdout))
+    print(json.dumps(both_orders(docs["parent"], docs["change"]), indent=2))
     return 0
 
 
@@ -143,7 +155,7 @@ def main(argv=None) -> int:
     parser.add_argument("--passes", type=int, default=10)
     parser.add_argument("--null", action="store_true",
                         help="load the revision on both sides")
-    # a child's load order; the top-level call starts one child per order
+    # a child's load order; the top-level call starts two children per order
     parser.add_argument("--loaded-first", choices=SIDES, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.passes < 2:
