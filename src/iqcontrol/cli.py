@@ -553,9 +553,10 @@ def _run_sweep(p_s, beta, axes, fixed):
     axis_values = [vals for _, vals in axes]
     grid = np.meshgrid(*axis_values, indexing="ij", sparse=True)
     params = dict(fixed, **dict(zip(names, grid)))
-    ang = qubit.OverlapAngles(alpha=params["alpha"], beta=beta)
+    alpha = params["alpha"]
     rho00, _, rho10 = qubit.reduced_state_closed_form(
-        p_s, params["theta"], params["p_p"], ang)
+        p_s, params["theta"], params["p_p"], np.cos(alpha) ** 2,
+        np.sin(alpha) ** 2, np.sin(2.0 * alpha) * np.exp(1j * beta))
     shape = tuple(len(vals) for vals in axis_values)
     columns = [np.broadcast_to(c, shape).ravel()
                for c in (rho00, np.abs(rho10))]

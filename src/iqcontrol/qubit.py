@@ -8,14 +8,14 @@ a system factor n.sigma, n = (Re g2, -Im g2, g1), times a probe factor;
 only the oracle (``verify.interaction_from_couplings``) builds it as a
 matrix.  Diagonalizing the probe factor splits the composite evolution
 into two conditional unitaries U_+/U_- acting on the system alone, which
-yields a closed-form reduced state parametrized by the probe mixing angle
-theta, the overlap angles (alpha, beta) of the conditionally evolved
-states, and the probe ground occupancy p_p.  The kernels know U_+ =
-cos(a) I - i sin(a) n_hat.sigma only as (a, n_hat): U_+^2 gives the
-overlaps, and U_+ and U_- = U_+^dag rotate Bloch vectors by +2a and -2a
-about n_hat, so every reduced state is a Bloch vector, a probe-weighted
-pair of rotations built without 2x2 matrices; a system-local unitary
-rotates n.  The closed forms act element-wise; a scalar gives a scalar.
+yields a closed-form reduced state of the probe mixing angle theta, the
+probe ground occupancy p_p and the overlap products cos^2 alpha,
+sin^2 alpha and sin 2alpha e^{i beta}.  The kernels know U_+ = cos(a) I -
+i sin(a) n_hat.sigma only as (a, n_hat): U_+^2 gives the overlaps, and
+U_+ and U_- = U_+^dag rotate Bloch vectors by +2a and -2a about n_hat, so
+every reduced state is a Bloch vector, a probe-weighted pair of rotations
+built without 2x2 matrices; a system-local unitary rotates n.  The
+closed forms act element-wise; a scalar gives a scalar.
 
 Basis convention: states are written in the {|1>, |0>} order with
 sz|1> = +|1>, |0> the ground state, and s+ = |1><0|.  A diagonal system
@@ -143,7 +143,7 @@ def probe_mixing_angle(g: QubitCouplings) -> float:
     g3 < 0; either way cos(theta/2)|1> + sin(theta/2)|0> is the +r
     eigenvector of the probe factor.
     """
-    return float(np.arctan2(g.g3, g.g4))
+    return math.atan2(g.g3, g.g4)
 
 
 def _axis_angle(g: QubitCouplings, t):
@@ -175,15 +175,7 @@ def overlap_angles(g: QubitCouplings, t) -> OverlapAngles:
     set to 0 by convention (it then multiplies a zero coherence).
     """
     a, n_hat = _axis_angle(g, t)
-    return _square_overlaps(np.cos(2.0 * a), np.sin(2.0 * a), *n_hat)
-
-
-def _square_overlaps(c, s, nx, ny, nz) -> OverlapAngles:
-    """overlap_angles from U_+^2 = c I - i s n_hat.sigma, c = cos 2a, s = sin 2a."""
-    # With U_- = U_+^dag, <U_+ k|U_- 0> = conj(<0|U_+^2|k>): row |0> of
-    # U_+^2, conjugated, is (i s (n_x - i n_y), c - i s n_z) for k = |1>, |0>.
-    ip_perp = s * complex(ny, nx)
-    ip = c - 1j * (s * nz)
+    ip, ip_perp = _square_overlaps(np.cos(2.0 * a), np.sin(2.0 * a), *n_hat)
     # arctan2 of the two magnitudes avoids the arccos error amplification
     # near alpha = 0 and alpha = pi/2.
     mag_perp, mag = np.abs(ip_perp), np.abs(ip)
@@ -194,9 +186,17 @@ def _square_overlaps(c, s, nx, ny, nz) -> OverlapAngles:
     return OverlapAngles(alpha=_unbox(alpha), beta=_unbox(beta))
 
 
-def reduced_state_closed_form(p_s, theta, p_p, ang: OverlapAngles):
+def _square_overlaps(c, s, nx, ny, nz):
+    """<U_+k|U_-0> for k = 0, 1 from U_+^2 = c I - i s n_hat.sigma."""
+    # With U_- = U_+^dag, <U_+ k|U_- 0> = conj(<0|U_+^2|k>): row |0> of
+    # U_+^2, conjugated, is (i s (n_x - i n_y), c - i s n_z) for k = |1>, |0>.
+    return c - 1j * (s * nz), s * complex(ny, nx)
+
+
+def reduced_state_closed_form(p_s, theta, p_p, ca2, sa2, cross):
     """Entries (rho00, rho11, rho10) of the evolved state in the
-    {U_+|0>, U_+|1>} basis.
+    {U_+|0>, U_+|1>} basis, from ca2 = cos^2(alpha), sa2 = sin^2(alpha)
+    and cross = sin(2 alpha) e^{i beta}.
 
     rho10 is the (row U_+|1>, column U_+|0>) entry; its phase carries
     e^{+i beta}, which is the sign the brute-force oracle confirms.  The
@@ -207,30 +207,28 @@ def reduced_state_closed_form(p_s, theta, p_p, ang: OverlapAngles):
     _require_unit("p_p", p_p)
     pp_plus = np.cos(theta / 2.0) ** 2 - p_p * np.cos(theta)
     pp_minus = 1.0 - pp_plus
-    ca2 = np.cos(ang.alpha) ** 2
-    sa2 = np.sin(ang.alpha) ** 2
     rho00 = p_s * pp_plus + pp_minus * (p_s * ca2 + (1.0 - p_s) * sa2)
     rho11 = 1.0 - rho00
-    rho10 = (0.5 * pp_minus * np.sin(2.0 * ang.alpha)
-             * np.exp(1j * ang.beta) * (2.0 * p_s - 1.0))
+    rho10 = 0.5 * pp_minus * cross * (2.0 * p_s - 1.0)
     return _unbox(rho00), _unbox(rho11), _unbox(rho10)
 
 
 def closed_form_reduced_state(g: QubitCouplings, t, p_s: float, p_p: float):
-    """Evolved reduced state as ``(r, (rho00, rho11, rho10), ang)``.
+    """Evolved reduced state as ``(r, (rho00, rho11, rho10), (ip, ip_perp))``.
 
-    r, the Bloch vector, is (3,) or (..., 3) for an array of times; the
-    entries and ang are those of ``reduced_state_closed_form``.  Diagonal
-    initial states only (weight p_s on |0><0|).
+    r, the Bloch vector, is (3,) or (..., 3) for an array of times.  The
+    entries take |ip|^2, |ip_perp|^2 and 2 ip_perp ip*, which is 0 wherever
+    either overlap is.  Diagonal initial states only (weight p_s on |0><0|).
     """
-    a, n_hat = _axis_angle(g, t)
+    a, (nx, ny, nz) = _axis_angle(g, t)
     c, s = np.cos(2.0 * a), np.sin(2.0 * a)
-    ang = _square_overlaps(c, s, *n_hat)
-    entries = reduced_state_closed_form(p_s, probe_mixing_angle(g), p_p, ang)
-    rho00, rho11, rho10 = entries
+    ip, ip_perp = _square_overlaps(c, s, nx, ny, nz)
+    rho00, rho11, rho10 = entries = reduced_state_closed_form(
+        p_s, probe_mixing_angle(g), p_p, c * c + (s * nz) ** 2,
+        s * s * (nx * nx + ny * ny), 2.0 * ip_perp * np.conj(ip))
     # The Bloch vector in the basis (U_+|1>, U_+|0>), rotated by 2a.
     v = (2.0 * np.real(rho10), -2.0 * np.imag(rho10), rho11 - rho00)
-    return _rotate(v, c, s, n_hat), entries, ang
+    return _rotate(v, c, s, (nx, ny, nz)), entries, (ip, ip_perp)
 
 
 def _rotate(v, c, s, n_hat):
@@ -366,8 +364,9 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
     g2 = complex(0.0 - e * my, 0.0 - e * mx)
     t, p_p = phi / 2.0, (1.0 - u) / 2.0
     g = QubitCouplings(g1=0.0, g2=g2, g3=0.0, g4=1.0)
-    r, _, ang = closed_form_reduced_state(g, t, p_s, p_p)
+    r, _, (ip, ip_perp) = closed_form_reduced_state(g, t, p_s, p_p)
     res = 0.5 * float(np.linalg.norm(r - r_tau))
-    return ControlSolution(couplings=g, theta=probe_mixing_angle(g),
-                           alpha=ang.alpha, p_p=p_p, t=t, residual=res,
-                           feasible=res <= tol)
+    return ControlSolution(
+        couplings=g, theta=probe_mixing_angle(g), p_p=p_p, t=t,
+        alpha=float(np.arctan2(np.abs(ip_perp), np.abs(ip))),
+        residual=res, feasible=res <= tol)

@@ -187,7 +187,8 @@ def test_criterion_6_occupancy_formula_consistency():
         except InfeasibleError:
             continue
         rho00, _, _ = qubit.reduced_state_closed_form(
-            p_s, theta, p_p, qubit.OverlapAngles(alpha=alpha, beta=0.0))
+            p_s, theta, p_p, np.cos(alpha) ** 2, np.sin(alpha) ** 2,
+            np.sin(2.0 * alpha))
         worst = max(worst, abs(rho00 - q))
         checked += 1
     degeneracy_raises = True

@@ -240,14 +240,22 @@ class TestRunSimulate:
                          "--quiet"]) == 0
         assert unitary_calls == []
 
+    def test_no_overlap_angles_per_run(self, tmp_path, count_calls):
+        # the kernel takes the overlaps' products, not their angles
+        calls = [count_calls(np, name) for name in ("arctan2", "angle")]
+        path = write_config(tmp_path, "sim.json", simulate_config())
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 0
+        assert calls == [[], []]
+
     def test_unphysical_state_exit_one(self, tmp_path, monkeypatch, capsys):
         # a Bloch vector of radius 1 + 1e-9 has eigenvalue -5e-10 < PSD_FLOOR
         closed_form = qubit.closed_form_reduced_state
 
         def overshoot(*args):
-            r, rho, ang = closed_form(*args)
+            r, rho, overlaps = closed_form(*args)
             radius = np.linalg.norm(r, axis=-1, keepdims=True)
-            return r * ((1.0 + 1e-9) / radius), rho, ang
+            return r * ((1.0 + 1e-9) / radius), rho, overlaps
 
         monkeypatch.setattr(qubit, "closed_form_reduced_state", overshoot)
         path = write_config(tmp_path, "sim.json", simulate_config())
@@ -277,10 +285,10 @@ class TestRunSimulate:
         closed_form = qubit.closed_form_reduced_state
 
         def poisoned(*args):
-            r, rho, ang = closed_form(*args)
+            r, rho, overlaps = closed_form(*args)
             r = r.copy()
             r[3] = np.nan
-            return r, rho, ang
+            return r, rho, overlaps
 
         monkeypatch.setattr(qubit, "closed_form_reduced_state", poisoned)
         path = write_config(tmp_path, "sim.json", simulate_config())
@@ -700,9 +708,10 @@ class TestSweep:
                   for ax in axes]
         params = dict(fixed, **dict(zip(names, np.meshgrid(
             *values, indexing="ij", sparse=True))))
+        alpha = params["alpha"]
         rho00, _, rho10 = qubit.reduced_state_closed_form(
-            0.3, params["theta"], params["p_p"],
-            qubit.OverlapAngles(alpha=params["alpha"], beta=-2.5))
+            0.3, params["theta"], params["p_p"], np.cos(alpha) ** 2,
+            np.sin(alpha) ** 2, np.sin(2.0 * alpha) * np.exp(1j * -2.5))
         shape = [ax["count"] for ax in axes]
         reference_csv(tmp_path / "ref.csv", names + ["rho00", "abs_rho10"],
                       np.column_stack(expanded(values) + [

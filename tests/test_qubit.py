@@ -31,6 +31,13 @@ def oracle_interaction(g):
     return verify.interaction_from_couplings(g.g1, g.g2, g.g3, g.g4)
 
 
+def angle_products(alpha, beta):
+    """The closed form's inputs cos^2 alpha, sin^2 alpha and
+    sin 2alpha e^{i beta}, from overlap angles."""
+    return (np.cos(alpha) ** 2, np.sin(alpha) ** 2,
+            np.sin(2.0 * alpha) * np.exp(1j * beta))
+
+
 def probe_pm_vectors(theta):
     """The |+>, |-> eigenvectors of the probe factor (eigenvalues +r, -r)."""
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
@@ -330,8 +337,7 @@ class TestOverlapAngles:
         # with the coupling axis along y the phase difference lands on
         # exactly -pi, which the convention beta in (-pi, pi] reads as pi
         g = QubitCouplings(g1=0.0, g2=1j, g3=0.0, g4=1.0)
-        assert qubit.closed_form_reduced_state(g, 0.3, 0.2, 0.4)[2].beta \
-            == np.pi
+        assert qubit.overlap_angles(g, 0.3).beta == np.pi
 
     def test_alpha_reproducible_from_unitaries(self):
         rng = np.random.default_rng(7)
@@ -357,50 +363,71 @@ class TestReducedStateClosedForm:
         (0.3, np.array([[0.2], [np.nan]]), "p_p nan")])
     def test_rejects_probabilities_outside_unit(self, p_s, p_p, message):
         # one bad entry of an array p_p is enough
-        ang = OverlapAngles(alpha=0.2, beta=0.0)
         with pytest.raises(DomainError,
                            match=rf"^{message} outside \[0, 1\]$"):
-            qubit.reduced_state_closed_form(p_s, 0.3, p_p, ang)
+            qubit.reduced_state_closed_form(p_s, 0.3, p_p,
+                                            *angle_products(0.2, 0.0))
 
     def test_unit_range_ends_accepted(self):
-        ang = OverlapAngles(alpha=np.array([0.2, 0.9]), beta=0.0)
+        products = angle_products(np.array([0.2, 0.9]), 0.0)
         for p_s in (0.0, 1.0):
             rho00, rho11, _ = qubit.reduced_state_closed_form(
-                p_s, 0.3, np.array([0.0, 1.0]), ang)
+                p_s, 0.3, np.array([0.0, 1.0]), *products)
             assert np.all((0.0 <= rho00) & (rho00 <= 1.0))
             assert np.allclose(rho00 + rho11, 1.0)
 
     def test_balanced_system_no_coherence(self):
-        ang = OverlapAngles(alpha=0.7, beta=1.1)
-        _, _, rho10 = qubit.reduced_state_closed_form(0.5, 1.2, 0.3, ang)
+        _, _, rho10 = qubit.reduced_state_closed_form(
+            0.5, 1.2, 0.3, *angle_products(0.7, 1.1))
         assert rho10 == 0.0
 
     def test_pure_plus_probe(self):
         # cos(theta) = 1/(1 - 2p_p) puts the probe wholly on the + vector:
         # pp_minus = 0 leaves the diagonal untouched and no coherence
-        ang = OverlapAngles(alpha=0.9, beta=0.4)
         for theta, p_p in ((0.0, 0.0), (np.pi, 1.0)):
             rho00, rho11, rho10 = qubit.reduced_state_closed_form(
-                0.3, theta, p_p, ang)
+                0.3, theta, p_p, *angle_products(0.9, 0.4))
             assert rho00 == pytest.approx(0.3)
             assert rho11 == pytest.approx(0.7)
             assert rho10 == 0.0
 
     def test_orthogonal_overlap(self):
-        ang = OverlapAngles(alpha=np.pi / 2.0, beta=0.0)
         p_s, theta, p_p = 0.2, 0.8, 0.6
         w_plus, w_minus = probe_pm_weights(theta, p_p)
-        rho00, _, rho10 = qubit.reduced_state_closed_form(p_s, theta, p_p, ang)
+        rho00, _, rho10 = qubit.reduced_state_closed_form(
+            p_s, theta, p_p, *angle_products(np.pi / 2.0, 0.0))
         assert abs(rho10) <= 1e-15
         assert rho00 == pytest.approx(p_s * w_plus + (1 - p_s) * w_minus)
+
+    @pytest.mark.parametrize("g2, t", [
+        (0.6 - 0.8j, 0.0), (0.0, 1.3), (0.0, np.linspace(0.0, 9.0, 7)),
+        (0.6 - 0.8j, np.zeros(3))])
+    def test_coherence_exactly_zero_where_ip_perp_is(self, g2, t):
+        # at t = 0 and for g2 = 0 the overlap ip_perp is exactly 0, so the
+        # cross product 2 ip_perp ip* and rho10 are too, both parts: the
+        # kernel needs no rule for beta
+        g = QubitCouplings(g1=0.4, g2=g2, g3=0.5, g4=0.7)
+        _, (_, _, rho10), (_, ip_perp) = qubit.closed_form_reduced_state(
+            g, t, 0.2, 0.6)
+        assert np.all(ip_perp == 0.0)
+        assert np.all(np.real(rho10) == 0.0) and np.all(np.imag(rho10) == 0.0)
+
+    def test_coherence_exactly_zero_where_ip_is(self):
+        # cos 2a = 0 with n_z = 0 makes ip = 0 - 0j; no float time puts
+        # cos 2a exactly at 0, so the overlaps are formed from c, s directly
+        ip, ip_perp = qubit._square_overlaps(0.0, 1.0, 0.6, 0.8, 0.0)
+        assert ip == 0.0 and abs(ip_perp) == 1.0
+        _, _, rho10 = qubit.reduced_state_closed_form(
+            0.2, 0.9, 0.6, 0.0, 1.0, 2.0 * ip_perp * np.conj(ip))
+        assert rho10.real == 0.0 and rho10.imag == 0.0
 
     def test_unit_trace(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            ang = OverlapAngles(alpha=rng.uniform(0, np.pi / 2),
-                                beta=rng.uniform(-np.pi, np.pi))
+            products = angle_products(rng.uniform(0, np.pi / 2),
+                                      rng.uniform(-np.pi, np.pi))
             rho00, rho11, _ = qubit.reduced_state_closed_form(
-                rng.uniform(), rng.uniform(0, np.pi), rng.uniform(), ang)
+                rng.uniform(), rng.uniform(0, np.pi), rng.uniform(), *products)
             assert rho00 + rho11 == pytest.approx(1.0, abs=1e-15)
 
     def test_coherence_magnitude_invariant(self):
@@ -413,7 +440,8 @@ class TestReducedStateClosedForm:
             p_s, p_p = rng.uniform(), rng.uniform()
             theta = qubit.probe_mixing_angle(g)
             ang = qubit.overlap_angles(g, t)
-            _, _, rho10 = qubit.reduced_state_closed_form(p_s, theta, p_p, ang)
+            _, _, rho10 = qubit.reduced_state_closed_form(
+                p_s, theta, p_p, *angle_products(ang.alpha, ang.beta))
             rho = qubit.conditional_reduced_state(
                 g, t, np.diag([1 - p_s, p_s]).astype(complex),
                 np.diag([1 - p_p, p_p]).astype(complex))
@@ -449,10 +477,12 @@ class TestDecompositionAgainstOracle:
                 2, 2, oracle_interaction(g),
                 np.diag([1 - p_s, p_s]).astype(complex),
                 np.diag([1 - p_p, p_p]).astype(complex))
-            r, _, ang = qubit.closed_form_reduced_state(g, t, p_s, p_p)
+            r, _, (ip, ip_perp) = qubit.closed_form_reduced_state(
+                g, t, p_s, p_p)
             oracle = qubit.bloch_vector(verify.evolve_full(sc, t))
             assert 0.5 * np.linalg.norm(r - oracle) <= 1e-10
-            assert ang == qubit.overlap_angles(g, t)
+            assert np.arctan2(np.abs(ip_perp), np.abs(ip)) \
+                == qubit.overlap_angles(g, t).alpha
 
 
 class TestFourImplementationsAtNTwo:
@@ -498,11 +528,16 @@ class TestFourImplementationsAtNTwo:
         assert elapsed <= 10.0, f"{elapsed:.2f} s for 300 draws"
 
 
-def matrix_overlap_angles(u_plus):
-    """Overlap angles read from the matrix square U_+ @ U_+: row |0>,
+def matrix_overlaps(u_plus):
+    """(ip, ip_perp) read from the matrix square U_+ @ U_+: row |0>,
     conjugated, holds <U_+ k|U_- 0> for k = |1>, |0>."""
     row = (u_plus @ u_plus)[..., 1, :].conj()
-    ip_perp, ip = row[..., 0], row[..., 1]
+    return row[..., 1], row[..., 0]
+
+
+def matrix_overlap_angles(u_plus):
+    """Overlap angles of the matrix square's overlaps."""
+    ip, ip_perp = matrix_overlaps(u_plus)
     mag_perp, mag = np.abs(ip_perp), np.abs(ip)
     beta = (np.angle(ip_perp) - np.angle(ip) + np.pi) % (2.0 * np.pi) - np.pi
     beta = np.where(beta <= -np.pi, beta + 2.0 * np.pi, beta)
@@ -512,14 +547,17 @@ def matrix_overlap_angles(u_plus):
 
 def matrix_reduced_state(g, t, p_s, p_p):
     """The reduced state assembled as U_+ m U_+^dag from (..., 2, 2) stacks,
-    m holding the closed-form entries in the basis (U_+|1>, U_+|0>)."""
+    m holding the closed-form entries in the basis (U_+|1>, U_+|0>), their
+    inputs the products of the matrix square's overlaps."""
     u_plus, _ = qubit.conditional_unitaries(g, t)
-    ang = matrix_overlap_angles(u_plus)
+    ip, ip_perp = matrix_overlaps(u_plus)
     rho00, rho11, rho10 = qubit.reduced_state_closed_form(
-        p_s, qubit.probe_mixing_angle(g), p_p, ang)
+        p_s, qubit.probe_mixing_angle(g), p_p, np.abs(ip) ** 2,
+        np.abs(ip_perp) ** 2, 2.0 * ip_perp * np.conj(ip))
     m = np.stack([np.stack([rho11, rho10], axis=-1),
                   np.stack([np.conj(rho10), rho00], axis=-1)], axis=-2)
-    return u_plus @ m @ opkit.dag(u_plus), (rho00, rho11, rho10), ang
+    return (u_plus @ m @ opkit.dag(u_plus), (rho00, rho11, rho10),
+            (ip, ip_perp))
 
 
 class TestBlochKernel:
@@ -541,18 +579,19 @@ class TestBlochKernel:
     def test_matches_matrix_assembly(self):
         rng = np.random.default_rng(14)
         for g, t, p_s, p_p in self.cases(rng):
-            r, entries, ang = qubit.closed_form_reduced_state(g, t, p_s, p_p)
-            rho, ref_entries, ref_ang = matrix_reduced_state(g, t, p_s, p_p)
+            r, entries, overlaps = qubit.closed_form_reduced_state(
+                g, t, p_s, p_p)
+            rho, ref_entries, ref_overlaps = matrix_reduced_state(
+                g, t, p_s, p_p)
             assert r.shape == np.shape(t) + (3,)
             np.testing.assert_allclose(r, qubit.bloch_vector(rho),
                                        rtol=0, atol=1e-14)
-            for x, y in zip(entries, ref_entries):
+            for x, y in zip(entries + overlaps, ref_entries + ref_overlaps):
                 np.testing.assert_allclose(x, y, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(ang.alpha, ref_ang.alpha,
-                                       rtol=0, atol=1e-14)
-            direct = qubit.overlap_angles(g, t)
-            np.testing.assert_array_equal(ang.alpha, direct.alpha)
-            np.testing.assert_array_equal(ang.beta, direct.beta)
+            ip, ip_perp = overlaps
+            np.testing.assert_array_equal(
+                np.arctan2(np.abs(ip_perp), np.abs(ip)),
+                qubit.overlap_angles(g, t).alpha)
 
 
 def matrix_conditional_reduced_state(g, t, rho_s0, rho_p0):
@@ -759,7 +798,7 @@ class TestAnalyticConditions:
             except (DegenerateConditionError, InfeasibleError):
                 continue
             rho00, _, _ = qubit.reduced_state_closed_form(
-                p_s, theta, p_p, OverlapAngles(alpha=alpha, beta=0.0))
+                p_s, theta, p_p, *angle_products(alpha, 0.0))
             assert rho00 == pytest.approx(q, abs=1e-8)
             checked += 1
 
@@ -792,10 +831,11 @@ def frame_solve(p_s, target, tol=1e-8):
         t, p_p = phi / 2.0, (1.0 - u) / 2.0
     g = QubitCouplings(g1=float(n_hat[2]),
                        g2=complex(n_hat[0] - 1j * n_hat[1]), g3=0.0, g4=1.0)
-    r, _, ang = qubit.closed_form_reduced_state(g, t, p_s, p_p)
+    r, _, (ip, ip_perp) = qubit.closed_form_reduced_state(g, t, p_s, p_p)
     res = 0.5 * float(np.linalg.norm(r - r_tau))
     return qubit.ControlSolution(
-        couplings=g, theta=qubit.probe_mixing_angle(g), alpha=ang.alpha,
+        couplings=g, theta=qubit.probe_mixing_angle(g),
+        alpha=float(np.arctan2(np.abs(ip_perp), np.abs(ip))),
         p_p=p_p, t=t, residual=res, feasible=res <= tol)
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import importlib.util
 import io
 import json
@@ -107,8 +108,10 @@ def load(name: str, path: Path):
     return module
 
 
+@functools.cache
 def malformed_configs() -> dict:
-    """``TestMalformedConfigs.CASES`` of tests/test_cli.py: name -> doc."""
+    """``TestMalformedConfigs.CASES`` of tests/test_cli.py: name -> doc,
+    read once per process."""
     for extra in (ROOT / "tests", ROOT / "src"):  # for its own imports
         if str(extra) not in sys.path:
             sys.path.insert(0, str(extra))
