@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 
@@ -492,14 +490,13 @@ class TestFourImplementationsAtNTwo:
 
     # The largest |r_i - r_j| over every pair, in units of eps (1 + a),
     # a = r|n|t the conditional rotation angle: these 300 draws read 5.4
-    # on diagonal states and 12.4 on general ones.
+    # on diagonal states and 12.4 on general ones, in ~0.25 s.
     BOUND = 32.0
 
     def test_bloch_vectors_agree(self):
         rng = np.random.default_rng(30)
         eps = np.finfo(float).eps
         worst = {"diagonal": 0.0, "general": 0.0}
-        start = time.perf_counter()
         for _ in range(300):
             g = rand_couplings(rng, scale=2.0)
             t = rng.uniform(0.0, 5.0)
@@ -523,9 +520,7 @@ class TestFourImplementationsAtNTwo:
                 spread = max(np.linalg.norm(x - y)
                              for x in vectors for y in vectors)
                 worst[kind] = max(worst[kind], spread / scale)
-        elapsed = time.perf_counter() - start
         assert max(worst.values()) <= self.BOUND, worst
-        assert elapsed <= 10.0, f"{elapsed:.2f} s for 300 draws"
 
 
 def matrix_overlaps(u_plus):
