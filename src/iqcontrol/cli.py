@@ -300,8 +300,10 @@ def validate_config(cfg: dict):
               for p in SWEEP_PARAMS if p not in names}
     if "p_p" in params:
         _expect(0.0 <= params["p_p"] <= 1.0, "config.fixed: p_p outside [0, 1]")
-    return partial(_run_sweep, _parse_unit(cfg, "p_s", "config"),
-                   _get(cfg, "beta", float, "config", 0.0), axes, params)
+    p_s = _parse_unit(cfg, "p_s", "config")
+    # beta is checked but enters no column: |rho10| does not depend on it.
+    _get(cfg, "beta", float, "config", 0.0)
+    return partial(_run_sweep, p_s, axes, params)
 
 
 def _write_result(path: Path, chunks):
@@ -548,7 +550,7 @@ def _run_thermal_occupancy(temperature, e0, e1):
                             "gap": e1 - e0, "temperature": temperature})
 
 
-def _run_sweep(p_s, beta, axes, fixed):
+def _run_sweep(p_s, axes, fixed):
     names = [n for n, _ in axes]
     axis_values = [vals for _, vals in axes]
     grid = np.meshgrid(*axis_values, indexing="ij", sparse=True)
@@ -556,7 +558,7 @@ def _run_sweep(p_s, beta, axes, fixed):
     alpha = params["alpha"]
     rho00, _, rho10 = qubit.reduced_state_closed_form(
         p_s, params["theta"], params["p_p"], np.cos(alpha) ** 2,
-        np.sin(alpha) ** 2, np.sin(2.0 * alpha) * np.exp(1j * beta))
+        np.sin(alpha) ** 2, np.sin(2.0 * alpha))
     shape = tuple(len(vals) for vals in axis_values)
     columns = [np.broadcast_to(c, shape).ravel()
                for c in (rho00, np.abs(rho10))]

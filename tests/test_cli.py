@@ -711,7 +711,7 @@ class TestSweep:
         alpha = params["alpha"]
         rho00, _, rho10 = qubit.reduced_state_closed_form(
             0.3, params["theta"], params["p_p"], np.cos(alpha) ** 2,
-            np.sin(alpha) ** 2, np.sin(2.0 * alpha) * np.exp(1j * -2.5))
+            np.sin(alpha) ** 2, np.sin(2.0 * alpha))
         shape = [ax["count"] for ax in axes]
         reference_csv(tmp_path / "ref.csv", names + ["rho00", "abs_rho10"],
                       np.column_stack(expanded(values) + [
@@ -727,6 +727,20 @@ class TestSweep:
         assert cli.main(["sweep", str(path), "--out", str(tmp_path / "out"),
                          "--quiet"]) == 0
         assert [args[0].shape for args in kernel] == [(3, 3)]
+
+    def test_beta_leaves_no_trace(self, tmp_path):
+        # |rho10| does not depend on beta, so no byte of the CSV does either
+        written = []
+        for beta in (0.0, 2.1):
+            path = write_config(tmp_path, "sw.json", sweep_config(
+                p_s=0.3, beta=beta, fixed={"theta": 0.5, "p_p": 0.25},
+                axes=[{"name": "alpha", "start": -1.0, "stop": 4.0,
+                       "count": 500}]))
+            out = tmp_path / f"out-{beta}"
+            assert cli.main(["sweep", str(path), "--out", str(out),
+                             "--quiet"]) == 0
+            written.append((out / "sw.csv").read_bytes())
+        assert written[0] == written[1]
 
     def test_zero_count_axis_writes_the_header(self, tmp_path, capsys):
         # the other axis's values overflow, but no row shows them

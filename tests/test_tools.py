@@ -1,7 +1,8 @@
 """The developer tools' pure helpers: the mutation sampler's line filter,
 test selection and equivalence keys, the parity check's difference magnitudes,
-malformed configs and edge-shape sweeps, the paired-run summary and the
-same-process A/B timing.  None runs a suite, a tree or the benchmark."""
+malformed configs and edge-shape sweeps, the paired-run summary, the run
+length each timing tool sets itself and the same-process A/B timing.  None
+runs a suite, a tree or the benchmark."""
 
 import importlib.util
 import json
@@ -355,6 +356,43 @@ class TestPairsSummary:
         assert out.read_bytes() == before
 
 
+class TestRunLength:
+    @pytest.mark.parametrize("tool, argv", [
+        ("ab", ["HEAD", "--workload", "small_configs", "--passes", "40"]),
+        ("pairs", ["HEAD", "--workload", "sweep_grid", "--seeds", "1-2",
+                   "--seconds", "5"])])
+    def test_run_length_is_no_option(self, monkeypatch, capsys, tool, argv):
+        # refused by argparse before any child starts
+        monkeypatch.setattr(subprocess, "run", None)
+        with pytest.raises(SystemExit) as raised:
+            {"ab": ab, "pairs": pairs}[tool].main(argv)
+        assert raised.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" \
+            in capsys.readouterr().err
+
+    def test_pairs_run_for_the_benchmark_seconds(self, monkeypatch, capsys):
+        # every child command carries BENCHMARK.json's run_seconds, and so
+        # does the record
+        bench = json.loads((pairs.ROOT / "BENCHMARK.json").read_text(
+            encoding="utf-8"))
+        line = {"correct": True, "failed": 0, "metrics": {
+            spec["name"]: {"value": 1.0} for spec in bench["end_to_end"]}}
+        commands = []
+
+        def run(argv, cwd, capture_output, text):
+            commands.append(argv)
+            return subprocess.CompletedProcess(argv, 0, json.dumps(line), "")
+        monkeypatch.setattr(pairs, "resolve", lambda rev: "abc")
+        monkeypatch.setattr(pairs, "extract", lambda rev, dest: "")
+        monkeypatch.setattr(pairs, "copy_working_tree", lambda dest: None)
+        monkeypatch.setattr(subprocess, "run", run)
+        assert pairs.main(["HEAD", "--workload", "w", "--seeds", "1-2"]) == 0
+        assert [argv[argv.index("--seconds") + 1] for argv in commands] \
+            == [str(bench["run_seconds"])] * 4
+        record = json.loads(capsys.readouterr().out)
+        assert record["workloads"]["w"]["seconds"] == bench["run_seconds"]
+
+
 class TestAbTiming:
     def test_each_side_sums_its_own_calls(self):
         # a fake clock that each side's main advances by its own cost
@@ -395,6 +433,25 @@ class TestAbTiming:
         assert ab.timed_pass(mains, argvs, random.Random(1),
                              clock=lambda: now[0]) == [120.0, 80.0]
 
+    @pytest.mark.parametrize("budget, floor, cost, passes", [
+        (10.0, 3, (3.0, 2.0), 5),  # the change reaches the budget last
+        (10.0, 3, (2.0, 3.0), 5),  # the parent does
+        (10.0, 3, (4.0, 3.0), 4),  # the last pass takes it past the budget
+        (10.0, 8, (3.0, 2.0), 8)])  # both sides are past it before the floor
+    def test_passes_stop_at_budget_and_floor(self, monkeypatch, budget, floor,
+                                             cost, passes):
+        now = [0.0]
+
+        def side(s):
+            def main(argv):
+                now[0] += cost[s]
+            return main
+        monkeypatch.setattr(ab, "BUDGET_S", budget)
+        monkeypatch.setattr(ab, "MIN_PASSES", floor)
+        seconds = ab.timed_passes([side(0), side(1)], [["p"], ["c"]],
+                                  random.Random(0), clock=lambda: now[0])
+        assert seconds == [list(cost)] * passes
+
     def test_slot_bias_of_canned_medians(self):
         # true ratio 1.2, the slot loaded first 5% faster: the parent-first
         # runs read 1.2 / 1.05, the change-first runs 1.2 * 1.05, each
@@ -425,9 +482,9 @@ class TestAbTiming:
             return subprocess.CompletedProcess(argv, 0, json.dumps(doc))
         monkeypatch.setattr(ab.subprocess, "run", run)
         assert ab.main(["abc123", "--workload", "small_configs", "--seed",
-                        "3", "--passes", "4", "--null"]) == 0
+                        "3", "--null"]) == 0
         common = [sys.executable, ab.__file__, "abc123", "--workload",
-                  "small_configs", "--seed", "3", "--passes", "4", "--null"]
+                  "small_configs", "--seed", "3", "--null"]
         assert argvs == [common + ["--loaded-first", first]
                          for first in ("parent", "change") * 2]
         doc = json.loads(capsys.readouterr().out)

@@ -1,7 +1,7 @@
 """Same-process A/B timing of iqctl: a git revision against the working tree.
 
     python tools/ab.py cc8c035 --workload small_configs
-    python tools/ab.py cc8c035 --workload reach_ladder --passes 20 --seed 3
+    python tools/ab.py cc8c035 --workload reach_ladder --seed 3
     python tools/ab.py cc8c035 --workload small_configs --null
 
 The script runs the same A/B four times, each in a fresh child process of
@@ -31,12 +31,26 @@ sides' ``cli.main``, each side with its own ``--out``, so that lazy set-up
 is done and every timed pass writes over existing outputs.  In each timed
 pass every config runs through both sides, the side that goes first drawn
 at random per config, and the ``time.thread_time`` of each call is summed
-per side.
+per side.  A child sizes its own run: it runs timed passes until each
+side's seconds, summed over its passes, reach ``BUDGET_S`` and at least
+``MIN_PASSES`` (10) have run, so that the bootstrap below never resamples
+fewer ratios.  A workload with short passes thus runs more of them, and
+the caller sets no length.
 
-Each child's document holds each side's seconds per pass, the per-pass
-ratios (parent time over change time, so above 1 means the change is
-faster), their median and a 95% bootstrap interval of that median
-(percentile method, 10,000 resamples of the passes).  CPU time only: it
+``BUDGET_S`` = 4 s was chosen from twelve ``--null`` calls of 8465e32
+against itself, three per workload, seed 0, on a 2-vCPU VM.  Their
+combined ratios: ``simulate_rows`` 1.0024, 1.0026, 1.0003 (109-220 passes
+per child); ``sweep_grid`` 1.0008, 1.0016, 1.0012 (32-62);
+``small_configs`` 0.9990, 0.9998, 0.9982 (10, the floor); ``reach_ladder``
+1.0007, 0.9987, 1.0012 (83-136).  All lie inside +-0.5%, and every load
+order's ``between_calls`` in [0.9944, 1.0062].  A timed call took 36-38 s
+of wall time, 53-66 s on ``small_configs``.
+
+Each child's document holds the pass count it reached, the budget, each
+side's seconds per pass, the per-pass ratios (parent time over change
+time, so above 1 means the change is faster), their median and a 95%
+bootstrap interval of that median (percentile method, 10,000 resamples
+of the passes).  CPU time only: it
 does not replace the benchmark's ``items_per_s``, ``setup_s`` or
 ``peak_rss_mb``.  The working tree is only read.
 
@@ -63,6 +77,10 @@ from pairs import resolve  # noqa: E402
 from parity import ROOT, WORKLOADS, extract, write_workload  # noqa: E402
 
 SIDES = ("parent", "change")
+# Thread seconds each side sums per child, and the fewest passes a child
+# runs: see the module docstring for the null calls they were chosen from.
+BUDGET_S = 4.0
+MIN_PASSES = 10
 
 
 def load_cli(name: str, src: Path):
@@ -101,6 +119,19 @@ def timed_pass(mains: list, argvs: list, rng: random.Random,
     return totals
 
 
+def timed_passes(mains: list, argvs: list, rng: random.Random,
+                 clock=time.thread_time) -> list:
+    """Seconds per side of each ``timed_pass``, run until every side's sum
+    reaches ``BUDGET_S`` and at least ``MIN_PASSES`` have run."""
+    seconds, totals = [], [0.0] * len(mains)
+    while len(seconds) < MIN_PASSES or min(totals) < BUDGET_S:
+        seconds.append(timed_pass(mains, argvs, rng, clock))
+        totals = [t + s for t, s in zip(totals, seconds[-1])]
+        print(f"# pass {len(seconds) - 1}: parent {seconds[-1][0]:.4f} s, "
+              f"change {seconds[-1][1]:.4f} s", file=sys.stderr, flush=True)
+    return seconds
+
+
 def summary(parent: list, change: list, resamples: int = 10_000,
             seed: int = 0) -> dict:
     """Per-pass ratios parent / change, their median and the median's 95%
@@ -133,8 +164,8 @@ def run_both_orders(args) -> int:
     """The A/B of ``args`` in four child processes, the load orders
     alternating, the parent first; prints ``both_orders`` of their
     documents."""
-    argv = [args.rev, "--workload", args.workload, "--seed", str(args.seed),
-            "--passes", str(args.passes)] + ["--null"] * args.null
+    argv = ([args.rev, "--workload", args.workload, "--seed", str(args.seed)]
+            + ["--null"] * args.null)
     docs = {side: [] for side in SIDES}
     for first in SIDES * 2:
         child = subprocess.run([sys.executable, __file__, *argv,
@@ -152,14 +183,11 @@ def main(argv=None) -> int:
     parser.add_argument("rev", help="git revision to compare with")
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--passes", type=int, default=10)
     parser.add_argument("--null", action="store_true",
                         help="load the revision on both sides")
     # a child's load order; the top-level call starts two children per order
     parser.add_argument("--loaded-first", choices=SIDES, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.passes < 2:
-        parser.error("an interval needs at least two passes")
     if args.loaded_first is None:
         return run_both_orders(args)
 
@@ -183,15 +211,11 @@ def main(argv=None) -> int:
                   for command, path in runs] for side in SIDES]
         rng = random.Random(args.seed)
         timed_pass(mains, argvs, rng)  # warm up; make every output
-        seconds = []
-        for i in range(args.passes):
-            seconds.append(timed_pass(mains, argvs, rng))
-            print(f"# pass {i}: parent {seconds[-1][0]:.4f} s, change "
-                  f"{seconds[-1][1]:.4f} s", file=sys.stderr, flush=True)
+        seconds = timed_passes(mains, argvs, rng)
     parent, change = ([round(s, 6) for s in side] for side in zip(*seconds))
     doc = {"parent": args.rev, "parent_commit": commit,
            "workload": args.workload, "seed": args.seed,
-           "passes": args.passes, "null": args.null,
+           "passes": len(seconds), "budget_s": BUDGET_S, "null": args.null,
            "loaded_first": args.loaded_first,
            "clock": "time.thread_time, summed per side per pass",
            "ratio": "parent seconds / change seconds per pass",

@@ -2,7 +2,7 @@
 
     python tools/pairs.py 8645ec7 --workload simulate_rows --seeds 41-52
     python tools/pairs.py 8645ec7 --workload sweep_grid --seeds 11-16,21-26 \\
-        --seconds 10 --out BENCH.json
+        --out BENCH.json
     python tools/pairs.py 8645ec7 --workload simulate_rows --seeds 61-66 --null
 
 The script extracts the revision with ``git archive`` (``parity.extract``)
@@ -14,8 +14,10 @@ the spread between two identical trees.  For each seed it runs
     python3 iqbench/run.py --workload W --seed S --seconds SEC --trace 0
 
 once in each tree, from that tree, and keeps the last line of the run's
-standard output.  The side that runs first alternates: the revision runs
-first at the first, third, ... seed.
+standard output.  SEC is the ``run_seconds`` of the working tree's
+``BENCHMARK.json``, the run length the benchmark itself uses.  The side
+that runs first alternates: the revision runs first at the first, third,
+... seed.
 
 It prints one JSON document in the layout of the ``BENCH_*.json`` files.
 Under ``workloads`` (``null_pairs`` with ``--null``) the workload gets the
@@ -29,9 +31,10 @@ keeps the revision as typed and the commit it resolved to.
 With ``--out FILE`` the document is also merged into FILE, so successive
 calls build one record.  A workload already in FILE gets the new seeds
 pooled into its section: medians, quartiles, wins and ties are computed
-again from the stored runs of every pair.  A seed already there, another
-``--seconds`` or another parent commit exits 2 with one message, before
-anything runs.  The working tree is only read.
+again from the stored runs of every pair.  A seed already there, a section
+run for other seconds (``run_seconds`` has changed since) or another parent
+commit exits 2 with one message, before anything runs.  The working tree is
+only read.
 
 Standard library only.
 """
@@ -195,7 +198,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds,
                         help="A-B, or a comma-separated list of them")
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--null", action="store_true",
                         help="run the revision against a copy of itself")
     parser.add_argument("--out", type=Path,
@@ -204,17 +206,18 @@ def main(argv=None) -> int:
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
 
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(
+        encoding="utf-8"))
+    seconds = benchmark["run_seconds"]
     kind = "null_pairs" if args.null else "workloads"
     commit = resolve(args.rev)
     old = read(args.out) if args.out else {}
-    error = (clash(old, kind, args.workload, args.seeds, args.seconds, commit)
+    error = (clash(old, kind, args.workload, args.seeds, seconds, commit)
              if commit else f"{args.rev} names no commit")
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    end_to_end = json.loads(
-        (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     with tempfile.TemporaryDirectory(prefix="iq-pairs-") as tmp:
         parent, change = Path(tmp) / "parent", Path(tmp) / "change"
         error = extract(args.rev, parent) or (
@@ -227,14 +230,14 @@ def main(argv=None) -> int:
         runs = []
         for i, seed in enumerate(args.seeds):
             order = [parent, change] if i % 2 == 0 else [change, parent]
-            lines = {tree: run_once(tree, args.workload, seed, args.seconds)
+            lines = {tree: run_once(tree, args.workload, seed, seconds)
                      for tree in order}
             runs.append((lines[parent], lines[change]))
             items = [line["metrics"]["items_per_s"]["value"]
                      for line in runs[-1]]
             print(f"# seed {seed}: items_per_s parent {items[0]:.1f}, "
                   f"change {items[1]:.1f}", file=sys.stderr, flush=True)
-    section = summarize(args.seeds, runs, end_to_end, args.seconds)
+    section = summarize(args.seeds, runs, benchmark["end_to_end"], seconds)
     doc = {"parent": args.rev, "parent_commit": commit, "machine": machine(),
            "command": COMMAND.format(workload="W", seed="S", seconds="SEC"),
            "pairing": PAIRING, "quartiles": QUARTILES,
