@@ -4,6 +4,7 @@ malformed configs and edge-shape sweeps, the paired-run summary, the run
 length each timing tool sets itself and the same-process A/B timing.  None
 runs a suite, a tree or the benchmark."""
 
+import gc
 import importlib.util
 import json
 import math
@@ -434,12 +435,13 @@ class TestAbTiming:
                              clock=lambda: now[0]) == [120.0, 80.0]
 
     @pytest.mark.parametrize("budget, floor, cost, passes", [
-        (10.0, 3, (3.0, 2.0), 5),  # the change reaches the budget last
-        (10.0, 3, (2.0, 3.0), 5),  # the parent does
-        (10.0, 3, (4.0, 3.0), 4),  # the last pass takes it past the budget
-        (10.0, 8, (3.0, 2.0), 8)])  # both sides are past it before the floor
+        (10.0, 2, (3.0, 2.0), 3),  # the change reaches the budget last
+        (10.0, 2, (2.0, 3.0), 3),  # the parent does
+        (10.0, 2, (2.5, 2.5), 2),  # both reach it exactly
+        (10.0, 5, (3.0, 2.0), 5)])  # both sides are past it before the floor
     def test_passes_stop_at_budget_and_floor(self, monkeypatch, budget, floor,
                                              cost, passes):
+        # one config run twice per side and pass
         now = [0.0]
 
         def side(s):
@@ -450,7 +452,37 @@ class TestAbTiming:
         monkeypatch.setattr(ab, "MIN_PASSES", floor)
         seconds = ab.timed_passes([side(0), side(1)], [["p"], ["c"]],
                                   random.Random(0), clock=lambda: now[0])
-        assert seconds == [list(cost)] * passes
+        assert seconds == [[2.0 * cost[0], 2.0 * cost[1]]] * passes
+
+    def test_a_pass_runs_every_config_first_on_each_side(self, monkeypatch):
+        calls = []
+        mains = [lambda argv, s=s: calls.append((s, argv)) for s in (0, 1)]
+        argvs = [[f"p{i}" for i in range(30)], [f"c{i}" for i in range(30)]]
+        monkeypatch.setattr(ab, "BUDGET_S", 0.0)
+        monkeypatch.setattr(ab, "MIN_PASSES", 2)
+        assert ab.timed_passes(mains, argvs, random.Random(0),
+                               clock=lambda: 0.0) == [[0.0, 0.0]] * 2
+        assert sorted(calls) == sorted(
+            [(0, a) for a in argvs[0]] * 4 + [(1, a) for a in argvs[1]] * 4)
+        # the side that runs each config first, per timed_pass call
+        firsts = [[s for s, _ in calls[i:i + 60:2]] for i in range(0, 240, 60)]
+        assert 0 < sum(firsts[0]) < 30
+        assert firsts[1] == [1 - s for s in firsts[0]]
+        assert firsts[3] == [1 - s for s in firsts[2]]
+        assert firsts[2] != firsts[0]  # each pass draws afresh
+
+    def test_no_collection_inside_a_pass(self, monkeypatch):
+        # garbage is collected before each pass, never during a timed call
+        enabled, collected = [], []
+        mains = [lambda argv: enabled.append(gc.isenabled())] * 2
+        monkeypatch.setattr(ab.gc, "collect",
+                            lambda: collected.append(len(enabled)))
+        monkeypatch.setattr(ab, "BUDGET_S", 0.0)
+        monkeypatch.setattr(ab, "MIN_PASSES", 3)
+        ab.timed_passes(mains, [["p"] * 5, ["c"] * 5], random.Random(0),
+                        clock=lambda: 0.0)
+        assert enabled == [False] * 60 and gc.isenabled()
+        assert collected == [0, 20, 40]
 
     def test_slot_bias_of_canned_medians(self):
         # true ratio 1.2, the slot loaded first 5% faster: the parent-first

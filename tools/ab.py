@@ -28,31 +28,54 @@ The workload's configs for ``--seed`` (``iqbench/workloads.py`` of the
 working tree) are written to a temporary directory by the parity check's
 ``write_workload``, and one untimed pass runs every config through both
 sides' ``cli.main``, each side with its own ``--out``, so that lazy set-up
-is done and every timed pass writes over existing outputs.  In each timed
-pass every config runs through both sides, the side that goes first drawn
-at random per config, and the ``time.thread_time`` of each call is summed
-per side.  A child sizes its own run: it runs timed passes until each
-side's seconds, summed over its passes, reach ``BUDGET_S`` and at least
+is done and every timed pass writes over existing outputs.
+
+A timed pass runs every config through both sides twice: in an order
+drawn at random per config, then in its mirror, so that each config runs
+first once on each side.  The ``time.thread_time`` of each call is summed
+per side.  Cyclic garbage collection is off during a pass and runs between
+passes, as ``timeit`` keeps it out of its timings.  Both rules remove a
+bias that a null call showed:
+
+* The side that runs a config first pays more.  With one side always
+  first, the parent/change medians of seed 0 read 1.054 and 0.947 on
+  ``sweep_grid``, 1.038 and 0.967 on ``reach_ladder`` and 1.011 and 0.992
+  on ``simulate_rows``.  A seed's random draws leave some of that
+  imbalance in every child: ``sweep_grid`` nulls at seed 0 read up to
+  1.0095.
+* A collection lands on whichever call crosses the allocation threshold,
+  and a seed fixes which calls those are.  On ``reach_ladder`` it spread
+  the per-pass ratios ~6x wider (sd 8.7% against 1.5%), and its seed 0
+  nulls read 0.9964-0.9986 and its seed 3 nulls 1.0009-1.0021.
+
+So a change's own collection cost is not in the ratio; the benchmark's
+``items_per_s`` still holds it.
+
+A child sizes its own run: it runs timed passes until each side's
+seconds, summed over its passes, reach ``BUDGET_S`` and at least
 ``MIN_PASSES`` (10) have run, so that the bootstrap below never resamples
 fewer ratios.  A workload with short passes thus runs more of them, and
 the caller sets no length.
 
-``BUDGET_S`` = 4 s was chosen from twelve ``--null`` calls of 8465e32
-against itself, three per workload, seed 0, on a 2-vCPU VM.  Their
-combined ratios: ``simulate_rows`` 1.0024, 1.0026, 1.0003 (109-220 passes
-per child); ``sweep_grid`` 1.0008, 1.0016, 1.0012 (32-62);
-``small_configs`` 0.9990, 0.9998, 0.9982 (10, the floor); ``reach_ladder``
-1.0007, 0.9987, 1.0012 (83-136).  All lie inside +-0.5%, and every load
-order's ``between_calls`` in [0.9944, 1.0062].  A timed call took 36-38 s
-of wall time, 53-66 s on ``small_configs``.
+``BUDGET_S`` = 10 s was chosen from ``--null`` calls of 76a59cf against
+itself at seed 0 on a 2-vCPU VM, whose load from other work moved the
+thread time of one pass up to 3x between calls.  At 4 s such load left
+``sweep_grid`` 13-20 passes per child, with per-pass ratios of ~2% sd,
+and two calls read 0.9934 and 1.0098 (before the collection rule).  At
+10 s, three calls per workload read combined ratios of 0.9998-1.0016 on
+``simulate_rows`` (96-189 passes per child), 1.0003-1.0011 on
+``sweep_grid`` (31-60), 0.9999-1.0007 on ``small_configs`` (10, the
+floor) and 0.9990-1.0012 on ``reach_ladder`` (61-143); every load order's
+``between_calls`` lay in [0.9958, 1.0036].  A call took 91-99 s of wall
+time, and 176-210 s on ``small_configs``, where the floor binds.
 
 Each child's document holds the pass count it reached, the budget, each
 side's seconds per pass, the per-pass ratios (parent time over change
 time, so above 1 means the change is faster), their median and a 95%
 bootstrap interval of that median (percentile method, 10,000 resamples
-of the passes).  CPU time only: it
-does not replace the benchmark's ``items_per_s``, ``setup_s`` or
-``peak_rss_mb``.  The working tree is only read.
+of the passes).  CPU time only: it does not replace the benchmark's
+``items_per_s``, ``setup_s`` or ``peak_rss_mb``.  The working tree is only
+read.
 
 Standard library and numpy only.
 """
@@ -60,6 +83,7 @@ Standard library and numpy only.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import math
@@ -79,7 +103,7 @@ from parity import ROOT, WORKLOADS, extract, write_workload  # noqa: E402
 SIDES = ("parent", "change")
 # Thread seconds each side sums per child, and the fewest passes a child
 # runs: see the module docstring for the null calls they were chosen from.
-BUDGET_S = 4.0
+BUDGET_S = 10.0
 MIN_PASSES = 10
 
 
@@ -121,14 +145,30 @@ def timed_pass(mains: list, argvs: list, rng: random.Random,
 
 def timed_passes(mains: list, argvs: list, rng: random.Random,
                  clock=time.thread_time) -> list:
-    """Seconds per side of each ``timed_pass``, run until every side's sum
-    reaches ``BUDGET_S`` and at least ``MIN_PASSES`` have run."""
+    """Seconds per side of each pass, run until every side's sum reaches
+    ``BUDGET_S`` and at least ``MIN_PASSES`` have run.
+
+    A pass is two ``timed_pass`` calls on one draw of orders, the second
+    with the sides reversed, so each config runs first once on each side:
+    the side that runs a config first pays more (~5% on ``sweep_grid``),
+    and one seed's draws would not even that out.  Garbage is collected
+    before each pass, never during one (see the module docstring)."""
     seconds, totals = [], [0.0] * len(mains)
-    while len(seconds) < MIN_PASSES or min(totals) < BUDGET_S:
-        seconds.append(timed_pass(mains, argvs, rng, clock))
-        totals = [t + s for t, s in zip(totals, seconds[-1])]
-        print(f"# pass {len(seconds) - 1}: parent {seconds[-1][0]:.4f} s, "
-              f"change {seconds[-1][1]:.4f} s", file=sys.stderr, flush=True)
+    gc.disable()
+    try:
+        while len(seconds) < MIN_PASSES or min(totals) < BUDGET_S:
+            gc.collect()
+            seed = rng.getrandbits(64)
+            drawn = timed_pass(mains, argvs, random.Random(seed), clock)
+            mirrored = timed_pass(mains[::-1], argvs[::-1],
+                                  random.Random(seed), clock)[::-1]
+            seconds.append([a + b for a, b in zip(drawn, mirrored)])
+            totals = [t + s for t, s in zip(totals, seconds[-1])]
+            print(f"# pass {len(seconds) - 1}: parent {seconds[-1][0]:.4f} "
+                  f"s, change {seconds[-1][1]:.4f} s", file=sys.stderr,
+                  flush=True)
+    finally:
+        gc.enable()
     return seconds
 
 
