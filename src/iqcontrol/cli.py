@@ -212,6 +212,10 @@ def _reject_constant(name: str):
     raise ConfigError(f"invalid JSON: non-finite number '{name}'")
 
 
+# ``json.loads`` with a keyword builds a new decoder on every call.
+_decode_json = json.JSONDecoder(parse_constant=_reject_constant).decode
+
+
 def load_config(path: Path) -> dict:
     try:
         fd = os.open(path, os.O_RDONLY)
@@ -231,8 +235,11 @@ def load_config(path: Path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    if text.startswith("\ufeff"):  # json.loads's check, which decode lacks
+        raise ConfigError("invalid JSON at line 1, column 1: "
+                          "Unexpected UTF-8 BOM (decode using utf-8-sig)")
     try:
-        cfg = json.loads(text, parse_constant=_reject_constant)
+        cfg = _decode_json(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -15,7 +15,9 @@ i sin(a) n_hat.sigma only as (a, n_hat): U_+^2 gives the overlaps, and
 U_+ and U_- = U_+^dag rotate Bloch vectors by +2a and -2a about n_hat, so
 every reduced state is a Bloch vector, a probe-weighted pair of rotations
 built without 2x2 matrices; a system-local unitary rotates n.  The
-closed forms act element-wise; a scalar gives a scalar.
+closed forms act element-wise; a scalar gives a scalar.  A float time is
+evaluated on Python floats with ``math`` and an array with numpy, by the
+same expressions.
 
 Basis convention: states are written in the {|1>, |0>} order with
 sz|1> = +|1>, |0> the ground state, and s+ = |1><0|.  A diagonal system
@@ -102,18 +104,24 @@ class ControlSolution:
     feasible: bool = True
 
 
+def _elementwise(x):
+    """The module whose functions (cos, sin, hypot) the closed forms apply
+    to x: ``math`` for a float, numpy for an array or any other number."""
+    return math if isinstance(x, float) else np
+
+
 def _require_unit(name: str, v):
     """Every entry of v, a number or an array, lies in [0, 1] (NaN fails)."""
     inside = (0.0 <= v) & (v <= 1.0)
-    if not np.all(inside):
+    if not (inside if isinstance(v, float) else np.all(inside)):
         bad = np.asarray(v)[np.logical_not(inside)].flat[0]
         raise DomainError(f"{name} {bad} outside [0, 1]")
 
 
 def _unbox(x):
-    """A 0-d result as a Python scalar; any other result as an array."""
-    x = np.asarray(x)
-    return x.item() if x.ndim == 0 else x
+    """A 0-d numpy result as a Python scalar; a Python scalar or an array
+    with axes as it is."""
+    return x.item() if getattr(x, "ndim", None) == 0 else x
 
 
 def local_rotation_matrix(r: LocalRotation) -> np.ndarray:
@@ -148,11 +156,15 @@ def probe_mixing_angle(g: QubitCouplings) -> float:
 
 def _axis_angle(g: QubitCouplings, t):
     """U_+ = exp(-i r h_s t) = cos(a) I - i sin(a) n_hat.sigma as (a, n_hat);
-    h_s = n.sigma, n = (Re g2, -Im g2, g1), a = r|n|t, n_hat = n/|n| or 0."""
-    norm = np.hypot(g.g1, abs(g.g2))
-    n = np.array([g.g2.real, -g.g2.imag, g.g1])
-    a = np.hypot(g.g3, g.g4) * norm * np.asarray(t, dtype=float)
-    return a, (n / norm if norm else n)
+    h_s = n.sigma, n = (Re g2, -Im g2, g1), a = r|n|t, n_hat = n/|n| or 0.
+    a is a Python float for a float t, else a numpy value of t's shape."""
+    xp = _elementwise(t)
+    if xp is np:
+        t = np.asarray(t, dtype=float)
+    norm = xp.hypot(g.g1, abs(g.g2))
+    n = (g.g2.real, -g.g2.imag, g.g1)
+    a = xp.hypot(g.g3, g.g4) * norm * t
+    return a, (tuple(x / norm for x in n) if norm else n)
 
 
 def conditional_unitaries(g: QubitCouplings, t):
@@ -175,7 +187,8 @@ def overlap_angles(g: QubitCouplings, t) -> OverlapAngles:
     set to 0 by convention (it then multiplies a zero coherence).
     """
     a, n_hat = _axis_angle(g, t)
-    ip, ip_perp = _square_overlaps(np.cos(2.0 * a), np.sin(2.0 * a), *n_hat)
+    xp = _elementwise(a)
+    ip, ip_perp = _square_overlaps(xp.cos(2.0 * a), xp.sin(2.0 * a), *n_hat)
     # arctan2 of the two magnitudes avoids the arccos error amplification
     # near alpha = 0 and alpha = pi/2.
     mag_perp, mag = np.abs(ip_perp), np.abs(ip)
@@ -205,7 +218,8 @@ def reduced_state_closed_form(p_s, theta, p_p, ca2, sa2, cross):
     """
     _require_unit("p_s", p_s)
     _require_unit("p_p", p_p)
-    pp_plus = np.cos(theta / 2.0) ** 2 - p_p * np.cos(theta)
+    cos = _elementwise(theta).cos
+    pp_plus = cos(theta / 2.0) ** 2 - p_p * cos(theta)
     pp_minus = 1.0 - pp_plus
     rho00 = p_s * pp_plus + pp_minus * (p_s * ca2 + (1.0 - p_s) * sa2)
     rho11 = 1.0 - rho00
@@ -221,24 +235,27 @@ def closed_form_reduced_state(g: QubitCouplings, t, p_s: float, p_p: float):
     either overlap is.  Diagonal initial states only (weight p_s on |0><0|).
     """
     a, (nx, ny, nz) = _axis_angle(g, t)
-    c, s = np.cos(2.0 * a), np.sin(2.0 * a)
+    xp = _elementwise(a)
+    c, s = xp.cos(2.0 * a), xp.sin(2.0 * a)
     ip, ip_perp = _square_overlaps(c, s, nx, ny, nz)
     rho00, rho11, rho10 = entries = reduced_state_closed_form(
         p_s, probe_mixing_angle(g), p_p, c * c + (s * nz) ** 2,
-        s * s * (nx * nx + ny * ny), 2.0 * ip_perp * np.conj(ip))
+        s * s * (nx * nx + ny * ny), 2.0 * ip_perp * ip.conjugate())
     # The Bloch vector in the basis (U_+|1>, U_+|0>), rotated by 2a.
-    v = (2.0 * np.real(rho10), -2.0 * np.imag(rho10), rho11 - rho00)
+    v = (2.0 * rho10.real, -2.0 * rho10.imag, rho11 - rho00)
     return _rotate(v, c, s, (nx, ny, nz)), entries, (ip, ip_perp)
 
 
 def _rotate(v, c, s, n_hat):
     """Rodrigues' formula c v + s (n_hat x v) + (1 - c)(n_hat . v) n_hat,
-    stacked on the last axis; a rotation about n_hat when c^2 + s^2 = 1."""
+    a (3,) array for a float c, else stacked on the last axis; a rotation
+    about n_hat when c^2 + s^2 = 1."""
     (vx, vy, vz), (nx, ny, nz) = v, n_hat
     dot = (1.0 - c) * (nx * vx + ny * vy + nz * vz)
-    return np.stack([c * vx + s * (ny * vz - nz * vy) + dot * nx,
-                     c * vy + s * (nz * vx - nx * vz) + dot * ny,
-                     c * vz + s * (nx * vy - ny * vx) + dot * nz], axis=-1)
+    xyz = (c * vx + s * (ny * vz - nz * vy) + dot * nx,
+           c * vy + s * (nz * vx - nx * vz) + dot * ny,
+           c * vz + s * (nx * vy - ny * vx) + dot * nz)
+    return np.array(xyz) if isinstance(c, float) else np.stack(xyz, axis=-1)
 
 
 def conditional_reduced_state(g: QubitCouplings, t: float,
@@ -321,11 +338,15 @@ def bloch_vector(rho) -> np.ndarray:
     distance between two states is |r_a - r_b|/2.
     """
     rho = np.asarray(rho)
-    if rho.shape[-2:] != (2, 2):
-        raise DimensionError(f"expected a 2x2 state, got shape {rho.shape}")
+    _require_2x2(rho.shape)
     r00, r01, r10, r11 = (rho[..., i, j] for i in (0, 1) for j in (0, 1))
     return np.stack([np.real(r01 + r10), np.imag(r10 - r01),
                      np.real(r00 - r11)], axis=-1)
+
+
+def _require_2x2(shape):
+    if shape[-2:] != (2, 2):
+        raise DimensionError(f"expected a 2x2 state, got shape {shape}")
 
 
 def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
@@ -347,10 +368,13 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
     at or below 1e-13 counts as zero, along x: a subnormal one would give
     m a length other than 1.
     """
-    r_tau = bloch_vector(opkit.validate_density_matrix(target))
+    rho = opkit.validate_density_matrix(target)
+    _require_2x2(rho.shape)
+    # the Bloch vector as ``bloch_vector`` forms it, on Python scalars
+    (r00, r01), (r10, r11) = rho.tolist()
+    ax, ay, az = (r01 + r10).real, (r10 - r01).imag, (r00 - r11).real
     z0 = 1.0 - 2.0 * p_s
     m0 = abs(z0)
-    ax, ay, az = r_tau.tolist()
     pn = math.hypot(ax, ay)
     mx, my, pn = (ax / pn, ay / pn, pn) if pn > 1e-13 else (1.0, 0.0, 0.0)
     e = math.copysign(1.0, z0)
@@ -365,8 +389,8 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
     t, p_p = phi / 2.0, (1.0 - u) / 2.0
     g = QubitCouplings(g1=0.0, g2=g2, g3=0.0, g4=1.0)
     r, _, (ip, ip_perp) = closed_form_reduced_state(g, t, p_s, p_p)
-    res = 0.5 * float(np.linalg.norm(r - r_tau))
+    res = 0.5 * math.dist(r.tolist(), (ax, ay, az))
     return ControlSolution(
         couplings=g, theta=probe_mixing_angle(g), p_p=p_p, t=t,
-        alpha=float(np.arctan2(np.abs(ip_perp), np.abs(ip))),
+        alpha=math.atan2(abs(ip_perp), abs(ip)),
         residual=res, feasible=res <= tol)

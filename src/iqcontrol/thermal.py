@@ -10,9 +10,8 @@ computed in the logistic form, which is overflow-free for any gap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, InfeasibleError
 
@@ -26,9 +25,9 @@ class ThermalSpec:
     temperature: float
 
     def __post_init__(self):
-        if not np.isfinite([self.e0, self.e1]).all():
+        if not (math.isfinite(self.e0) and math.isfinite(self.e1)):
             raise DomainError(f"energies {self.e0}, {self.e1} must be finite")
-        if not 0.0 < self.temperature < np.inf:
+        if not 0.0 < self.temperature < math.inf:
             raise DomainError(f"temperature {self.temperature} outside (0, inf)")
 
 
@@ -36,17 +35,17 @@ def thermal_occupancy(spec: ThermalSpec) -> float:
     """Equilibrium occupancy p_p of |0> in (0, 1)."""
     x = (spec.e1 - spec.e0) / spec.temperature
     if x >= 0.0:
-        return float(1.0 / (1.0 + np.exp(-x)))
-    e = np.exp(x)
-    return float(e / (1.0 + e))
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
 
 
 def required_gap(p_p: float, temperature: float) -> float:
     """Energy spacing e1 - e0 realizing occupancy p_p at the given temperature."""
-    if not 0.0 < temperature < np.inf:
+    if not 0.0 < temperature < math.inf:
         raise DomainError(f"temperature {temperature} outside (0, inf)")
     if not 0.0 < p_p < 1.0:
         raise InfeasibleError(
             f"occupancy {p_p} needs an infinite gap; exact pure states are "
             "not reachable thermally")
-    return float(temperature * np.log(p_p / (1.0 - p_p)))
+    return temperature * math.log(p_p / (1.0 - p_p))

@@ -342,6 +342,17 @@ class TestRunSolve:
         assert [np.shape(a) for a, *_ in eig_calls] == [(4, 4)]
         assert eigvalsh == []
 
+    def test_solver_runs_on_python_floats(self, tmp_path, count_calls):
+        # the solver's closed form takes its scalar time with math, and
+        # the oracle's evolution calls none of these either
+        calls = [count_calls(np, name) for name in ("cos", "sin", "arctan2")]
+        calls.append(count_calls(np.linalg, "norm"))
+        path = Path(__file__).resolve().parents[1] / "configs" / \
+            "solve_example.json"
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 0
+        assert calls == [[], [], [], []]
+
 
 class TestDefaultTolerance:
     """Solve and reach default ``tol`` to 1e-8: a residual just above it
@@ -813,6 +824,16 @@ def exact_message_cases():
     cases["simulate_times_string"] = (
         json.dumps(dict(simulate_config(), times=[0.0, "1.0"])),
         "config.times: expected a list of finite numbers")
+    # the decoder's own texts, as json.loads gives them
+    cases["json_utf8_bom"] = (
+        "\ufeff" + json.dumps(solve_config()),
+        "invalid JSON at line 1, column 1: "
+        "Unexpected UTF-8 BOM (decode using utf-8-sig)")
+    cases["json_missing_value"] = (
+        '{"mode": "solve",\n  "p_s": }',
+        "invalid JSON at line 2, column 10: Expecting value")
+    cases["json_nan"] = ('{"mode": "solve", "p_s": NaN}',
+                         "invalid JSON: non-finite number 'NaN'")
     return cases
 
 

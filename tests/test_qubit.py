@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     KET_EXCITED,
@@ -587,6 +588,40 @@ class TestBlochKernel:
             np.testing.assert_array_equal(
                 np.arctan2(np.abs(ip_perp), np.abs(ip)),
                 qubit.overlap_angles(g, t).alpha)
+
+
+class TestScalarTime:
+    """A float time takes ``math``'s functions and an array numpy's, on the
+    same expressions; the two give one state and one pair of overlaps."""
+
+    # The largest difference of r, an entry or an overlap, in units of
+    # eps (1 + a), a = r|n|t: 20,000 random draws read 3.07.
+    BOUND = 8.0
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(g=st.tuples(*[st.floats(-2.0, 2.0)] * 5),
+           axis_free=st.booleans(),
+           t=st.just(0.0) | st.floats(0.0, 50.0),
+           p_s=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+           p_p=st.floats(0.0, 1.0))
+    def test_float_time_matches_array(self, g, axis_free, t, p_s, p_p):
+        g1, g2_re, g2_im, g3, g4 = g
+        if axis_free:   # n_hat = 0: U_+ = I
+            g1 = g2_re = g2_im = 0.0
+        if np.hypot(g3, g4) == 0.0:
+            g3 = 1.0
+        g = QubitCouplings(g1=g1, g2=complex(g2_re, g2_im), g3=g3, g4=g4)
+        r, entries, overlaps = qubit.closed_form_reduced_state(g, t, p_s, p_p)
+        r_a, entries_a, overlaps_a = qubit.closed_form_reduced_state(
+            g, np.array([t]), p_s, p_p)
+        assert type(r) is np.ndarray and r.shape == (3,)
+        assert [type(x) for x in entries + overlaps] \
+            == [float, float, complex, complex, complex]
+        a = np.hypot(g3, g4) * np.hypot(g1, abs(g.g2)) * t
+        bound = self.BOUND * np.finfo(float).eps * (1.0 + a)
+        assert np.max(np.abs(r - r_a[0])) <= bound
+        for x, y in zip(entries + overlaps, entries_a + overlaps_a):
+            assert abs(x - y[0]) <= bound
 
 
 def matrix_conditional_reduced_state(g, t, rho_s0, rho_p0):
