@@ -118,12 +118,6 @@ def _require_unit(name: str, v):
         raise DomainError(f"{name} {bad} outside [0, 1]")
 
 
-def _unbox(x):
-    """A 0-d numpy result as a Python scalar; a Python scalar or an array
-    with axes as it is."""
-    return x.item() if getattr(x, "ndim", None) == 0 else x
-
-
 def local_rotation_matrix(r: LocalRotation) -> np.ndarray:
     """The 2x2 system block f of the local transformation f (x) I."""
     c, s = np.cos(r.theta / 2.0), np.sin(r.theta / 2.0)
@@ -184,7 +178,8 @@ def overlap_angles(g: QubitCouplings, t) -> OverlapAngles:
 
     cos(alpha) = |<psi_+0|psi_-0>|; beta is the phase of <perp|psi_-0>
     relative to <psi_+0|psi_-0>.  When either overlap is exactly 0 beta is
-    set to 0 by convention (it then multiplies a zero coherence).
+    set to 0 by convention (it then multiplies a zero coherence).  alpha
+    and beta are numpy values of t's shape.
     """
     a, n_hat = _axis_angle(g, t)
     xp = _elementwise(a)
@@ -196,7 +191,7 @@ def overlap_angles(g: QubitCouplings, t) -> OverlapAngles:
     beta = (np.angle(ip_perp) - np.angle(ip) + np.pi) % (2.0 * np.pi) - np.pi
     beta = np.where(beta <= -np.pi, beta + 2.0 * np.pi, beta)
     beta = np.where((mag == 0.0) | (mag_perp == 0.0), 0.0, beta)
-    return OverlapAngles(alpha=_unbox(alpha), beta=_unbox(beta))
+    return OverlapAngles(alpha=alpha, beta=beta)
 
 
 def _square_overlaps(c, s, nx, ny, nz):
@@ -224,7 +219,7 @@ def reduced_state_closed_form(p_s, theta, p_p, ca2, sa2, cross):
     rho00 = p_s * pp_plus + pp_minus * (p_s * ca2 + (1.0 - p_s) * sa2)
     rho11 = 1.0 - rho00
     rho10 = 0.5 * pp_minus * cross * (2.0 * p_s - 1.0)
-    return _unbox(rho00), _unbox(rho11), _unbox(rho10)
+    return rho00, rho11, rho10
 
 
 def closed_form_reduced_state(g: QubitCouplings, t, p_s: float, p_p: float):
@@ -332,21 +327,23 @@ def analytic_conditions(p_s: float, q: float, theta: float, alpha: float) -> flo
 
 def bloch_vector(rho) -> np.ndarray:
     """Bloch vector r = Re tr(rho sigma) of a 2x2 state in the {|1>, |0>}
-    ordering, or an array (..., 3) of them for a stack (..., 2, 2).
+    ordering, a (3,) array.
 
     For unit-trace states the eigenvalues are (1 +/- |r|)/2 and the trace
     distance between two states is |r_a - r_b|/2.
     """
+    return np.array(_bloch_entries(rho))
+
+
+def _bloch_entries(rho):
+    """``bloch_vector`` as a tuple of Python scalars, read from the four
+    entries, for the solver's float arithmetic; DimensionError for any
+    shape but (2, 2)."""
     rho = np.asarray(rho)
-    _require_2x2(rho.shape)
-    r00, r01, r10, r11 = (rho[..., i, j] for i in (0, 1) for j in (0, 1))
-    return np.stack([np.real(r01 + r10), np.imag(r10 - r01),
-                     np.real(r00 - r11)], axis=-1)
-
-
-def _require_2x2(shape):
-    if shape[-2:] != (2, 2):
-        raise DimensionError(f"expected a 2x2 state, got shape {shape}")
+    if rho.shape != (2, 2):
+        raise DimensionError(f"expected a 2x2 state, got shape {rho.shape}")
+    (r00, r01), (r10, r11) = rho.tolist()
+    return (r01 + r10).real, (r10 - r01).imag, (r00 - r11).real
 
 
 def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
@@ -368,11 +365,7 @@ def solve_controls_numeric(p_s: float, target, tol: float = 1e-8
     at or below 1e-13 counts as zero, along x: a subnormal one would give
     m a length other than 1.
     """
-    rho = opkit.validate_density_matrix(target)
-    _require_2x2(rho.shape)
-    # the Bloch vector as ``bloch_vector`` forms it, on Python scalars
-    (r00, r01), (r10, r11) = rho.tolist()
-    ax, ay, az = (r01 + r10).real, (r10 - r01).imag, (r00 - r11).real
+    ax, ay, az = _bloch_entries(opkit.validate_density_matrix(target))
     z0 = 1.0 - 2.0 * p_s
     m0 = abs(z0)
     pn = math.hypot(ax, ay)

@@ -32,7 +32,9 @@ class ThermalSpec:
 
 
 def thermal_occupancy(spec: ThermalSpec) -> float:
-    """Equilibrium occupancy p_p of |0> in (0, 1)."""
+    """Equilibrium occupancy p_p of |0> in [0, 1]: with x = (e1 - e0)/T it
+    rounds to 1.0 from x ~ 36.74 and e^x underflows to 0.0 from x ~ -745.13;
+    ``required_gap`` and a thermal config reject either end as a p_p."""
     x = (spec.e1 - spec.e0) / spec.temperature
     if x >= 0.0:
         return 1.0 / (1.0 + math.exp(-x))

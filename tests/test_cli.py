@@ -23,6 +23,8 @@ from conftest import (
     forward_reachability_instance,
     nlevel_qubit_state,
 )
+import malformed_configs
+from malformed_configs import reach_config, solve_config, sweep_config
 from iqcontrol import cli, opkit, qubit, verify
 from iqcontrol.errors import IQControlError
 
@@ -352,6 +354,23 @@ class TestRunSolve:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out"),
                          "--quiet"]) == 0
         assert calls == [[], [], [], []]
+
+
+class TestTargetReader:
+    """A simulate and a solve read their target's Bloch vector through the
+    one 2x2 reader, ``qubit._bloch_entries``, once per run."""
+
+    @pytest.mark.parametrize("doc", [
+        dict(simulate_config(), target=[[0.4, 0.1], [0.1, 0.6]]),
+        {"mode": "solve", "p_s": 0.0,
+         "target": [[0.25, [0.1, 0.05]], [[0.1, -0.05], 0.75]]}],
+        ids=["simulate", "solve"])
+    def test_one_read_per_run(self, doc, tmp_path, count_calls):
+        reads = count_calls(qubit, "_bloch_entries")
+        path = write_config(tmp_path, "c.json", doc)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 0
+        assert [np.shape(rho) for rho, in reads] == [(2, 2)]
 
 
 class TestDefaultTolerance:
@@ -765,13 +784,6 @@ class TestSweep:
         assert capsys.readouterr() == ("", "")
 
 
-def reach_config():
-    return {"mode": "reach", "initial_weights": [0.6, 0.4],
-            "target_weights": [0.5, 0.5],
-            "coefficients": [[[1.0, 0.0], [0.0, 1.0]],
-                             [[0.0, 1.0], [1.0, 0.0]]]}
-
-
 def pairs(node):
     """Every number of a nested list as an [re, im] pair."""
     return [pairs(x) for x in node] if isinstance(node, list) else [node, 0.0]
@@ -837,41 +849,10 @@ def exact_message_cases():
     return cases
 
 
-def solve_config(**budget):
-    return {"mode": "solve", "p_s": 0.0,
-            "target": [[0.25, [0.1, 0.05]], [[0.1, -0.05], 0.75]],
-            "budget": budget}
-
-
-def sweep_config(**extra):
-    return dict({"mode": "sweep", "p_s": 0.0,
-                 "axes": [{"name": "p_p", "start": 0.0, "stop": 1.0,
-                           "count": 3}],
-                 "fixed": {"theta": 0.5, "alpha": 0.2}}, **extra)
-
-
 class TestMalformedConfigs:
     """Each config fails with exit 1 and a single error line, no traceback."""
 
-    CASES = {
-        "reach_tol_list": dict(reach_config(), tol=[1]),
-        "reach_tol_negative": dict(reach_config(), tol=-1),
-        "reach_tol_zero": dict(reach_config(), tol=0),
-        "reach_tol_infinity": dict(reach_config(), tol=float("inf")),
-        "reach_weights_strings": dict(reach_config(),
-                                      initial_weights=["a", "b"]),
-        "reach_one_target_weight": dict(reach_config(), target_weights=[1.0]),
-        "reach_three_target_weights": dict(reach_config(),
-                                           target_weights=[0.5, 0.25, 0.25]),
-        "solve_tol_string": solve_config(tol="abc"),
-        "solve_tol_zero": solve_config(tol=0),
-        "solve_tol_negative": solve_config(tol=-1e-8),
-        "sweep_beta_string": sweep_config(beta="x"),
-        "sweep_p_p_axis_0_3": sweep_config(
-            axes=[{"name": "p_p", "start": 0, "stop": 3, "count": 4}]),
-        "thermal_p_p_1_5": {"mode": "thermal", "temperature": 1, "p_p": 1.5},
-        "thermal_p_p_0": {"mode": "thermal", "temperature": 1, "p_p": 0.0},
-    }
+    CASES = malformed_configs.CASES
 
     def assert_one_error(self, code, capsys):
         err = capsys.readouterr().err

@@ -247,19 +247,6 @@ class TestBlochVector:
             np.testing.assert_allclose(
                 [(1.0 - radius) / 2.0, (1.0 + radius) / 2.0],
                 np.linalg.eigvalsh(a), rtol=0, atol=1e-14)
-        # the same measurements on stacks, element by element
-        a, b = (np.array(side) for side in zip(*pairs))
-        ra, rb = qubit.bloch_vector(a), qubit.bloch_vector(b)
-        assert ra.shape == (len(pairs), 3)
-        np.testing.assert_array_equal(
-            ra, [qubit.bloch_vector(m) for m in a])
-        np.testing.assert_allclose(
-            0.5 * np.linalg.norm(ra - rb, axis=-1),
-            [opkit.trace_distance(x, y) for x, y in pairs], rtol=0, atol=1e-14)
-        radius = np.linalg.norm(ra, axis=-1)
-        np.testing.assert_allclose(
-            np.stack([(1.0 - radius) / 2.0, (1.0 + radius) / 2.0], axis=-1),
-            np.linalg.eigvalsh(a), rtol=0, atol=1e-14)
 
     def test_pauli_eigenstates(self):
         # (I + sigma_k)/2 for k = x, y, z
@@ -275,9 +262,11 @@ class TestBlochVector:
 
     @pytest.mark.parametrize("rho", [
         np.eye(1), np.diag([0.5, 0.3, 0.2]), np.full((4, 3, 3), np.eye(3) / 3.0),
-        np.array([0.5, 0.5]), np.full((3, 2), 0.5)],
-        ids=["1x1", "3x3", "stack_3x3", "vector", "3x2"])
+        np.array([0.5, 0.5]), np.full((3, 2), 0.5),
+        np.full((3, 2, 2), np.eye(2) / 2.0)],
+        ids=["1x1", "3x3", "stack_3x3", "vector", "3x2", "stack_2x2"])
     def test_non_2x2_raises(self, rho):
+        # one state per call: a stack of 2x2 states is another shape
         with pytest.raises(DimensionError, match="expected a 2x2 state"):
             qubit.bloch_vector(rho)
 
@@ -580,7 +569,9 @@ class TestBlochKernel:
             rho, ref_entries, ref_overlaps = matrix_reduced_state(
                 g, t, p_s, p_p)
             assert r.shape == np.shape(t) + (3,)
-            np.testing.assert_allclose(r, qubit.bloch_vector(rho),
+            # one matrix at a time: the reader takes a single 2x2 state
+            ref = [qubit.bloch_vector(m) for m in rho.reshape(-1, 2, 2)]
+            np.testing.assert_allclose(r, np.reshape(ref, r.shape),
                                        rtol=0, atol=1e-14)
             for x, y in zip(entries + overlaps, ref_entries + ref_overlaps):
                 np.testing.assert_allclose(x, y, rtol=0, atol=1e-14)

@@ -22,6 +22,17 @@ class TestThermalOccupancy:
         spec = thermal.ThermalSpec(e0=1e6, e1=0.0, temperature=1.0)
         assert thermal.thermal_occupancy(spec) == pytest.approx(0.0)
 
+    def test_rounding_ends(self):
+        # the range is [0, 1]: 1/(1 + e^-x) rounds to 1 from x ~ 36.74, and
+        # e^x underflows to 0 from x ~ -745.13
+        def occupancy(x):
+            return thermal.thermal_occupancy(
+                thermal.ThermalSpec(e0=0.0, e1=x, temperature=1.0))
+        assert occupancy(40.0) == 1.0
+        assert occupancy(30.0) < 1.0
+        assert occupancy(-800.0) == 0.0
+        assert occupancy(-700.0) > 0.0
+
     def test_monotone_in_gap(self):
         t = 0.7
         gaps = np.linspace(-5.0, 5.0, 41)

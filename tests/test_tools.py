@@ -191,7 +191,8 @@ class TestParityMagnitudes:
 
 class TestParityMalformedConfigs:
     def test_cases_are_the_cli_tests_own(self):
-        # one home for the list: the parity run reads it from test_cli.py
+        # one home for the list, tests/malformed_configs.py: the parity run
+        # reads the list that the CLI tests run
         from test_cli import TestMalformedConfigs
         cases = parity.malformed_configs()
         assert cases.keys() == TestMalformedConfigs.CASES.keys()

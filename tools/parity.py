@@ -13,8 +13,8 @@ directory and makes one list of iqctl invocations:
   benchmark never draws;
 * the simulates of ``EDGE_SIMULATES`` under ``run``: zero time rows, as
   a range of count 0 and as an empty list;
-* each malformed config of ``TestMalformedConfigs.CASES`` in
-  ``tests/test_cli.py`` of the working tree under ``check`` and ``run``,
+* each malformed config of ``CASES`` in ``tests/malformed_configs.py``
+  of the working tree under ``check`` and ``run``,
   so error lines and exit codes are compared too;
 * command lines outside the documented ``COMMAND CONFIG`` form with
   ``--quiet`` and ``--out DIR``, which argparse parses and reports (see
@@ -110,14 +110,11 @@ def load(name: str, path: Path):
 
 @functools.cache
 def malformed_configs() -> dict:
-    """``TestMalformedConfigs.CASES`` of tests/test_cli.py: name -> doc,
-    read once per process."""
-    for extra in (ROOT / "tests", ROOT / "src"):  # for its own imports
-        if str(extra) not in sys.path:
-            sys.path.insert(0, str(extra))
-    # not "test_cli": under pytest that name is the suite's own module
-    test_cli = load("parity_test_cli", ROOT / "tests" / "test_cli.py")
-    return test_cli.TestMalformedConfigs.CASES
+    """``CASES`` of tests/malformed_configs.py, the list that
+    ``TestMalformedConfigs`` runs: name -> doc, read once per process."""
+    # not "malformed_configs": under pytest that name is the suite's module
+    return load("parity_malformed_configs",
+                ROOT / "tests" / "malformed_configs.py").CASES
 
 
 def argv_variants(config: str) -> list:
