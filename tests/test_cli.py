@@ -22,10 +22,11 @@ from conftest import (
     KET_GROUND,
     forward_reachability_instance,
     nlevel_qubit_state,
+    rand_unitary,
 )
 import malformed_configs
 from malformed_configs import reach_config, solve_config, sweep_config
-from iqcontrol import cli, opkit, qubit, verify
+from iqcontrol import cli, nlevel, opkit, qubit, verify
 from iqcontrol.errors import IQControlError
 
 
@@ -504,6 +505,43 @@ class TestRunReach:
         doc_out = json.loads((out / "r.json").read_text())
         assert doc_out["reachable"] is False
 
+    def test_wolfe_walk_ends_at_a_certified_optimum(self, tmp_path,
+                                                    count_calls):
+        # independently drawn p and q with random unitary blocks: the walk
+        # starts from one column and runs major and minor cycles
+        rng = np.random.default_rng(0)
+        n, tol = 4, 1e-8
+        p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        c = np.stack([rand_unitary(rng, n) for _ in range(n)], axis=2)
+        path = write_config(tmp_path, "r.json", {
+            "mode": "reach", "initial_weights": p.tolist(),
+            "target_weights": q.tolist(), "tol": tol,
+            "coefficients": np.stack([c.real, c.imag], axis=-1).tolist()})
+        solves = count_calls(nlevel, "_affine_min")
+        out = tmp_path / "out"
+        code = cli.main(["run", str(path), "--out", str(out), "--quiet"])
+        doc = json.loads((out / "r.json").read_text())
+        assert len(solves) > 1
+        assert code == (2 if doc["residual"] > tol else 0)
+        # Column m is the defect at e_m, from the checker's own rho: the
+        # diagonal defects, then re and im of the beta < gamma entries.
+        # x is the least-norm point of their hull iff |x|^2 <= a_m . x
+        # for every m.
+        prob = nlevel.ReachabilityProblem(p, q, c)
+        rows, cols = np.nonzero(~np.eye(n, dtype=bool))  # off's order
+        upper = rows < cols
+        columns = []
+        for e_m in np.eye(n):
+            diag, off = nlevel.reachability_residual(prob, e_m)
+            columns.append(np.concatenate([diag, off[upper].real,
+                                           off[upper].imag]))
+        a = np.array(columns).T
+        x = a @ np.array(doc["probe_diagonal"])
+        assert abs(np.linalg.norm(x) - doc["residual"]) \
+            <= 1e-12 * (1.0 + doc["residual"])
+        assert x @ x - np.min(a.T @ x) \
+            <= 1e-12 * np.max(np.einsum("ij,ij->j", a, a))
+
 
 class TestRunThermal:
     def test_gap_from_occupancy(self, tmp_path):
@@ -712,12 +750,14 @@ class TestSweep:
             np.testing.assert_allclose(vals[-2:], expected, rtol=0, atol=1e-10)
 
     # Grids the benchmark never draws: an axis of one value after, before
-    # and between longer ones, over a chunk end in two of them.
+    # and between longer ones, over a chunk end in two of them; no axis,
+    # one row at the fixed point.
     EDGE_AXES = {
         "a_1": [("alpha", -1.0, 4.0, cli._CSV_CHUNK + 1), ("p_p", 0.3, 0.3, 1)],
         "1_b": [("theta", 0.7, 0.7, 1), ("alpha", 0.0, 3.0, 7)],
         "a_1_c": [("theta", -4.0, 4.0, 9), ("p_p", 0.6, 0.6, 1),
                   ("alpha", 0.0, 3.5, 500)],
+        "no_axis": [],
     }
 
     @pytest.mark.parametrize("name", sorted(EDGE_AXES))
@@ -1325,6 +1365,22 @@ class TestCsvWriter:
         assert [args[0].shape for args in kernel] \
             == [(126,), (cli._CSV_CHUNK, 3), (cli._CSV_CHUNK, 3),
                 (rows - 2 * cli._CSV_CHUNK, 3)]
+
+    def test_one_axis_is_formatted_with_the_columns(self, tmp_path,
+                                                     count_calls):
+        # a single axis is a plain column: one kernel call per chunk over
+        # it and the other columns, and none for the axis alone
+        rows = cli._CSV_CHUNK + 1
+        axis = self.axis(rows, np.random.default_rng(41))
+        plain = self.table(rows, cols=2)
+        header = ["x", "p", "q"]
+        reference_csv(tmp_path / "ref.csv", header,
+                      np.column_stack([axis] + list(plain.T)))
+        kernel = count_calls(cli, "_csv_cells")
+        assert csv_bytes(header, [axis], list(plain.T)) \
+            == (tmp_path / "ref.csv").read_bytes()
+        assert [args[0].shape for args in kernel] \
+            == [(cli._CSV_CHUNK, 3), (1, 3)]
 
     def test_tables_built_on_first_csv_result(self, tmp_path):
         tables = (cli._cell_tables,)

@@ -1,8 +1,8 @@
 """The developer tools' pure helpers: the mutation sampler's line filter,
 test selection and equivalence keys, the parity check's difference magnitudes,
-malformed configs and edge-shape sweeps, the paired-run summary, the run
-length each timing tool sets itself and the same-process A/B timing.  None
-runs a suite, a tree or the benchmark."""
+malformed configs and edge-shape sweeps, the working-tree copy, the
+paired-run summary, the run length each timing tool sets itself and the
+same-process A/B timing.  None runs a suite, a tree or the benchmark."""
 
 import gc
 import importlib.util
@@ -227,7 +227,7 @@ class TestParityArgvVariants:
 class TestParityEdgeSweeps:
     def test_edge_sweeps_are_in_the_plan(self, parity_plan):
         # grids the benchmark never draws: shapes (a, 1), (1, b) and
-        # (a, 1, c), and an overflowing axis next to 0 and 2 values
+        # (a, 1, c), an overflowing axis next to 0 and 2 values, and no axis
         cfg, plan = parity_plan
         shapes = set()
         for name, doc in parity.EDGE_SWEEPS.items():
@@ -236,7 +236,7 @@ class TestParityEdgeSweeps:
             assert ["sweep", f"../cfg/{path.name}", "--out",
                     "out/sweep"] in plan
             shapes.add(tuple(min(axis["count"], 2) for axis in doc["axes"]))
-        assert shapes == {(2, 1), (1, 2), (2, 1, 2), (2, 0), (2, 2)}
+        assert shapes == {(2, 1), (1, 2), (2, 1, 2), (2, 0), (2, 2), ()}
 
 
 class TestParityEdgeSimulates:
@@ -250,6 +250,29 @@ class TestParityEdgeSimulates:
             assert ["run", f"../cfg/{path.name}", "--out", "out/run"] in plan
             times.append(doc["times"])
         assert times == [{"start": 0.0, "stop": 1.0, "count": 0}, []]
+
+
+class TestCopyWorkingTree:
+    def test_copies_what_git_lists(self, tmp_path, monkeypatch):
+        # tracked and untracked files arrive; ignored ones, a tracked file
+        # gone from the tree and .git do not
+        repo, dest = tmp_path / "repo", tmp_path / "copy"
+        files = {".gitignore": "ignored.txt\ncache/\n", "a.txt": "a",
+                 "sub/b.txt": "b", "gone.txt": "g", "c.txt": "c",
+                 "ignored.txt": "i", "cache/d.txt": "d"}
+        subprocess.run(["git", "init", "-q", str(repo)], check=True)
+        for rel, text in files.items():
+            (repo / rel).parent.mkdir(parents=True, exist_ok=True)
+            (repo / rel).write_text(text, encoding="utf-8")
+        subprocess.run(["git", "-C", str(repo), "add", ".gitignore", "a.txt",
+                        "sub/b.txt", "gone.txt"], check=True)
+        (repo / "gone.txt").unlink()
+        monkeypatch.setattr(parity, "ROOT", repo)
+        parity.copy_working_tree(dest)
+        copied = {p.relative_to(dest).as_posix(): p.read_text(encoding="utf-8")
+                  for p in dest.rglob("*") if p.is_file()}
+        assert copied == {rel: files[rel] for rel in
+                          (".gitignore", "a.txt", "sub/b.txt", "c.txt")}
 
 
 class TestPairsSummary:

@@ -3,11 +3,11 @@
 A mutation site in ``src/`` is either a comparison operator, flipped
 between strict and non-strict (``<`` <-> ``<=``, ``>`` <-> ``>=``), or a
 float literal of magnitude below 1e-3, multiplied by 100.  For each chosen
-site the script copies the repository (without ``.git``) to a temporary
-directory, applies that one mutation there, and runs the tier-1 tests
-that execute the site's line (less the one test that reads
-``EQUIVALENT``'s keys off the source) with ``-x`` under a time limit, one
-mutant at a time.  The limit is the suite's per-test alarm
+site the script copies the working tree's files, tracked and untracked
+but not ignored, to a temporary directory, applies that one mutation
+there, and runs the tier-1 tests that execute the site's line (less the
+one test that reads ``EQUIVALENT``'s keys off the source) with ``-x``
+under a time limit, one mutant at a time.  The limit is the suite's per-test alarm
 (``TEST_TIME_LIMIT_S`` in ``tests/conftest.py``) plus ``HANG_FACTOR``
 times the unmutated suite's seconds, so a mutant that loops in one test
 trips the alarm and fails first.  A mutant is *killed* when its tests
@@ -50,7 +50,6 @@ import io
 import json
 import os
 import random
-import shutil
 import signal
 import subprocess
 import sys
@@ -62,7 +61,9 @@ from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from parity import ROOT, copy_working_tree  # noqa: E402
+
 # the suite's children load this module as a plugin; these name its files
 MAP_ENV, KEEP_ENV = "IQ_MUTANTS_LINE_MAP", "IQ_MUTANTS_KEEP"
 FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
@@ -343,12 +344,12 @@ def run_tier1(root: Path, timeout: float | None, tests=None,
 
 @contextlib.contextmanager
 def fresh_copy():
-    """A copy of the tree, without ``.git`` and caches, in a temporary
-    directory of its own."""
+    """A copy of the working tree's files, tracked and untracked but not
+    ignored (``parity.copy_working_tree``), in a temporary directory of its
+    own."""
     with tempfile.TemporaryDirectory(prefix="iq-mutant-") as tmp:
         copy = Path(tmp) / "repo"
-        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        copy_working_tree(copy)
         yield copy
 
 

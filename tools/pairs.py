@@ -7,7 +7,8 @@
 
 The script extracts the revision with ``git archive`` (``parity.extract``)
 and copies the working tree's files, tracked and untracked but not
-ignored, each into its own temporary directory.  With ``--null`` the
+ignored (``parity.copy_working_tree``), each into its own temporary
+directory.  With ``--null`` the
 second tree is another extraction of the revision, so the pairs measure
 the spread between two identical trees.  For each seed it runs
 
@@ -45,7 +46,6 @@ import argparse
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -54,7 +54,7 @@ from importlib import metadata
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from parity import ROOT, extract  # noqa: E402
+from parity import ROOT, copy_working_tree, extract  # noqa: E402
 
 COMMAND = ("python3 iqbench/run.py --workload {workload} --seed {seed} "
            "--seconds {seconds} --trace 0")
@@ -70,17 +70,6 @@ def parse_seeds(text: str) -> list:
         first, _, last = part.partition("-")
         seeds += range(int(first), int(last or first) + 1)
     return seeds
-
-
-def copy_working_tree(dest: Path) -> None:
-    listed = subprocess.run(
-        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
-         "--exclude-standard"], capture_output=True, check=True).stdout
-    for rel in filter(None, listed.decode().split("\0")):
-        src = ROOT / rel
-        if src.is_file():
-            (dest / rel).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(src, dest / rel)
 
 
 def resolve(rev: str) -> str:

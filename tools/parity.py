@@ -50,6 +50,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -76,7 +77,8 @@ def sweep_doc(*axes) -> dict:
 
 
 # An axis of one value after, before and between longer ones; an axis
-# whose values overflow next to a zero-count axis, and next to a longer one.
+# whose values overflow next to a zero-count axis, and next to a longer one;
+# no axis at all, one row at the fixed point.
 EDGE_SWEEPS = {
     "a_1": sweep_doc(("alpha", -1.0, 4.0, 5000), ("p_p", 0.3, 0.3, 1)),
     "1_b": sweep_doc(("theta", 0.7, 0.7, 1), ("alpha", 0.0, 3.0, 700)),
@@ -86,6 +88,7 @@ EDGE_SWEEPS = {
                             ("alpha", 0.0, 1.0, 0)),
     "overflow_2": sweep_doc(("theta", -1e308, 1e308, 3),
                             ("alpha", 0.0, 1.0, 2)),
+    "zero_axes": sweep_doc(),
 }
 
 # A simulate with no time rows writes only its header.
@@ -181,6 +184,19 @@ def extract(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
         tar.extractall(dest, filter="data")
     return ""
+
+
+def copy_working_tree(dest: Path) -> None:
+    """Copy the files git lists in this repository's working tree, tracked
+    and untracked but not ignored, into ``dest``; no ``.git``."""
+    listed = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], capture_output=True, check=True).stdout
+    for rel in filter(None, listed.decode().split("\0")):
+        src = ROOT / rel
+        if src.is_file():
+            (dest / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / rel)
 
 
 def worker(plan: Path) -> int:
