@@ -472,6 +472,27 @@ def _csv_cells(x, out=None) -> np.ndarray:
     return out
 
 
+def _non_finite_cell(header: list, axes: list, stack) -> str:
+    """Where the first non-finite cell of a CSV result lies, for its
+    error line: the first bad axis and the index of its value, else the
+    first bad column of ``stack`` and its data row, counted from 0 after
+    the header.  A result without axes (simulate) also gives the row's
+    first cell, its t, as the CSV prints it.  ``stack`` holds the last
+    columns of ``header``.
+    """
+    for name, values in zip(header, axes):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            return f"axis {name}, value index {bad[0]}"
+    bad = ~np.isfinite(stack)
+    col = int(bad.any(axis=0).argmax())
+    row = int(bad[:, col].argmax())
+    where = f"column {header[-stack.shape[1]:][col]}, data row {row}"
+    if axes or col == 0:
+        return where
+    return f"{where} ({header[0]} = {stack[row, 0]:.17g})"
+
+
 def _csv_result(header: list, axes: list, columns: list):
     """``(".csv", chunks)``: float columns as CSV cells b"%.17g" % v, each
     chunk formatted only when the writer asks for it.
@@ -481,17 +502,20 @@ def _csv_result(header: list, axes: list, columns: list):
     and gathered per row.  A single one is a plain column, formatted with
     the others in one kernel call per chunk: ~9% less format time than
     gathered.  ``columns``, at least one, hold a value per row.  A result
-    with a non-finite cell is an error, raised before any chunk; a grid
-    with no rows has no axis cells, so it writes only its header, whatever
-    its axis values.
+    with a non-finite cell is an error, raised before any chunk and
+    naming the first such cell (``_non_finite_cell``); a grid with no rows
+    has no axis cells, so it writes only its header, whatever its axis
+    values.
     """
+    grid = axes
     if len(axes) == 1:
         axes, columns = [], [*axes, *columns]
     stack = np.column_stack(columns)
     rows, sizes = len(stack), [len(values) for values in axes]
     if not (np.all(np.isfinite(stack))
             and (rows == 0 or all(np.all(np.isfinite(v)) for v in axes))):
-        raise ConfigError("result has a non-finite value")
+        raise ConfigError("result has a non-finite value: "
+                          + _non_finite_cell(header, grid, stack))
     # the chunks refer to the stack and to the axis cells, not to the
     # inputs, so those can be freed before the write
     cells = (np.split(_csv_cells(np.concatenate(axes)),

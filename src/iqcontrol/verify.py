@@ -2,9 +2,11 @@
 
 Evolves the full system (x) probe state by direct matrix exponentiation
 and partial trace, using only the kernel primitives.  Deliberately never
-touches the conditional-decomposition code paths, so it stays an
-independent check of every closed form and solver result.  Speed is a
-non-goal.
+touches the conditional-decomposition code paths and shares no code with
+``qubit``, so it stays an independent check of every closed form and
+solver result.  It stays brute force but does not re-check an array it
+has built itself: the inputs are checked once, H once (in the
+eigendecomposition) and the evolved reduced state once, as a state.
 """
 
 from __future__ import annotations
@@ -49,41 +51,46 @@ class CompositeScenario:
         object.__setattr__(self, "rho_p0", rp)
 
 
-def _evolve_reduced(h, rho, t: float, dim_s: int, dim_p: int) -> np.ndarray:
-    """Tr_p[ exp(-i H t) rho exp(+i H t) ], checked as a state."""
-    u = opkit.expm_i_hermitian(h, t)
-    reduced = opkit.partial_trace_probe(u @ rho @ opkit.dag(u), dim_s, dim_p)
-    return opkit.validate_density_matrix(reduced)
-
-
 def evolve_full(sc: CompositeScenario, t: float) -> np.ndarray:
-    """Tr_p[ exp(-i H t) (rho_s0 (x) rho_p0) exp(+i H t) ]."""
-    return _evolve_reduced(sc.h_full, opkit.kron(sc.rho_s0, sc.rho_p0), t,
-                           sc.dim_s, sc.dim_p)
+    """Tr_p[ exp(-i H t) (rho_s0 (x) rho_p0) exp(+i H t) ], checked as a
+    state."""
+    u = opkit.expm_i_hermitian(sc.h_full, t)
+    rho = opkit.kron(sc.rho_s0, sc.rho_p0)
+    return opkit.validate_density_matrix(opkit.partial_trace_probe(
+        u @ rho @ opkit.dag(u), sc.dim_s, sc.dim_p))
 
 
 def interaction_from_couplings(g1: float, g2: complex, g3: float, g4: float
                                ) -> np.ndarray:
-    """Independent 4x4 construction of the qubit interaction Hamiltonian."""
+    """Independent 4x4 construction of the qubit interaction Hamiltonian:
+    one broadcast product of its two Pauli-built factors, as bytes the
+    same as ``opkit.kron`` of them."""
     sys_part = g1 * _SZ + g2 * _SP + np.conj(g2) * _SM
     probe_part = g3 * _SX + g4 * _SZ
-    return opkit.kron(sys_part, probe_part)
+    return (sys_part[:, None, :, None]
+            * probe_part[None, :, None, :]).reshape(4, 4)
 
 
 def check_solution(sol, p_s: float, target) -> float:
     """End-to-end distance of a solved control protocol to its target.
 
-    Checks p_s and p_p as scalars, as validating diag(1-p, p) would, the
-    floor through ``require_psd``; evolves diag(1-p_s, p_s) (x)
-    diag(1-p_p, p_p) under the couplings' Hamiltonian (checked in
-    ``eig_hermitian``); checks the reduced state (Hermitian to the default
-    bound TRACE_TOL) and returns its trace distance to the target.
+    Checks p_s, p_p and t as finite scalars and p_s and p_p as
+    validating diag(1-p, p) would, the floor through ``require_psd``.
+    Evolves diag(1-p_s, p_s) (x) diag(1-p_p, p_p), d its diagonal, under
+    the couplings' H (checked in ``eig_hermitian``) as (U with its columns
+    scaled by d) U^dag, and traces out the probe by reshape; checks the
+    reduced state (Hermitian to the default bound TRACE_TOL) and returns
+    its trace distance to the target.
     """
+    if not all(map(math.isfinite, (p_s, sol.p_p, sol.t))):
+        raise StateError("matrix contains NaN or Inf entries")
     for p in (p_s, sol.p_p):
-        if not math.isfinite(p):
-            raise StateError("matrix contains NaN or Inf entries")
         opkit.require_psd(min(p, 1.0 - p))
     g = sol.couplings
-    h = interaction_from_couplings(g.g1, g.g2, g.g3, g.g4)
-    rho = np.diag(np.outer([1 - p_s, p_s], [1 - sol.p_p, sol.p_p]).ravel())
-    return opkit.trace_distance(_evolve_reduced(h, rho, sol.t, 2, 2), target)
+    u = opkit.expm_i_hermitian(
+        interaction_from_couplings(g.g1, g.g2, g.g3, g.g4), sol.t)
+    d = np.array([a * b for a in (1.0 - p_s, p_s)
+                  for b in (1.0 - sol.p_p, sol.p_p)])
+    r = ((u * d) @ opkit.dag(u)).reshape(2, 2, 2, 2)
+    reduced = opkit.validate_density_matrix(r[:, 0, :, 0] + r[:, 1, :, 1])
+    return opkit.trace_distance(reduced, target)

@@ -298,7 +298,8 @@ class TestRunSimulate:
         out = tmp_path / "out"
         assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 1
         assert capsys.readouterr().err \
-            == "error: result has a non-finite value\n"
+            == ("error: result has a non-finite value: column e_plus, "
+                "data row 3 (t = 1.5)\n")
         assert not out.exists()
 
     def test_deterministic_reruns(self, tmp_path):
@@ -1437,8 +1438,45 @@ class TestCsvWriter:
         out = tmp_path / "out"
         assert cli.main([command, str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
+        where = {"run": "column trace_distance_to_target, data row 4097 "
+                        "(t = 5)",
+                 "sweep": "column abs_rho10, data row 4097"}[command]
         assert capsys.readouterr() \
-            == ("", "error: result has a non-finite value\n")
+            == ("", f"error: result has a non-finite value: {where}\n")
+
+    @pytest.mark.parametrize("header, axes, columns, where", [
+        # simulate: no axes, the row's t (its first cell) as printed
+        (["t", "x", "c"], [], [np.array([0.0, 0.1, 0.2]), np.ones(3),
+                               np.array([1.0, 2.0, -np.inf])],
+         "column c, data row 2 (t = 0.20000000000000001)"),
+        # a sweep's state column, after the two axes' columns
+        (["a", "b", "x", "c"], [np.array([0.0, 1.0]),
+                                np.array([0.5, 0.6, 0.7])],
+         [np.ones(6), np.array([0.0, 1.0, 2.0, 3.0, np.nan, np.nan])],
+         "column c, data row 4"),
+        # a sweep axis: the axis and its value's index, ahead of any bad
+        # state column, whether it is gathered or a plain column
+        (["a", "b", "x", "c"], [np.array([0.0, 1.0]),
+                                np.array([0.5, np.inf, 0.7])],
+         [np.full(6, np.nan), np.ones(6)], "axis b, value index 1"),
+        (["b", "x", "c"], [np.array([0.5, np.nan, 0.7])],
+         [np.full(3, np.nan), np.ones(3)], "axis b, value index 1")])
+    def test_non_finite_error_names_its_cell(self, header, axes, columns,
+                                              where):
+        with pytest.raises(cli.ConfigError) as err:
+            cli._csv_result(header, axes, columns)
+        assert str(err.value) == f"result has a non-finite value: {where}"
+
+    def test_overflowing_sweep_axis_named(self, tmp_path, capsys):
+        # (stop - start) overflows, so linspace's first value is 0 * inf
+        cfg = write_config(tmp_path, "c.json", sweep_config(axes=[
+            {"name": "p_p", "start": 0.0, "stop": 1.0, "count": 2},
+            {"name": "theta", "start": -1e308, "stop": 1e308, "count": 3}]))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr() == ("", "error: result has a non-finite "
+                                       "value: axis theta, value index 0\n")
 
 
 class TestArgv:

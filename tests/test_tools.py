@@ -552,6 +552,62 @@ class TestAbTiming:
         assert doc["ratio"] == round((1.1 * 1.2 * 1.3 * 1.4) ** 0.25, 6)
         assert doc["parent_first"]["between_calls"] == round(1.2 / 1.1, 6)
 
+    def test_out_stores_each_workload_in_its_record(self, monkeypatch,
+                                                     tmp_path, capsys):
+        # stubbed children; the record takes BENCH_38.json's layout, next
+        # to what tools/pairs.py --out put there
+        argvs = []
+
+        def run(argv, stdout, text):
+            argvs.append(argv)
+            doc = {"median": 1.1 + 0.1 * (len(argvs) % 4),
+                   "loaded_first": argv[-1]}
+            return subprocess.CompletedProcess(argv, 0, json.dumps(doc))
+        monkeypatch.setattr(ab.subprocess, "run", run)
+        monkeypatch.setattr(ab, "resolve", lambda rev: "c0ffee" * 6 + "cafe")
+        out = tmp_path / "BENCH.json"
+        out.write_text(json.dumps({"parent": "abc123",
+                                   "parent_commit": "c0ffee" * 6 + "cafe",
+                                   "workloads": {"small_configs": {}}}))
+        for workload, null in (("small_configs", False),
+                               ("sweep_grid", False), ("sweep_grid", True)):
+            assert ab.main(["abc123", "--workload", workload, "--seed", "4",
+                            "--out", str(out)] + ["--null"] * null) == 0
+            printed = json.loads(capsys.readouterr().out)
+            kind = "null_calls" if null else "workloads"
+            assert json.loads(out.read_text())["in_process_ab"][kind][
+                workload] == printed
+        doc = json.loads(out.read_text())
+        assert list(doc) == ["parent", "parent_commit", "workloads",
+                             "in_process_ab"]
+        assert doc["workloads"] == {"small_configs": {}}
+        section = doc["in_process_ab"]
+        assert section["command"] \
+            == "python tools/ab.py abc123 --workload W --seed S"
+        assert section["clock"] == "time.thread_time, summed per side per pass"
+        assert section["ratio"] == (
+            "parent seconds / change seconds per pass; ratio is the "
+            "geometric mean of the four children's medians")
+        assert list(section["workloads"]) == ["small_configs", "sweep_grid"]
+        assert all("--out" not in argv for argv in argvs)
+        assert len(argvs) == 12
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"parent_commit": "f" * 40},
+         f"the record's parent is {'f' * 40}, not {'c' * 40}"),
+        ({"in_process_ab": {"workloads": {"reach_ladder": {}}}},
+         "in_process_ab.workloads.reach_ladder is already recorded")])
+    def test_out_clash_runs_nothing(self, monkeypatch, tmp_path, capsys,
+                                    doc, message):
+        monkeypatch.setattr(ab.subprocess, "run", None)
+        monkeypatch.setattr(ab, "resolve", lambda rev: "c" * 40)
+        out = tmp_path / "BENCH.json"
+        out.write_text(json.dumps(doc))
+        assert ab.main(["abc123", "--workload", "reach_ladder",
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert json.loads(out.read_text()) == doc
+
     def test_a_failing_child_ends_the_run(self, monkeypatch, capsys):
         argvs = []
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,8 +81,10 @@ class TestCheckSolution:
     def test_oracle_cost_by_counts(self, count_calls):
         # one eigendecomposition, of the 4x4 propagator; the two 2x2
         # spectra (the reduced state and the trace distance) are read in
-        # closed form, and p_s and p_p are checked as scalars; the tensor
-        # products never go through np.kron
+        # closed form, and p_s and p_p are checked as scalars; H is one
+        # broadcast product, the product state is never built as a
+        # matrix and the probe is traced out by a reshape, so only H, the
+        # reduced state and the trace distance's two operands are coerced
         rng = np.random.default_rng(55)
         sol = qubit.ControlSolution(
             couplings=rand_couplings(rng), theta=0.3, alpha=0.4, p_p=0.3,
@@ -88,10 +92,27 @@ class TestCheckSolution:
         eigh = count_calls(np.linalg, "eigh")
         eigvalsh = count_calls(np.linalg, "eigvalsh")
         krons = count_calls(np, "kron")
+        coerced = count_calls(opkit, "as_matrix")
+        own_krons = count_calls(opkit, "kron")
+        traces = count_calls(opkit, "partial_trace_probe")
         verify.check_solution(sol, 0.2, rand_density(rng, 2))
         assert [np.shape(a) for a, *_ in eigh] == [(4, 4)]
         assert eigvalsh == []
-        assert krons == []
+        assert krons == [] and own_krons == [] and traces == []
+        assert len(coerced) <= 4
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_non_finite_time_checked_as_scalar(self, t, quiet):
+        # raised before any array arithmetic, so no numpy warning escapes
+        # whether or not the caller silences them (the suite makes
+        # warnings errors)
+        sol = dataclasses.replace(self.probe_solution(0.3), t=t)
+        target = np.diag([0.6, 0.4]).astype(complex)
+        with np.errstate(all="ignore" if quiet else "warn"), \
+                pytest.raises(StateError) as err:
+            verify.check_solution(sol, 0.2, target)
+        assert str(err.value) == "matrix contains NaN or Inf entries"
 
     def test_matches_composite_route(self):
         # the product state built in place evolves to the same bits as

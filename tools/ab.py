@@ -3,6 +3,7 @@
     python tools/ab.py cc8c035 --workload small_configs
     python tools/ab.py cc8c035 --workload reach_ladder --seed 3
     python tools/ab.py cc8c035 --workload small_configs --null
+    python tools/ab.py cc8c035 --workload small_configs --out BENCH.json
 
 The script runs the same A/B four times, each in a fresh child process of
 its own: the parent loading first, then the change, and the two again.
@@ -77,6 +78,15 @@ of the passes).  CPU time only: it does not replace the benchmark's
 ``items_per_s``, ``setup_s`` or ``peak_rss_mb``.  The working tree is only
 read.
 
+With ``--out FILE`` (a ``BENCH_*.json`` record, made if missing) the
+printed document is also stored as ``in_process_ab.workloads[W]`` of FILE,
+``in_process_ab.null_calls[W]`` with ``--null``; ``in_process_ab`` gets
+the ``command``, ``clock`` and ``ratio`` fields that describe them, and
+FILE the ``parent`` and ``parent_commit`` keys if it has none, as
+``tools/pairs.py --out`` writes them.  A workload already stored there,
+or a FILE whose ``parent_commit`` is another commit, exits 2 with one
+message before any child runs.
+
 Standard library and numpy only.
 """
 
@@ -97,10 +107,12 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from pairs import resolve  # noqa: E402
+from pairs import read, resolve  # noqa: E402
 from parity import ROOT, WORKLOADS, extract, write_workload  # noqa: E402
 
 SIDES = ("parent", "change")
+CLOCK = "time.thread_time, summed per side per pass"
+RATIO = "parent seconds / change seconds per pass"
 # Thread seconds each side sums per child, and the fewest passes a child
 # runs: see the module docstring for the null calls they were chosen from.
 BUDGET_S = 10.0
@@ -200,10 +212,42 @@ def both_orders(parent_first: list, change_first: list) -> dict:
             **orders}
 
 
+def record_clash(old: dict, kind: str, workload: str, commit: str):
+    """Why an A/B of ``workload`` against ``commit`` cannot be stored
+    under ``in_process_ab[kind]`` of the record ``old``, or None."""
+    if old.get("parent_commit", commit) != commit:
+        return f"the record's parent is {old['parent_commit']}, not {commit}"
+    if workload in old.get("in_process_ab", {}).get(kind, {}):
+        return f"in_process_ab.{kind}.{workload} is already recorded"
+    return None
+
+
+def record(old: dict, kind: str, workload: str, rev: str, commit: str,
+           doc: dict) -> dict:
+    """``old`` with ``doc`` stored as ``in_process_ab[kind][workload]``."""
+    old.setdefault("parent", rev)
+    old.setdefault("parent_commit", commit)
+    section = old.setdefault("in_process_ab", {
+        "command": f"python tools/ab.py {rev} --workload W --seed S",
+        "clock": CLOCK,
+        "ratio": f"{RATIO}; ratio is the geometric mean of the four "
+                 "children's medians"})
+    section.setdefault(kind, {})[workload] = doc
+    return old
+
+
 def run_both_orders(args) -> int:
     """The A/B of ``args`` in four child processes, the load orders
     alternating, the parent first; prints ``both_orders`` of their
-    documents."""
+    documents and, with ``--out``, records it there."""
+    kind = "null_calls" if args.null else "workloads"
+    if args.out:
+        commit = resolve(args.rev)
+        error = (record_clash(read(args.out), kind, args.workload, commit)
+                 if commit else f"{args.rev} names no commit")
+        if error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     argv = ([args.rev, "--workload", args.workload, "--seed", str(args.seed)]
             + ["--null"] * args.null)
     docs = {side: [] for side in SIDES}
@@ -214,7 +258,12 @@ def run_both_orders(args) -> int:
         if child.returncode:
             return child.returncode
         docs[first].append(json.loads(child.stdout))
-    print(json.dumps(both_orders(docs["parent"], docs["change"]), indent=2))
+    doc = both_orders(docs["parent"], docs["change"])
+    print(json.dumps(doc, indent=2))
+    if args.out:  # read again: the children ran for minutes
+        args.out.write_text(json.dumps(record(
+            read(args.out), kind, args.workload, args.rev, commit, doc),
+            indent=2) + "\n", encoding="utf-8")
     return 0
 
 
@@ -225,6 +274,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--null", action="store_true",
                         help="load the revision on both sides")
+    parser.add_argument("--out", type=Path,
+                        help="BENCH_*.json record to store the result in")
     # a child's load order; the top-level call starts two children per order
     parser.add_argument("--loaded-first", choices=SIDES, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -257,8 +308,7 @@ def main(argv=None) -> int:
            "workload": args.workload, "seed": args.seed,
            "passes": len(seconds), "budget_s": BUDGET_S, "null": args.null,
            "loaded_first": args.loaded_first,
-           "clock": "time.thread_time, summed per side per pass",
-           "ratio": "parent seconds / change seconds per pass",
+           "clock": CLOCK, "ratio": RATIO,
            "parent_s": parent, "change_s": change,
            **summary(parent, change)}
     print(json.dumps(doc, indent=2))
