@@ -9,8 +9,8 @@ Modules:
     cli      the ``iqctl`` experiment runner
 """
 
-# No eager ``cli`` import: ``python -m iqcontrol.cli`` then runs warning-free.
-from . import nlevel, opkit, qubit, thermal, verify
+import importlib
+
 from .errors import (
     DegenerateConditionError,
     DegenerateProbeError,
@@ -30,4 +30,20 @@ __all__ = [
     "ProbabilityError", "DomainError",
 ]
 
+# No eager submodule import: each loads on first access (PEP 562), so a
+# process imports only the modules it uses, and ``python -m iqcontrol.cli``
+# runs warning-free.  The submodules are the lower-case names.
+_SUBMODULES = [name for name in __all__ if name.islower()]
+
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # importing a submodule binds it here, so this runs once per name
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_SUBMODULES})

@@ -22,6 +22,8 @@ the output directory is made only when a result is written.
 
 ``validate_config`` returns the mode's run, its ``_run_*`` bound to the
 parsed values; a run returns (exit code, (suffix, chunks)) and main writes.
+A mode imports the modules it calls when it first validates or runs
+(``_import``), so a config loads only those of its own mode.
 """
 
 from __future__ import annotations
@@ -32,14 +34,14 @@ import math
 import os
 import sys
 from functools import cache, partial
+from importlib import import_module
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from . import opkit, qubit, thermal, verify
+from . import opkit
 from .errors import IQControlError
-from .nlevel import ReachabilityProblem, solve_probe_spectrum
 
 MODES = ("simulate", "solve", "reach", "thermal", "sweep")
 SWEEP_PARAMS = ("theta", "alpha", "p_p")
@@ -259,6 +261,7 @@ def validate_config(cfg: dict):
     chunks)).  Nothing is computed before it is called."""
     mode = cfg["mode"]
     if mode == "simulate":
+        _import("qubit")
         couplings = _parse_couplings(_get(cfg, "couplings", dict, "config"),
                                      "config.couplings")
         p_s = _parse_unit(cfg, "p_s", "config")
@@ -278,6 +281,7 @@ def validate_config(cfg: dict):
         c = _parse_coefficients(_get(cfg, "coefficients", list, "config"))
         p, q = (_parse_numbers(_get(cfg, key, list, "config"), f"config.{key}")
                 for key in ("initial_weights", "target_weights"))
+        _import("ReachabilityProblem")
         try:
             prob = ReachabilityProblem(initial_weights=p, target_weights=q,
                                        coefficients=c)
@@ -554,6 +558,7 @@ def _run_simulate(g, p_s, p_p, times, target):
 
 
 def _run_solve(p_s, target, tol):
+    _import("qubit", "verify")
     sol = qubit.solve_controls_numeric(p_s, target, tol)
     oracle = verify.check_solution(sol, p_s, target)
     doc = {
@@ -568,6 +573,7 @@ def _run_solve(p_s, target, tol):
 
 
 def _run_reach(problem, tol):
+    _import("solve_probe_spectrum")
     w, residual = solve_probe_spectrum(problem)
     reachable = residual <= tol
     return (0 if reachable else 2), _json_result(
@@ -576,17 +582,20 @@ def _run_reach(problem, tol):
 
 
 def _run_thermal_gap(temperature, p_p):
+    _import("thermal")
     return 0, _json_result({"gap": thermal.required_gap(p_p, temperature),
                             "temperature": temperature, "p_p": p_p})
 
 
 def _run_thermal_occupancy(temperature, e0, e1):
+    _import("thermal")
     spec = thermal.ThermalSpec(e0=e0, e1=e1, temperature=temperature)
     return 0, _json_result({"p_p": thermal.thermal_occupancy(spec),
                             "gap": e1 - e0, "temperature": temperature})
 
 
 def _run_sweep(p_s, axes, fixed):
+    _import("qubit")
     grid = np.meshgrid(*axes.values(), indexing="ij", sparse=True)
     params = dict(fixed, **dict(zip(axes, grid)))
     alpha = params["alpha"]
@@ -599,16 +608,23 @@ def _run_sweep(p_s, axes, fixed):
 
 
 _COMMANDS = ("run", "sweep", "check")
-_PARSER = argparse.ArgumentParser(
-    prog="iqctl", description="Indirect quantum control experiment runner")
-_PARSER.add_argument("command", choices=_COMMANDS,
-                     help="run: execute a config; sweep: run a parameter "
-                          "sweep config; check: validate a config without "
-                          "executing")
-_PARSER.add_argument("config", type=Path)
-_PARSER.add_argument("--out", type=Path, default=Path("out"),
-                     help="output directory (default ./out)")
-_PARSER.add_argument("--quiet", action="store_true")
+_OUT = Path("out")  # the default --out
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The ``_PARSER`` of ``_DEFERRED``: argv outside the documented form
+    is parsed and reported by it, so it is built only for such argv."""
+    parser = argparse.ArgumentParser(
+        prog="iqctl", description="Indirect quantum control experiment runner")
+    parser.add_argument("command", choices=_COMMANDS,
+                        help="run: execute a config; sweep: run a parameter "
+                             "sweep config; check: validate a config without "
+                             "executing")
+    parser.add_argument("config", type=Path)
+    parser.add_argument("--out", type=Path, default=_OUT,
+                        help="output directory (default ./out)")
+    parser.add_argument("--quiet", action="store_true")
+    return parser
 
 
 def _documented_args(argv):
@@ -621,7 +637,7 @@ def _documented_args(argv):
             or argv[1].startswith("-")):
         return None
     args = argparse.Namespace(command=argv[0], config=Path(argv[1]),
-                              out=_PARSER.get_default("out"), quiet=False)
+                              out=_OUT, quiet=False)
     options = iter(argv[2:])
     for option in options:
         if option == "--quiet":
@@ -636,11 +652,53 @@ def _documented_args(argv):
     return args
 
 
+def _package(module: str, name=None):
+    """A module of this package, or ``name`` of it."""
+    module = import_module(f"{__package__}.{module}")
+    return module if name is None else getattr(module, name)
+
+
+# The names a mode binds on first use, and how each is made: the package's
+# modules, nlevel's two, and the parser of command lines outside the
+# documented form (building it imports locale).
+_DEFERRED = {
+    "qubit": partial(_package, "qubit"),
+    "verify": partial(_package, "verify"),
+    "thermal": partial(_package, "thermal"),
+    "ReachabilityProblem": partial(_package, "nlevel", "ReachabilityProblem"),
+    "solve_probe_spectrum": partial(_package, "nlevel",
+                                    "solve_probe_spectrum"),
+    "_PARSER": _parser,
+}
+
+
+def _import(*names):
+    """Bind each of ``names`` into this module's globals while it is unset,
+    so a value already there (a test's patch, a tracer's wrapper) stays and
+    a loaded name costs one dict lookup."""
+    scope = globals()
+    for name in names:
+        if name not in scope:
+            scope[name] = _DEFERRED[name]()
+
+
+def __getattr__(name):
+    # PEP 562: ``cli.thermal`` and the other deferred names resolve before
+    # the first run that binds them, so they can be patched or wrapped
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _import(name)
+    return globals()[name]
+
+
 # An overflow reaches the user as the one error line of a finiteness check
 # (on the config, a matrix or the result), not as numpy warnings.
 @np.errstate(all="ignore")
 def main(argv=None) -> int:
-    args = _documented_args(argv) or _PARSER.parse_args(argv)
+    args = _documented_args(argv)
+    if args is None:
+        _import("_PARSER")
+        args = _PARSER.parse_args(argv)
 
     try:
         cfg = load_config(args.config)

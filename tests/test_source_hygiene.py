@@ -82,15 +82,39 @@ def package_imports(tree):
             for p in paths if p[0] == "iqcontrol"}
 
 
+def raised_name(node):
+    """Class name of a raise statement, None for a bare re-raise."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return None if exc is None else (getattr(exc, "id", None)
+                                     or getattr(exc, "attr", None))
+
+
+def attribute_protocol(tree):
+    """The ``raise AttributeError`` statements made directly in a
+    module-level ``__getattr__``, not in a function or class inside it."""
+    found, stack = [], [node for top in tree.body
+                        if isinstance(top, ast.FunctionDef)
+                        and top.name == "__getattr__" for node in top.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Raise) and raised_name(node) == "AttributeError":
+            found.append(node)
+        stack += ast.iter_child_nodes(node)
+    return found
+
+
 def raised_names(tree):
-    """Class names of the raise statements, None for a bare re-raise."""
-    names = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Raise):
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            names.append(None if exc is None else
-                         getattr(exc, "id", None) or getattr(exc, "attr", None))
-    return names
+    """Class names of the raise statements, None for a bare re-raise.
+
+    A module ``__getattr__`` must raise AttributeError for a name it does
+    not know (PEP 562): that is the attribute protocol, not an error the
+    CLI reports, so those raises are left out."""
+    protocol = set(map(id, attribute_protocol(tree)))
+    return [raised_name(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and id(node) not in protocol]
 
 
 def test_modules_found():
@@ -183,6 +207,24 @@ def test_raises_only_package_errors(path):
         allowed.add("ConfigError")
     allowed.add(None)
     assert [n for n in raised_names(parse(path)) if n not in allowed] == []
+
+
+def test_only_a_module_getattr_may_raise_attribute_error():
+    # directly in a module-level __getattr__, and nowhere else
+    tree = ast.parse(
+        "def __getattr__(name):\n"
+        "    if name == 'a':\n"
+        "        raise AttributeError(name)\n"
+        "    def inner():\n"
+        "        raise AttributeError(name)\n"
+        "    raise AttributeError\n"
+        "def other():\n"
+        "    raise AttributeError\n"
+        "class C:\n"
+        "    def __getattr__(self, name):\n"
+        "        raise AttributeError(name)\n")
+    assert sorted(node.lineno for node in attribute_protocol(tree)) == [3, 6]
+    assert raised_names(tree) == ["AttributeError"] * 3
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

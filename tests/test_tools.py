@@ -8,6 +8,7 @@ import gc
 import importlib.util
 import json
 import math
+import os
 import random
 import shutil
 import subprocess
@@ -241,7 +242,8 @@ class TestParityEdgeSweeps:
 
 class TestParityEdgeSimulates:
     def test_zero_row_simulates_are_in_the_plan(self, parity_plan):
-        # no time rows, as a range of count 0 and as an empty list
+        # no time rows, as a range of count 0 and as an empty list, and
+        # three rows whose result overflows
         cfg, plan = parity_plan
         times = []
         for name, doc in parity.EDGE_SIMULATES.items():
@@ -249,7 +251,8 @@ class TestParityEdgeSimulates:
             assert json.loads(path.read_text(encoding="utf-8")) == doc
             assert ["run", f"../cfg/{path.name}", "--out", "out/run"] in plan
             times.append(doc["times"])
-        assert times == [{"start": 0.0, "stop": 1.0, "count": 0}, []]
+        assert times == [{"start": 0.0, "stop": 1.0, "count": 0}, [],
+                         {"start": 0.0, "stop": 1.0, "count": 3}]
 
 
 class TestCopyWorkingTree:
@@ -628,3 +631,120 @@ class TestAbTiming:
         low, high = result["ci95"]
         assert 1.0 <= low < 1.2 < high <= 1.4
         assert ab.summary([2.2, 3.3], [2.0, 3.0])["ci95"] == [1.1, 1.1]
+
+
+class TestAbStartup:
+    COST = {"parent": 0.3, "change": 0.2}
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """Fake process starts, each advancing a fake clock by its side's
+        cost; the revision resolves, extracts and copies without git."""
+        now, starts, trees = [0.0], [], []
+
+        def run(argv, env, cwd, stdout, check):
+            side = Path(env["PYTHONPATH"].split(os.pathsep)[0]).parent.name
+            starts.append((side, argv, env))
+            now[0] += self.COST[side]
+            return subprocess.CompletedProcess(argv, 0)
+        monkeypatch.setattr(ab.subprocess, "run", run)
+        monkeypatch.setattr(ab, "time",
+                            types.SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(ab, "resolve", lambda rev: "c" * 40)
+        monkeypatch.setattr(ab, "extract", lambda rev, dest: trees.append(
+            ("extract", dest.name)) or "")
+        monkeypatch.setattr(ab, "copy_working_tree",
+                            lambda dest: trees.append(("copy", dest.name)))
+        monkeypatch.setattr(ab, "STARTUP_ROUNDS", 4)
+        return starts, trees
+
+    def test_every_round_starts_each_config_once_per_side_and_setting(
+            self, starts, capsys):
+        starts, trees = starts
+        assert ab.main(["abc123", "--startup"]) == 0
+        configs = sorted((ab.ROOT / "configs").glob("*.json"))
+        assert trees == [("extract", "parent"), ("copy", "change")]
+        # an untimed start per setting, side and config, then the rounds
+        assert len(starts) == 2 * 2 * len(configs) * (1 + 4)
+        for side, argv, env in starts:
+            assert argv[:5] == [sys.executable, "-m", "iqcontrol.cli", "run",
+                                argv[4]] and Path(argv[4]) in configs
+            assert argv[5:] == ["--out", argv[6], "--quiet"]
+            assert Path(argv[6]).name == side
+            assert ("PYTHONDONTWRITEBYTECODE" in env) \
+                != ("PYTHONPYCACHEPREFIX" in env)
+        timed = starts[2 * 2 * len(configs):]
+        pairs = [timed[i:i + 2] for i in range(0, len(timed), 2)]
+        # each pair is one config and setting, started once from each side
+        assert all({a[0], b[0]} == {"parent", "change"} and a[1][4] == b[1][4]
+                   and a[2].keys() == b[2].keys() for a, b in pairs)
+        firsts = Counter(a[0] for a, _ in pairs)
+        assert firsts["parent"] > 0 and firsts["change"] > 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["rounds"], doc["null"]) == (4, False)
+        assert set(doc["settings"]) == {"dont_write_bytecode",
+                                        "warm_pycache_prefix"}
+        for per_config in doc["settings"].values():
+            assert sorted(per_config) == [p.name for p in configs]
+            for result in per_config.values():
+                assert result["ratios"] == [1.5] * 4
+                assert result["median"] == 1.5
+                assert result["ci95"] == [1.5, 1.5]
+                assert (result["parent_median_s"],
+                        result["change_median_s"]) == (0.3, 0.2)
+
+    def test_settings_set_only_their_bytecode_variable(self, starts,
+                                                       monkeypatch, capsys):
+        # a caller's own bytecode variables do not reach the processes
+        starts, _ = starts
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        monkeypatch.setenv("PYTHONPYCACHEPREFIX", "/elsewhere")
+        monkeypatch.setenv("PYTHONPATH", "/extra")
+        assert ab.main(["abc123", "--startup"]) == 0
+        capsys.readouterr()
+        prefixes = {env.get("PYTHONPYCACHEPREFIX") for _, _, env in starts}
+        assert len(prefixes) == 2 and "/elsewhere" not in prefixes
+        assert None in prefixes
+        for side, _, env in starts:
+            assert env["PYTHONPATH"].split(os.pathsep)[1:] == ["/extra"]
+            assert env.get("PYTHONDONTWRITEBYTECODE", "1") == "1"
+
+    def test_null_extracts_the_revision_twice(self, starts, capsys):
+        _, trees = starts
+        assert ab.main(["abc123", "--startup", "--null"]) == 0
+        assert trees == [("extract", "parent"), ("extract", "change")]
+        assert json.loads(capsys.readouterr().out)["null"] is True
+
+    def test_out_stores_each_call_in_its_own_section(self, starts, tmp_path,
+                                                     capsys):
+        starts, _ = starts
+        out = tmp_path / "BENCH.json"
+        out.write_text(json.dumps({"parent": "abc123",
+                                   "parent_commit": "c" * 40,
+                                   "in_process_ab": {"workloads": {}}}))
+        for null in (False, True):
+            assert ab.main(["abc123", "--startup", "--out", str(out)]
+                           + ["--null"] * null) == 0
+            printed = json.loads(capsys.readouterr().out)
+            kind = "null_calls" if null else "calls"
+            assert json.loads(out.read_text())["startup_ab"][kind] == printed
+        doc = json.loads(out.read_text())
+        assert doc["in_process_ab"] == {"workloads": {}}
+        section = doc["startup_ab"]
+        assert section["command"] == "python tools/ab.py abc123 --startup"
+        assert list(section) == ["command", "clock", "ratio", "calls",
+                                 "null_calls"]
+        made = len(starts)
+        assert ab.main(["abc123", "--startup", "--out", str(out)]) == 2
+        assert capsys.readouterr().err \
+            == "error: startup_ab.calls is already recorded\n"
+        assert len(starts) == made
+
+    def test_a_workload_or_startup_not_both(self, monkeypatch, capsys):
+        monkeypatch.setattr(subprocess, "run", None)
+        for argv in (["HEAD"], ["HEAD", "--startup", "--workload",
+                                "sweep_grid"]):
+            with pytest.raises(SystemExit) as raised:
+                ab.main(argv)
+            assert raised.value.code == 2
+        assert "--startup" in capsys.readouterr().err

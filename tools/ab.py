@@ -4,6 +4,7 @@
     python tools/ab.py cc8c035 --workload reach_ladder --seed 3
     python tools/ab.py cc8c035 --workload small_configs --null
     python tools/ab.py cc8c035 --workload small_configs --out BENCH.json
+    python tools/ab.py cc8c035 --startup [--null] [--out BENCH.json]
 
 The script runs the same A/B four times, each in a fresh child process of
 its own: the parent loading first, then the change, and the two again.
@@ -87,6 +88,28 @@ FILE the ``parent`` and ``parent_commit`` keys if it has none, as
 or a FILE whose ``parent_commit`` is another commit, exits 2 with one
 message before any child runs.
 
+With ``--startup`` it times whole processes instead: what one ``iqctl``
+call costs to start.  The revision is extracted and the working tree
+copied (``parity.copy_working_tree``), each into its own temporary
+directory, so neither side finds bytecode the other lacks; with
+``--null`` the second tree is another extraction of the revision.  Each
+of ``STARTUP_ROUNDS`` rounds starts, per bundled ``configs/*.json``,
+
+    python -m iqcontrol.cli run CONFIG --out TMP --quiet
+
+once from each tree, with only that tree's ``src`` put in front of
+``PYTHONPATH``, the two in an order drawn per round and config, and times
+each process's wall time.  It does so under two settings, reported
+apart: with ``PYTHONDONTWRITEBYTECODE=1``, where the package is compiled
+at every start, and with ``PYTHONPYCACHEPREFIX`` under a temporary
+directory, which one untimed start per config and tree fills first, as an
+installed package reads its bytecode.  Per setting and config it reports
+each side's median seconds, the per-round ratios (parent over change),
+their median and its 95% bootstrap interval (``summary``).  With
+``--out`` that document is stored as ``startup_ab.calls``, or
+``startup_ab.null_calls`` with ``--null``, under the same rules as an
+in-process A/B.
+
 Standard library and numpy only.
 """
 
@@ -97,6 +120,7 @@ import gc
 import importlib.util
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -108,7 +132,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from pairs import read, resolve  # noqa: E402
-from parity import ROOT, WORKLOADS, extract, write_workload  # noqa: E402
+from parity import (  # noqa: E402
+    ROOT,
+    WORKLOADS,
+    copy_working_tree,
+    extract,
+    write_workload,
+)
 
 SIDES = ("parent", "change")
 CLOCK = "time.thread_time, summed per side per pass"
@@ -117,6 +147,12 @@ RATIO = "parent seconds / change seconds per pass"
 # runs: see the module docstring for the null calls they were chosen from.
 BUDGET_S = 10.0
 MIN_PASSES = 10
+STARTUP_CLOCK = "time.perf_counter around each process, start to exit"
+STARTUP_RATIO = "parent seconds / change seconds per round"
+# Rounds of a --startup call: a round starts 2 processes per side and
+# bundled config (one per setting), ~3 s for the five configs on a 2-vCPU
+# VM, where thirty rounds gave per-config CIs 0.05-0.19 wide.
+STARTUP_ROUNDS = 30
 
 
 def load_cli(name: str, src: Path):
@@ -212,39 +248,74 @@ def both_orders(parent_first: list, change_first: list) -> dict:
             **orders}
 
 
-def record_clash(old: dict, kind: str, workload: str, commit: str):
-    """Why an A/B of ``workload`` against ``commit`` cannot be stored
-    under ``in_process_ab[kind]`` of the record ``old``, or None."""
+def record_place(args) -> tuple:
+    """Where the record stores the result of ``args`` (its section, the
+    kind of call and, for an in-process A/B, the workload), and the
+    fields that describe that section when it is new."""
+    if args.startup:
+        return (("startup_ab", "null_calls" if args.null else "calls"),
+                {"command": f"python tools/ab.py {args.rev} --startup",
+                 "clock": STARTUP_CLOCK, "ratio": STARTUP_RATIO})
+    return (("in_process_ab", "null_calls" if args.null else "workloads",
+             args.workload),
+            {"command": f"python tools/ab.py {args.rev} --workload W --seed S",
+             "clock": CLOCK,
+             "ratio": f"{RATIO}; ratio is the geometric mean of the four "
+                      "children's medians"})
+
+
+def record_clash(old: dict, keys: tuple, commit: str):
+    """Why a result for ``commit`` cannot be stored at ``keys`` of the
+    record ``old``, or None."""
     if old.get("parent_commit", commit) != commit:
         return f"the record's parent is {old['parent_commit']}, not {commit}"
-    if workload in old.get("in_process_ab", {}).get(kind, {}):
-        return f"in_process_ab.{kind}.{workload} is already recorded"
+    node = old
+    for key in keys[:-1]:
+        node = node.get(key, {})
+    if keys[-1] in node:
+        return f"{'.'.join(keys)} is already recorded"
     return None
 
 
-def record(old: dict, kind: str, workload: str, rev: str, commit: str,
+def record(old: dict, keys: tuple, header: dict, rev: str, commit: str,
            doc: dict) -> dict:
-    """``old`` with ``doc`` stored as ``in_process_ab[kind][workload]``."""
+    """``old`` with ``doc`` stored at ``keys``, a new section given the
+    fields of ``header``."""
     old.setdefault("parent", rev)
     old.setdefault("parent_commit", commit)
-    section = old.setdefault("in_process_ab", {
-        "command": f"python tools/ab.py {rev} --workload W --seed S",
-        "clock": CLOCK,
-        "ratio": f"{RATIO}; ratio is the geometric mean of the four "
-                 "children's medians"})
-    section.setdefault(kind, {})[workload] = doc
+    node = old.setdefault(keys[0], header)
+    for key in keys[1:-1]:
+        node = node.setdefault(key, {})
+    node[keys[-1]] = doc
     return old
+
+
+def resolve_for_record(args):
+    """(commit, None) for a call whose result can be stored as ``--out``
+    asks, else (None, the error line's text)."""
+    commit = resolve(args.rev)
+    if not commit:
+        return None, f"{args.rev} names no commit"
+    if not args.out:
+        return commit, None
+    return commit, record_clash(read(args.out), record_place(args)[0],
+                                commit)
+
+
+def store(args, commit: str, doc: dict) -> None:
+    """Record ``doc`` in ``args.out``, read again: the call ran for
+    minutes."""
+    args.out.write_text(json.dumps(record(
+        read(args.out), *record_place(args), args.rev, commit, doc),
+        indent=2) + "\n", encoding="utf-8")
 
 
 def run_both_orders(args) -> int:
     """The A/B of ``args`` in four child processes, the load orders
     alternating, the parent first; prints ``both_orders`` of their
     documents and, with ``--out``, records it there."""
-    kind = "null_calls" if args.null else "workloads"
     if args.out:
-        commit = resolve(args.rev)
-        error = (record_clash(read(args.out), kind, args.workload, commit)
-                 if commit else f"{args.rev} names no commit")
+        commit, error = resolve_for_record(args)
         if error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -260,17 +331,110 @@ def run_both_orders(args) -> int:
         docs[first].append(json.loads(child.stdout))
     doc = both_orders(docs["parent"], docs["change"])
     print(json.dumps(doc, indent=2))
-    if args.out:  # read again: the children ran for minutes
-        args.out.write_text(json.dumps(record(
-            read(args.out), kind, args.workload, args.rev, commit, doc),
-            indent=2) + "\n", encoding="utf-8")
+    if args.out:
+        store(args, commit, doc)
+    return 0
+
+
+def startup_seconds(argv: list, env: dict, cwd: Path) -> float:
+    """Wall seconds of one process, from its start to its exit."""
+    start = time.perf_counter()
+    subprocess.run(argv, env=env, cwd=cwd, stdout=subprocess.DEVNULL,
+                   check=True)
+    return time.perf_counter() - start
+
+
+def startup_envs(trees: dict, cache: Path) -> dict:
+    """setting -> side -> environment of a started process: only that
+    side's ``src`` in front of ``PYTHONPATH``, and the setting's bytecode
+    variable.  The settings are the two ways a process gets its bytecode:
+    compiled at every start, or read from a cache under ``cache`` that an
+    untimed start has filled."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    path = base.get("PYTHONPATH")
+    settings = {"dont_write_bytecode": {"PYTHONDONTWRITEBYTECODE": "1"},
+                "warm_pycache_prefix": {"PYTHONPYCACHEPREFIX": str(cache)}}
+    return {setting: {side: dict(base, **extra, PYTHONPATH=os.pathsep.join(
+        [str(trees[side] / "src")] + ([path] if path else [])))
+        for side in SIDES} for setting, extra in settings.items()}
+
+
+def startup_rounds(envs: dict, configs: list, out: Path) -> dict:
+    """setting -> config name -> side -> seconds per round.  Each of
+    ``STARTUP_ROUNDS`` rounds starts every config once per setting and
+    side, the sides in an order drawn per setting and config; an untimed
+    start of each comes first."""
+    argvs = {side: [[sys.executable, "-m", "iqcontrol.cli", "run",
+                     str(config), "--out", str(out / side), "--quiet"]
+                    for config in configs] for side in SIDES}
+    for setting in envs.values():  # fills the cache; makes every output
+        for side in SIDES:
+            for argv in argvs[side]:
+                startup_seconds(argv, setting[side], out)
+    seconds = {name: {config.name: {side: [] for side in SIDES}
+                      for config in configs} for name in envs}
+    order, rng = list(SIDES), random.Random(0)
+    for r in range(STARTUP_ROUNDS):
+        for i, config in enumerate(configs):
+            for name, setting in envs.items():
+                rng.shuffle(order)
+                for side in order:
+                    seconds[name][config.name][side].append(
+                        startup_seconds(argvs[side][i], setting[side], out))
+        print(f"# round {r}", file=sys.stderr, flush=True)
+    return seconds
+
+
+def startup_summary(times: dict) -> dict:
+    """Each side's median seconds and ``summary`` of the per-round ratios,
+    for the per-round seconds ``times`` (side -> list) of one config."""
+    parent, change = times["parent"], times["change"]
+    return {"parent_median_s": round(float(np.median(parent)), 6),
+            "change_median_s": round(float(np.median(change)), 6),
+            **summary(parent, change)}
+
+
+def run_startup(args) -> int:
+    """The ``--startup`` A/B of ``args``: prints its document and, with
+    ``--out``, records it there."""
+    commit, error = resolve_for_record(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    configs = sorted((ROOT / "configs").glob("*.json"))
+    with tempfile.TemporaryDirectory(prefix="iq-startup-") as tmp:
+        tmp = Path(tmp)
+        trees = {side: tmp / side for side in SIDES}
+        error = extract(commit, trees["parent"]) or (
+            extract(commit, trees["change"]) if args.null else "")
+        if error:
+            print(error, end="", file=sys.stderr)
+            return 2
+        if not args.null:
+            copy_working_tree(trees["change"])
+        (tmp / "run").mkdir()
+        seconds = startup_rounds(startup_envs(trees, tmp / "pycache"),
+                                 configs, tmp / "run")
+    doc = {"parent": args.rev, "parent_commit": commit, "null": args.null,
+           "rounds": STARTUP_ROUNDS, "clock": STARTUP_CLOCK,
+           "ratio": STARTUP_RATIO,
+           "settings": {name: {config: startup_summary(times)
+                               for config, times in per_config.items()}
+                        for name, per_config in seconds.items()}}
+    print(json.dumps(doc, indent=2))
+    if args.out:
+        store(args, commit, doc)
     return 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare with")
-    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload", choices=WORKLOADS)
+    what.add_argument("--startup", action="store_true",
+                      help="time whole iqctl processes, per bundled config")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--null", action="store_true",
                         help="load the revision on both sides")
@@ -279,6 +443,8 @@ def main(argv=None) -> int:
     # a child's load order; the top-level call starts two children per order
     parser.add_argument("--loaded-first", choices=SIDES, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.startup:
+        return run_startup(args)
     if args.loaded_first is None:
         return run_both_orders(args)
 

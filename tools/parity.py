@@ -12,7 +12,8 @@ directory and makes one list of iqctl invocations:
 * the sweeps of ``EDGE_SWEEPS`` under ``sweep``: grid shapes the
   benchmark never draws;
 * the simulates of ``EDGE_SIMULATES`` under ``run``: zero time rows, as
-  a range of count 0 and as an empty list;
+  a range of count 0 and as an empty list, and couplings whose result
+  overflows, so a simulate column's error line is compared;
 * each malformed config of ``CASES`` in ``tests/malformed_configs.py``
   of the working tree under ``check`` and ``run``,
   so error lines and exit codes are compared too;
@@ -91,13 +92,20 @@ EDGE_SWEEPS = {
     "zero_axes": sweep_doc(),
 }
 
-# A simulate with no time rows writes only its header.
+def simulate_doc(times, g1: float = 0.2, g3: float = 0.8) -> dict:
+    """A simulate at ``times``; the couplings other than g1, g3 fixed."""
+    return {"mode": "simulate",
+            "couplings": {"g1": g1, "g2": [0.3, -0.1], "g3": g3, "g4": 0.4},
+            "p_s": 0.3, "p_p": 0.7, "times": times}
+
+
+# A simulate with no time rows writes only its header; one whose couplings
+# overflow exits 1 with an error line naming a column, a row and its t.
 EDGE_SIMULATES = {
-    name: {"mode": "simulate",
-           "couplings": {"g1": 0.2, "g2": [0.3, -0.1], "g3": 0.8, "g4": 0.4},
-           "p_s": 0.3, "p_p": 0.7, "times": times}
-    for name, times in (("count_0", {"start": 0.0, "stop": 1.0, "count": 0}),
-                        ("list_0", []))
+    "count_0": simulate_doc({"start": 0.0, "stop": 1.0, "count": 0}),
+    "list_0": simulate_doc([]),
+    "overflow": simulate_doc({"start": 0.0, "stop": 1.0, "count": 3},
+                             g1=1e200, g3=1e200),
 }
 
 
