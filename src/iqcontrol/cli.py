@@ -19,6 +19,9 @@ A result with a non-finite number is an error, and no file or directory
 is written.  An unreadable config, an unwritable output path and a failed
 write (which may leave a partial file) also exit 1 with one "error:" line;
 the output directory is made only when a result is written.
+Paths stay the strings argv gave: the result of CONFIG is written to
+``os.path.join(DIR, stem + suffix)``, with CONFIG's stem by ``_stem``, and
+every message prints a path as it was typed.
 
 ``validate_config`` returns the mode's run, its ``_run_*`` bound to the
 parsed values; a run returns (exit code, (suffix, chunks)) and main writes.
@@ -36,7 +39,6 @@ import sys
 from functools import cache, partial
 from importlib import import_module
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -218,7 +220,7 @@ def _reject_constant(name: str):
 _decode_json = json.JSONDecoder(parse_constant=_reject_constant).decode
 
 
-def load_config(path: Path) -> dict:
+def load_config(path) -> dict:
     try:
         fd = os.open(path, os.O_RDONLY)
         try:
@@ -317,7 +319,7 @@ def validate_config(cfg: dict):
     return partial(_run_sweep, p_s, axes, params)
 
 
-def _write_result(path: Path, chunks):
+def _write_result(path, chunks):
     """Write the byte strings of ``chunks`` to ``path``.  Its directory is
     made only when the open finds it missing; a failed open, write or close
     is one error, and may leave a partial file."""
@@ -325,7 +327,7 @@ def _write_result(path: Path, chunks):
         try:
             fd = os.open(path, _WRITE, 0o666)
         except FileNotFoundError:
-            path.parent.mkdir(parents=True, exist_ok=True)
+            os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
             fd = os.open(path, _WRITE, 0o666)
         try:
             for chunk in chunks:
@@ -343,11 +345,9 @@ def _json_text(value, indent: str = "\n") -> str:
     ASCII keys, lists, bools, ints and finite floats (any other type raises
     TypeError); ``indent`` is the line break and indent ``value`` is on."""
     if isinstance(value, float):
-        text = float.__repr__(value)  # np.float64's repr names its type
         if not math.isfinite(value):
-            raise ConfigError("result has a non-finite value: Out of range "
-                              f"float values are not JSON compliant: {text}")
-        return text
+            raise ConfigError("result has a non-finite value")
+        return float.__repr__(value)  # np.float64's repr names its type
     inner = indent + "  "
     if isinstance(value, dict):
         items = [f'{inner}"{key}": {_json_text(value[key], inner)}'
@@ -361,8 +361,34 @@ def _json_text(value, indent: str = "\n") -> str:
     return int.__repr__(value)
 
 
+def _non_finite_key(value, path: str = ""):
+    """Where the first non-finite float of ``value`` lies, in the order
+    ``_json_text`` writes it (keys sorted), for its error line: its key
+    path below ``path`` (``a.b``, ``a[1]``) and its value; None if every
+    float is finite."""
+    if isinstance(value, float):
+        return (None if math.isfinite(value)
+                else f"key {path} = {float.__repr__(value)}")
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}" if path else key, value[key])
+                 for key in sorted(value))
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite_key(item, where)
+                              for where, item in items)), None)
+
+
 def _json_result(doc: dict):
-    return ".json", [(_json_text(doc) + "\n").encode()]
+    """``(".json", chunks)``; a document with a non-finite float is an
+    error naming the first such key (``_non_finite_key``), looked for
+    only after ``_json_text`` has raised."""
+    try:
+        text = _json_text(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc}: {_non_finite_key(doc)}") from None
+    return ".json", [(text + "\n").encode()]
 
 
 # The CSV cell kernel (``_csv_cells``) gives the bytes of b"%.17g" % v.  A
@@ -608,7 +634,7 @@ def _run_sweep(p_s, axes, fixed):
 
 
 _COMMANDS = ("run", "sweep", "check")
-_OUT = Path("out")  # the default --out
+_OUT = "out"  # the default --out
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -620,8 +646,8 @@ def _parser() -> argparse.ArgumentParser:
                         help="run: execute a config; sweep: run a parameter "
                              "sweep config; check: validate a config without "
                              "executing")
-    parser.add_argument("config", type=Path)
-    parser.add_argument("--out", type=Path, default=_OUT,
+    parser.add_argument("config")
+    parser.add_argument("--out", default=_OUT,
                         help="output directory (default ./out)")
     parser.add_argument("--quiet", action="store_true")
     return parser
@@ -636,7 +662,7 @@ def _documented_args(argv):
     if (len(argv) < 2 or argv[0] not in _COMMANDS
             or argv[1].startswith("-")):
         return None
-    args = argparse.Namespace(command=argv[0], config=Path(argv[1]),
+    args = argparse.Namespace(command=argv[0], config=argv[1],
                               out=_OUT, quiet=False)
     options = iter(argv[2:])
     for option in options:
@@ -646,10 +672,18 @@ def _documented_args(argv):
             out = next(options, "-")
             if out.startswith("-"):
                 return None
-            args.out = Path(out)
+            args.out = out
         else:
             return None
     return args
+
+
+def _stem(path: str) -> str:
+    """The stem of ``path``'s last component by ``PurePath.stem``'s rule:
+    a dot at index 0 or at the end of the name starts no suffix."""
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name
 
 
 def _package(module: str, name=None):
@@ -712,7 +746,7 @@ def main(argv=None) -> int:
                 print(f"{args.config}: valid ({mode})")
             return 0
         code, (suffix, chunks) = run()
-        out_path = args.out / (args.config.stem + suffix)
+        out_path = os.path.join(args.out, _stem(args.config) + suffix)
         _write_result(out_path, chunks)
         if not args.quiet:
             print(f"{mode}: wrote {out_path}")

@@ -11,7 +11,7 @@ import sys
 import tempfile
 import threading
 from itertools import chain
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 import pytest
@@ -609,7 +609,7 @@ class TestOutDirectory:
         path = write_config(tmp_path, "c.json", simulate_config())
         out = tmp_path / "out"
         out.mkdir()
-        mkdir = count_calls(Path, "mkdir")
+        mkdir = count_calls(os, "makedirs")
         assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 0
         assert mkdir == [] and (out / "c.csv").is_file()
 
@@ -643,6 +643,40 @@ class TestOutDirectory:
         assert code == 1
         assert capsys.readouterr().err == ("error: cannot write result: "
                                            "[Errno 28] No space left on device\n")
+
+
+class TestOutputName:
+    """The result of CONFIG is DIR/<stem><suffix>, with CONFIG's stem by
+    ``PurePath.stem``'s rule, and messages print paths as typed."""
+
+    THERMAL = {"mode": "thermal", "temperature": 2.0, "p_p": 0.75}
+
+    @pytest.mark.parametrize("name, stem", [
+        ("c.json", "c"), ("b.tar.json", "b.tar"), (".json", ".json"),
+        (".a.b", ".a"), ("b.", "b."), ("b..json", "b.")])
+    def test_stem_rule(self, name, stem, tmp_path, monkeypatch, capsys):
+        # a dot at index 0 or at the end of the name starts no suffix
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        write_config(tmp_path / "d", name, self.THERMAL)
+        assert cli.main(["run", f"d/{name}", "--out", "out"]) == 0
+        assert capsys.readouterr() == (f"thermal: wrote out/{stem}.json\n",
+                                       "")
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [
+            stem + ".json"]
+
+    def test_paths_print_as_typed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        write_config(tmp_path / "d", "c.json", self.THERMAL)
+        assert cli.main(["check", "./d//c.json"]) == 0
+        assert cli.main(["run", "./d//c.json", "--out", "./out/"]) == 0
+        assert cli.main(["run", "./d//missing.json"]) == 1
+        assert capsys.readouterr() == (
+            "./d//c.json: valid (thermal)\nthermal: wrote ./out/c.json\n",
+            "error: cannot read config: [Errno 2] No such file or "
+            "directory: './d//missing.json'\n")
+        assert (tmp_path / "out" / "c.json").is_file()
 
 
 class TestSweep:
@@ -1543,6 +1577,39 @@ class TestArgv:
             assert cli.main(["check", str(path), "--quiet"]) == 0
         assert built == []
 
+    def test_documented_run_builds_no_path(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "out")
+        argv = [[command, str(CONFIGS / name), "--out", out, "--quiet"]
+                for name, doc in EXAMPLES.items() for command in
+                ("check", "sweep" if doc["mode"] == "sweep" else "run")]
+        # a first pass loads each mode's modules, for which pytest's import
+        # hook makes paths of its own
+        assert [cli.main(args) for args in argv] == [0] * len(argv)
+        # pathlib makes each of its objects through these classmethods up
+        # to Python 3.11, and through PurePath.__init__ from 3.12
+        built = []
+
+        def counted(make):
+            def wrapper(*args, **kwargs):
+                built.append(args)
+                return make(*args, **kwargs)
+            return wrapper
+
+        makers = [name for name in ("_from_parts", "_from_parsed_parts")
+                  if name in vars(PurePath)]
+        for name in makers:
+            make = getattr(PurePath, name).__func__
+            monkeypatch.setattr(PurePath, name,
+                                classmethod(counted(make)))
+        if not makers:
+            monkeypatch.setattr(PurePath, "__init__",
+                                counted(PurePath.__init__))
+        Path("c.json") / "d"
+        assert len(built) == 2  # the count sees a Path and its child
+        built.clear()
+        assert [cli.main(args) for args in argv] == [0] * len(argv)
+        assert built == []
+
     def test_module_entry_point(self):
         # ``python -m iqcontrol.cli`` runs with nothing on stderr
         root = Path(__file__).resolve().parents[1]
@@ -1569,8 +1636,9 @@ def numeric_leaves(node, path=()):
     return [p for key, val in items for p in numeric_leaves(val, path + (key,))]
 
 
-EXAMPLES = {p.name: json.loads(p.read_text(encoding="utf-8")) for p in
-            sorted((Path(__file__).parents[1] / "configs").glob("*.json"))}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+EXAMPLES = {p.name: json.loads(p.read_text(encoding="utf-8"))
+            for p in sorted(CONFIGS.glob("*.json"))}
 LEAVES = [(name, path) for name, doc in EXAMPLES.items()
           for path in numeric_leaves(doc)]
 # Floats include NaN and +-Infinity, which json.dumps writes as constants;
@@ -1724,7 +1792,7 @@ class TestRunReturnsResult:
         out = tmp_path / "out"
         assert cli.main(["run", str(cfg), "--out", str(out), "--quiet"]) == code
         assert [args[0] for args in write] == ([] if name is None
-                                               else [out / name])
+                                               else [str(out / name)])
         assert capsys.readouterr().err.startswith("error: ") == (code == 1)
 
 
@@ -1759,24 +1827,32 @@ class TestJsonResult:
     @pytest.mark.parametrize("where", ["scalar", "nested"])
     def test_non_finite_value_exits_one(self, bad, where, tmp_path,
                                         monkeypatch, capsys):
-        # the error line is the one the json encoder's ValueError gives
-        # for a float; an np.float64 reads as one
+        # the error line names the value's key path and its float repr;
+        # an np.float64 reads as a float
         if where == "scalar":
             monkeypatch.setattr(cli.thermal, "required_gap",
                                 lambda p_p, temperature: bad)
-            name, value = "thermal_example.json", bad
+            name, key = "thermal_example.json", "gap"
         else:
             monkeypatch.setattr(cli, "solve_probe_spectrum",
                                 lambda problem: (np.array([0.5, bad]), 0.0))
-            name, value = "reach_example.json", [0.5, bad]
-        with pytest.raises(ValueError) as old:
-            json.dumps({"x": value}, indent=2, allow_nan=False)
+            name, key = "reach_example.json", "probe_diagonal[1]"
         cfg = write_config(tmp_path, name, EXAMPLES[name])
         out = tmp_path / "out"
         assert cli.main(["run", str(cfg), "--out", str(out), "--quiet"]) == 1
-        assert capsys.readouterr() == (
-            "", f"error: result has a non-finite value: {old.value}\n")
+        assert capsys.readouterr() == ("", "error: result has a non-finite "
+                                       f"value: key {key} = {float(bad)!r}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc, where", [
+        ({"b": math.inf, "a": {"z": -math.inf, "y": 1.0}}, "a.z = -inf"),
+        ({"c": math.nan, "b": [1.0, [2.0, np.float64("nan")]]},
+         "b[1][1] = nan")], ids=["scalar_key", "list_entry"])
+    def test_non_finite_names_first_key_written(self, doc, where):
+        # the first in the written order: keys sorted, lists in order
+        with pytest.raises(cli.ConfigError) as err:
+            cli._json_result(doc)
+        assert str(err.value) == f"result has a non-finite value: key {where}"
 
     def test_non_finite_probe_weight_names_no_type(self, tmp_path,
                                                    monkeypatch, capsys):
@@ -1786,8 +1862,8 @@ class TestJsonResult:
         out = tmp_path / "out"
         assert cli.main(["run", str(cfg), "--out", str(out), "--quiet"]) == 1
         assert capsys.readouterr() == ("", (
-            "error: result has a non-finite value: Out of range float "
-            "values are not JSON compliant: nan\n"))
+            "error: result has a non-finite value: key probe_diagonal[1] "
+            "= nan\n"))
         assert not out.exists()
 
 

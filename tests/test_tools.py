@@ -224,6 +224,18 @@ class TestParityArgvVariants:
                      ["run", "../cfg", "--out", out]):
             assert argv in plan
 
+    def test_unnormalized_paths_are_in_the_plan(self, parity_plan):
+        # spellings a normalizing path type would print otherwise, each
+        # without --quiet so that its message is compared
+        _, plan = parity_plan
+        config = "../cfg/solve_example.json"
+        for argv in (["check", f"./{config}"],
+                     ["check", "../cfg//solve_example.json"],
+                     ["run", "./../cfg//missing.json", "--out", "out/variants"],
+                     ["run", config, "--out", "out/variants/"],
+                     ["run", config, "--out", "./out/variants"]):
+            assert argv in plan
+
 
 class TestParityEdgeSweeps:
     def test_edge_sweeps_are_in_the_plan(self, parity_plan):
@@ -253,6 +265,15 @@ class TestParityEdgeSimulates:
             times.append(doc["times"])
         assert times == [{"start": 0.0, "stop": 1.0, "count": 0}, [],
                          {"start": 0.0, "stop": 1.0, "count": 3}]
+
+
+class TestParityEdgeJson:
+    def test_overflowing_json_is_in_the_plan(self, parity_plan):
+        cfg, plan = parity_plan
+        for name, doc in parity.EDGE_JSON.items():
+            path = cfg / f"edge-{name}.json"
+            assert json.loads(path.read_text(encoding="utf-8")) == doc
+            assert ["run", f"../cfg/{path.name}", "--out", "out/run"] in plan
 
 
 class TestCopyWorkingTree:

@@ -14,6 +14,8 @@ directory and makes one list of iqctl invocations:
 * the simulates of ``EDGE_SIMULATES`` under ``run``: zero time rows, as
   a range of count 0 and as an empty list, and couplings whose result
   overflows, so a simulate column's error line is compared;
+* the configs of ``EDGE_JSON`` under ``run``: a result whose JSON key
+  overflows, so its error line is compared;
 * each malformed config of ``CASES`` in ``tests/malformed_configs.py``
   of the working tree under ``check`` and ``run``,
   so error lines and exit codes are compared too;
@@ -22,7 +24,10 @@ directory and makes one list of iqctl invocations:
   ``argv_variants``): options before the positionals, ``--out=DIR``, the
   abbreviation ``--qu``, a repeated ``--out``, ``--``, ``-h``, a missing
   config and an unknown command, on ``configs/solve_example.json``, and
-  the directory that holds it passed as the config.
+  the directory that holds it passed as the config;
+* paths spelled unnormalized, each printed by a message: a config
+  spelled ``./...`` and one with a doubled slash, a missing one spelled
+  both ways, ``--out DIR/`` and ``--out ./DIR``.
 
 Each tree then runs the whole list in one fresh process that imports that
 tree's ``src/`` and calls ``iqcontrol.cli.main`` in process, with the same
@@ -108,6 +113,12 @@ EDGE_SIMULATES = {
                              g1=1e200, g3=1e200),
 }
 
+# A thermal gap e1 - e0 that overflows.
+EDGE_JSON = {
+    "thermal_overflow": {"mode": "thermal", "temperature": 1.0,
+                         "e0": -1e308, "e1": 1e308},
+}
+
 
 def load(name: str, path: Path):
     """Import the file at ``path`` as module ``name``."""
@@ -130,9 +141,16 @@ def malformed_configs() -> dict:
 
 def argv_variants(config: str) -> list:
     """The command lines outside iqctl's documented form, on ``config``,
-    and a run of the directory that holds it."""
+    a run of the directory that holds it, and paths spelled unnormalized
+    (without ``--quiet``, so the lines that print them are compared)."""
     out = "out/variants"
-    return [["--quiet", "--out", out, "run", config],
+    folder, name = os.path.split(config)
+    return [["check", f"./{config}"],
+            ["check", f"{folder}//{name}"],
+            ["run", f"./{folder}//missing.json", "--out", out],
+            ["run", config, "--out", f"{out}/"],
+            ["run", config, "--out", f"./{out}"],
+            ["--quiet", "--out", out, "run", config],
             ["run", config, f"--out={out}"],
             ["run", config, "--qu", "--out", out],
             ["run", config, "--out", "out/first", "--out", out],
@@ -168,7 +186,8 @@ def invocations(cfg_dir: Path) -> list:
         path = cfg_dir / src.name
         path.write_bytes(src.read_bytes())
         runs += [(command, path) for command in ("run", "sweep", "check")]
-    for command, edges in (("sweep", EDGE_SWEEPS), ("run", EDGE_SIMULATES)):
+    for command, edges in (("sweep", EDGE_SWEEPS), ("run", EDGE_SIMULATES),
+                           ("run", EDGE_JSON)):
         for name, doc in edges.items():
             path = cfg_dir / f"edge-{name}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
